@@ -161,96 +161,15 @@ func BenchmarkLargeVerifyAllRing16Tokens4Parallel(b *testing.B) {
 	benchLarge(b, systems.Ring(16, 4), 0)
 }
 
-// --- Reduction: the Reduce stage of Explore → Reduce → Check -----------------
-//
-// The Serial/Reduced pairs isolate the pipeline downstream of
-// exploration: the LTS is explored once outside the timed loop, then the
-// row's properties are verified against it (Reuse) with the reduction
-// stage off (Serial) and on (Reduced). That is exactly the states-checked
-// comparison: the Reduced variants run the checker on bisimulation
-// quotients (PingPong-12 deadlock-freedom collapses 531 441 states to 1
-// block and wins wall-clock too), while FAIL-fast properties expose the
-// refinement's fixed cost against an early-exiting NDFS.
-
-// benchReduceCheck verifies props (nil = all of the row's) against a
-// pre-explored LTS with the given reduction, asserting verdicts.
-func benchReduceCheck(b *testing.B, s *systems.System, kinds map[verify.Kind]bool, red verify.Reduction) {
-	sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true}
-	m, err := lts.Explore(sem, s.Type, lts.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range s.Props {
-			if kinds != nil && !kinds[p.Kind] {
-				continue
-			}
-			o, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, Reuse: m, Reduction: red})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if want, ok := s.Expected[p.Kind]; ok && o.Holds != want {
-				b.Fatalf("%s / %s: verdict %v, expected %v", s.Name, p, o.Holds, want)
-			}
-		}
-	}
-}
-
-func benchReduceCheckLarge(b *testing.B, s *systems.System, kinds map[verify.Kind]bool, red verify.Reduction) {
-	if testing.Short() {
-		b.Skip("large instance skipped in -short mode")
-	}
-	benchReduceCheck(b, s, kinds, red)
-}
-
-func BenchmarkReduceCheckPhilosophers5Serial(b *testing.B) {
-	benchReduceCheck(b, systems.DiningPhilosophers(5, false), nil, verify.ReduceOff)
-}
-
-func BenchmarkReduceCheckPhilosophers5Reduced(b *testing.B) {
-	benchReduceCheck(b, systems.DiningPhilosophers(5, false), nil, verify.ReduceStrong)
-}
-
-func BenchmarkReduceCheckPhilosophers8Serial(b *testing.B) {
-	benchReduceCheckLarge(b, systems.DiningPhilosophers(8, false), nil, verify.ReduceOff)
-}
-
-func BenchmarkReduceCheckPhilosophers8Reduced(b *testing.B) {
-	benchReduceCheckLarge(b, systems.DiningPhilosophers(8, false), nil, verify.ReduceStrong)
-}
-
-func BenchmarkReduceCheckRing16Serial(b *testing.B) {
-	benchReduceCheckLarge(b, systems.Ring(16, 4), nil, verify.ReduceOff)
-}
-
-func BenchmarkReduceCheckRing16Reduced(b *testing.B) {
-	benchReduceCheckLarge(b, systems.Ring(16, 4), nil, verify.ReduceStrong)
-}
-
-// The headline pair: deadlock-freedom of the 531 441-state ping-pong
-// sweep is a PASS, so the unreduced checker must walk the entire
-// product; the Reduce stage collapses it to one block.
-var deadlockOnly = map[verify.Kind]bool{verify.DeadlockFree: true}
-
-func BenchmarkReduceCheckPingPong12Serial(b *testing.B) {
-	benchReduceCheckLarge(b, systems.PingPongPairs(12, false), deadlockOnly, verify.ReduceOff)
-}
-
-func BenchmarkReduceCheckPingPong12Reduced(b *testing.B) {
-	benchReduceCheckLarge(b, systems.PingPongPairs(12, false), deadlockOnly, verify.ReduceStrong)
-}
-
 // --- Symmetry: exploration-time orbit collapsing -----------------------------
 //
-// The Serial/Symmetry pairs time the WHOLE VerifyAll pipeline — unlike
-// the Reduce pairs above, symmetry pays off during exploration itself:
+// The Serial/Symmetry pairs time the WHOLE VerifyAll pipeline: symmetry
+// pays off during exploration itself:
 // the n-pair ping-pong rows have 3^n concrete states but only
 // 3·C(n+1, 2) orbit representatives (one pair pinned by the probe
 // channels), so the Symmetry variants never materialise the exponential
 // state space at all. PingPong-12 collapses 531 441 states to 234 —
-// the acceptance pair behind the ISSUE's ≥5× target.
+// the acceptance pair behind the ≥5× target.
 
 // benchSymmetryVerifyAll runs the full batch pipeline (exploration
 // included, fresh cache per iteration) under the given symmetry mode,
@@ -297,8 +216,8 @@ func BenchmarkSymmetryVerifyAllPingPong12Symmetry(b *testing.B) {
 
 // benchSymmetryVerifyDining times a SINGLE property — deadlock-freedom
 // of the 8-philosopher Dining ring — rather than the VerifyAll batch.
-// The joint quotient of the full six-property batch pins f0 and f1,
-// which freezes the ring (a rotation moves every fork), so only the
+// The full six-property batch pins the union of its channels, f0 and
+// f1, which freezes the ring (a rotation moves every fork), so only the
 // per-property run shows the cyclic factor: deadlock-freedom observes
 // no channels, the rotation group C_8 survives, and 6 560 concrete
 // states collapse to 833 necklace representatives with the FAIL's

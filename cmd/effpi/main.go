@@ -88,10 +88,6 @@ verify flags:
   -open          treat the program as open (environment may interact on
                  the probe channels); default is closed-composition mode
   -early         stop exploring as soon as a violation is found
-  -reduce MODE   off | strong — check on the strong-bisimulation
-                 quotient of the state space (verdicts unchanged;
-                 counterexamples lifted back to concrete runs and
-                 replay-validated)
   -symmetry MODE off | on — explore orbit representatives under the
                  system's channel permutation group: classes of
                  interchangeable channel bundles and rotations of
@@ -218,16 +214,11 @@ func cmdVerify(args []string) error {
 	open := fs.Bool("open", false, "open-process mode (default: closed composition)")
 	maxStates := fs.Int("max", 0, "state bound (0 = default)")
 	early := fs.Bool("early", false, "early-exit mode: stop exploring as soon as a violation is found (on-the-fly checking; non-usage, deadlock-free and reactive)")
-	reduce := fs.String("reduce", "off", "state-space reduction before checking: off | strong (bisimulation quotient; verdicts unchanged, witnesses lifted and replay-validated)")
 	symmetry := fs.String("symmetry", "off", "exploration-time symmetry reduction: off | on (orbit representatives under interchangeable-bundle and ring-rotation groups; verdicts unchanged, witnesses permutation-lifted and replay-validated)")
 	por := fs.String("por", "off", "exploration-time partial-order reduction: off | on (ample transition subsets; verdicts unchanged, witnesses replay-validated; yields to -symmetry)")
 	width := fs.Int("width", 100, "truncate printed witness states to this width (0 = full)")
 	pkgMode := fs.Bool("pkg", false, "treat arguments as Go package directories and statically extract the protocol (implied by a directory or ./... argument)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	reduction, err := effpi.ParseReduction(*reduce)
-	if err != nil {
 		return err
 	}
 	symMode, err := effpi.ParseSymmetry(*symmetry)
@@ -240,8 +231,7 @@ func cmdVerify(args []string) error {
 	}
 	opts := []effpi.Option{
 		effpi.WithMaxStates(*maxStates), effpi.WithEarlyExit(*early),
-		effpi.WithReduction(reduction), effpi.WithSymmetry(symMode),
-		effpi.WithPartialOrder(porMode),
+		effpi.WithSymmetry(symMode), effpi.WithPartialOrder(porMode),
 	}
 	if *pkgMode || argsArePackages(fs.Args()) {
 		return verifyPackages(fs.Args(), *propName, *channels, *from, *to, *open, *width, opts)
@@ -406,9 +396,6 @@ func printOutcomeHeader(o *effpi.Outcome) {
 	if o.EarlyExit {
 		fmt.Printf("states:    %d discovered, %d expanded (early exit; product %d, automaton %d)\n",
 			o.States, o.Expanded, o.ProductStates, o.AutomatonStates)
-	} else if o.ReducedStates > 0 {
-		fmt.Printf("states:    %d, checked as %d bisimulation blocks (%.1f×; product %d, automaton %d)\n",
-			o.States, o.ReducedStates, float64(o.States)/float64(o.ReducedStates), o.ProductStates, o.AutomatonStates)
 	} else {
 		fmt.Printf("states:    %d (product %d, automaton %d)\n", o.States, o.ProductStates, o.AutomatonStates)
 	}

@@ -329,97 +329,23 @@ func TestBadRequests(t *testing.T) {
 
 // TestEarlyExitRequest: the on-the-fly engine is reachable over the
 // wire and reports its discovered/expanded counts.
-// TestReductionRequest: a "reduction": "strong" request checks on the
-// bisimulation quotient — the verdict matches the unreduced run, every
-// LTL result carries states_reduced, a FAIL still carries a
-// replay-validated witness, and /metrics exposes the ratio gauges.
-func TestReductionRequest(t *testing.T) {
-	ts := testServer(t, serverConfig{})
-	body := func(reduction string) string {
-		return fmt.Sprintf(`{
-			"system": "Dining philos. (4, deadlock)",
-			"reduction": %q
-		}`, reduction)
-	}
-	code, base := postVerify(t, ts, body("off"))
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, base)
-	}
-	code, reduced := postVerify(t, ts, body("strong"))
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, reduced)
-	}
-	type result struct {
-		Kind          string             `json:"kind"`
-		Holds         bool               `json:"holds"`
-		States        int                `json:"states"`
-		StatesReduced int                `json:"states_reduced"`
-		Witness       *effpi.WitnessJSON `json:"witness"`
-	}
-	var baseResp, redResp struct {
-		Results []result `json:"results"`
-	}
-	if err := json.Unmarshal(base, &baseResp); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(reduced, &redResp); err != nil {
-		t.Fatal(err)
-	}
-	if len(redResp.Results) != len(baseResp.Results) || len(redResp.Results) == 0 {
-		t.Fatalf("result counts differ: %d vs %d", len(redResp.Results), len(baseResp.Results))
-	}
-	for i, r := range redResp.Results {
-		b := baseResp.Results[i]
-		if r.Holds != b.Holds || r.States != b.States {
-			t.Errorf("%s: reduced verdict/states (%v,%d) differ from unreduced (%v,%d)", r.Kind, r.Holds, r.States, b.Holds, b.States)
-		}
-		if b.StatesReduced != 0 {
-			t.Errorf("%s: unreduced result carries states_reduced=%d", b.Kind, b.StatesReduced)
-		}
-		if r.Kind == effpi.EventualOutput.String() {
-			if r.StatesReduced != 0 {
-				t.Errorf("ev-usage: states_reduced=%d, want 0 (no Reduce stage)", r.StatesReduced)
-			}
-			continue
-		}
-		if r.StatesReduced <= 0 || r.StatesReduced > r.States {
-			t.Errorf("%s: states_reduced=%d out of range (states %d)", r.Kind, r.StatesReduced, r.States)
-		}
-		if !r.Holds && (r.Witness == nil || !r.Witness.Replayed) {
-			t.Errorf("%s: reduced FAIL without replay-validated witness", r.Kind)
-		}
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var metrics map[string]float64
-	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if metrics["reduced_properties_total"] <= 0 {
-		t.Errorf("reduced_properties_total = %v, want > 0", metrics["reduced_properties_total"])
-	}
-	if metrics["reduction_ratio"] < 1 {
-		t.Errorf("reduction_ratio = %v, want >= 1", metrics["reduction_ratio"])
-	}
-	if metrics["reduction_states_full_total"] < metrics["reduction_states_reduced_total"] {
-		t.Errorf("cumulative full states %v < reduced %v", metrics["reduction_states_full_total"], metrics["reduction_states_reduced_total"])
-	}
-}
-
-// TestReductionRequestRejectsUnknownMode: an unknown reduction name is a
-// stable 400, not an internal failure.
+// TestReductionRequestRejectsUnknownMode: the "reduction" field is gone
+// from the wire — the bisimulation Reduce stage was removed — so a
+// request that still sends it, with any mode, is a stable 400
+// bad-request naming the field, never a silently ignored option.
 func TestReductionRequestRejectsUnknownMode(t *testing.T) {
 	ts := testServer(t, serverConfig{})
-	code, buf := postVerify(t, ts, `{"system": "Dining philos. (4, deadlock)", "reduction": "branching"}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", code, buf)
-	}
-	if !bytes.Contains(buf, []byte(`"kind": "bad-request"`)) {
-		t.Errorf("error kind not bad-request: %s", buf)
+	for _, mode := range []string{"strong", "off", "branching"} {
+		code, buf := postVerify(t, ts, fmt.Sprintf(`{"system": "Dining philos. (4, deadlock)", "reduction": %q}`, mode))
+		if code != http.StatusBadRequest {
+			t.Fatalf("reduction %q: status %d, want 400: %s", mode, code, buf)
+		}
+		if !bytes.Contains(buf, []byte(`"kind": "bad-request"`)) {
+			t.Errorf("reduction %q: error kind not bad-request: %s", mode, buf)
+		}
+		if !bytes.Contains(buf, []byte(`reduction`)) {
+			t.Errorf("reduction %q: error does not name the field: %s", mode, buf)
+		}
 	}
 }
 

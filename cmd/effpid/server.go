@@ -61,10 +61,6 @@ type server struct {
 	metrics *expvar.Map
 	// Counter handles into metrics (expvar.Map lookups allocate).
 	requests, failures, pass, fail, cancelled, inflight *expvar.Int
-	// Reduction accounting: how many properties ran with the Reduce
-	// stage, and the cumulative concrete/quotient state counts they saw —
-	// /metrics derives the fleet-wide reduction ratio from the pair.
-	reducedProps, reducedStatesFull, reducedStatesQuotient *expvar.Int
 	// Symmetry accounting: how many properties were checked on orbit
 	// representatives, and the cumulative covered/explored state counts —
 	// /metrics derives the fleet-wide orbit ratio from the pair.
@@ -171,9 +167,6 @@ func newServer(ws *effpi.Workspace, cfg serverConfig) *server {
 	s.fail = newInt("verdicts_fail_total")
 	s.cancelled = newInt("cancelled_total")
 	s.inflight = newInt("requests_inflight")
-	s.reducedProps = newInt("reduced_properties_total")
-	s.reducedStatesFull = newInt("reduction_states_full_total")
-	s.reducedStatesQuotient = newInt("reduction_states_reduced_total")
 	s.symmetricProps = newInt("symmetric_properties_total")
 	s.symmetryStatesCovered = newInt("symmetry_states_covered_total")
 	s.symmetryStatesExplored = newInt("symmetry_states_explored_total")
@@ -305,10 +298,6 @@ type verifyRequest struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// EarlyExit selects on-the-fly checking where the schema allows it.
 	EarlyExit bool `json:"early_exit,omitempty"`
-	// Reduction selects the state-space reduction stage: "off" (default)
-	// or "strong" (bisimulation quotienting; verdicts identical, FAIL
-	// witnesses lifted to concrete runs and replay-validated).
-	Reduction string `json:"reduction,omitempty"`
 	// Symmetry selects exploration-time symmetry reduction: "off"
 	// (default) or "on" (orbit representatives under the system's
 	// channel permutation group — interchangeable-bundle classes and
@@ -368,11 +357,6 @@ type resultJSON struct {
 	Kind     string `json:"kind"`
 	Holds    bool   `json:"holds"`
 	States   int    `json:"states"`
-	// StatesReduced is the bisimulation-quotient block count the checker
-	// ran on when the request selected a reduction (0 = no Reduce stage,
-	// e.g. reduction off, ev-usage, a trivially-true formula, or an
-	// early-exit search).
-	StatesReduced int `json:"states_reduced,omitempty"`
 	// StatesExplored is the number of states the engine actually visited
 	// when exploration-time symmetry reduction was in effect: orbit
 	// representatives, each standing for a whole equivalence class of the
@@ -458,13 +442,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		// still round-trips through its JSON representation.
 		out[kv.Key] = json.RawMessage(kv.Value.String())
 	})
-	// Derived gauge: fleet-wide states-checked shrink factor across every
-	// reduced property so far (1.0 until a reduction has run).
-	ratio := 1.0
-	if q := s.reducedStatesQuotient.Value(); q > 0 {
-		ratio = float64(s.reducedStatesFull.Value()) / float64(q)
-	}
-	out["reduction_ratio"] = ratio
 	// Derived gauge: fleet-wide orbit collapse factor across every
 	// symmetric property so far (1.0 until symmetry has engaged).
 	orbit := 1.0
@@ -605,13 +582,6 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 // session's streaming events (the job engine feeds them into the job's
 // progress snapshot).
 func (s *server) verify(ctx context.Context, req *verifyRequest, progress func(effpi.Event)) (*verifyResponse, int, string, error) {
-	reduction := effpi.ReduceOff
-	if req.Reduction != "" {
-		var err error
-		if reduction, err = effpi.ParseReduction(req.Reduction); err != nil {
-			return nil, http.StatusBadRequest, "bad-request", err
-		}
-	}
 	symmetry := effpi.SymmetryOff
 	if req.Symmetry != "" {
 		var err error
@@ -630,7 +600,6 @@ func (s *server) verify(ctx context.Context, req *verifyRequest, progress func(e
 		effpi.WithMaxStates(pick(req.MaxStates, s.maxStates)),
 		effpi.WithParallelism(pick(req.Parallelism, s.parallelism)),
 		effpi.WithEarlyExit(req.EarlyExit),
-		effpi.WithReduction(reduction),
 		effpi.WithSymmetry(symmetry),
 		effpi.WithPartialOrder(partialOrder),
 	}
@@ -723,17 +692,11 @@ func (s *server) verify(ctx context.Context, req *verifyRequest, progress func(e
 			Kind:            o.Property.Kind.String(),
 			Holds:           o.Holds,
 			States:          o.States,
-			StatesReduced:   o.ReducedStates,
 			Expanded:        o.Expanded,
 			EarlyExit:       o.EarlyExit,
 			ProductStates:   o.ProductStates,
 			AutomatonStates: o.AutomatonStates,
 			DurationMS:      float64(o.Duration.Microseconds()) / 1000,
-		}
-		if o.ReducedStates > 0 {
-			s.reducedProps.Add(1)
-			s.reducedStatesFull.Add(int64(o.States))
-			s.reducedStatesQuotient.Add(int64(o.ReducedStates))
 		}
 		if o.StatesExplored > 0 && o.StatesExplored < o.States {
 			res.StatesExplored = o.StatesExplored

@@ -13,7 +13,7 @@
 //
 //	mcbench [-suite all|payment|philos|pingpong|ring|large] [-reps N]
 //	        [-max N] [-skip-slow] [-shared] [-par N] [-props a,b] [-json PATH]
-//	        [-reduce] [-symmetry] [-por] [-cpuprofile PATH] [-memprofile PATH]
+//	        [-symmetry] [-por] [-cpuprofile PATH] [-memprofile PATH]
 //
 // With -json PATH the results are also written as machine-readable JSON
 // (one object per row with per-property verdicts and timing stats), the
@@ -45,7 +45,6 @@ func main() {
 	skipSlow := flag.Bool("skip-slow", false, "skip the largest (slowest) rows")
 	shared := flag.Bool("shared", false, "share one workspace cache across a row's properties (the VerifyAll production path) instead of timing each property cold")
 	par := flag.Int("par", 0, "BFS workers per exploration: 0 = GOMAXPROCS, 1 = the serial engine (cap total CPU with GOMAXPROCS)")
-	reduce := flag.Bool("reduce", false, "check every property on the strong-bisimulation quotient of its state space (verdicts unchanged; rows gain states_full/states_reduced columns)")
 	symmetry := flag.Bool("symmetry", false, "explore orbit representatives under each system's channel permutation group — interchangeable-bundle classes and ring rotations (verdicts unchanged; rows gain states_explored/orbit_ratio columns)")
 	por := flag.Bool("por", false, "explore ample transition subsets per state (partial-order reduction; verdicts unchanged, eligible properties gain partial_order/states_explored columns)")
 	propFilter := flag.String("props", "", "comma-separated property kinds to run (default: all six Fig. 9 columns)")
@@ -62,7 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
 		os.Exit(2)
 	}
-	code := run(*suite, *reps, *maxStates, *skipSlow, *shared, *par, *reduce, *symmetry, *por, *propFilter, *jsonPath)
+	code := run(*suite, *reps, *maxStates, *skipSlow, *shared, *par, *symmetry, *por, *propFilter, *jsonPath)
 	stopProfiles()
 	os.Exit(code)
 }
@@ -106,7 +105,7 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 }
 
 // run executes the sweep and returns the process exit code.
-func run(suite string, reps, maxStates int, skipSlow, shared bool, par int, reduce, symmetry, por bool, propFilter, jsonPath string) int {
+func run(suite string, reps, maxStates int, skipSlow, shared bool, par int, symmetry, por bool, propFilter, jsonPath string) int {
 	rows := selectRows(suite)
 	if len(rows) == 0 {
 		fmt.Fprintf(os.Stderr, "mcbench: unknown suite %q\n", suite)
@@ -119,10 +118,6 @@ func run(suite string, reps, maxStates int, skipSlow, shared bool, par int, redu
 		return 2
 	}
 
-	reduction := effpi.ReduceOff
-	if reduce {
-		reduction = effpi.ReduceStrong
-	}
 	symMode := effpi.SymmetryOff
 	if symmetry {
 		symMode = effpi.SymmetryOn
@@ -136,15 +131,12 @@ func run(suite string, reps, maxStates int, skipSlow, shared bool, par int, redu
 		Parallelism:  par,
 		Reps:         reps,
 		SharedCache:  shared,
-		Reduction:    reduction.String(),
 		Symmetry:     symMode.String(),
 		PartialOrder: porMode.String(),
 	}
 
 	statesHeader := "states"
 	switch {
-	case reduce:
-		statesHeader = "states full→reduced"
 	case symmetry:
 		statesHeader = "states full→explored"
 	case por:
@@ -156,7 +148,7 @@ func run(suite string, reps, maxStates int, skipSlow, shared bool, par int, redu
 		if skipSlow && isSlow(s.Name) {
 			continue
 		}
-		row, bad := runRow(s, reps, maxStates, shared, par, reduction, symMode, porMode, kinds)
+		row, bad := runRow(s, reps, maxStates, shared, par, symMode, porMode, kinds)
 		report.Rows = append(report.Rows, row)
 		mismatches += bad
 	}
@@ -268,10 +260,6 @@ type jsonReport struct {
 	Parallelism int  `json:"parallelism"`
 	Reps        int  `json:"reps"`
 	SharedCache bool `json:"shared_cache"`
-	// Reduction is the state-space reduction the run checked under
-	// ("off" or "strong"); with "strong" every row carries the
-	// states_full / states_reduced pair and their ratio.
-	Reduction string `json:"reduction"`
 	// Symmetry is the exploration-time symmetry mode the run used ("off"
 	// or "on"); with "on" every row carries states_explored and
 	// orbit_ratio.
@@ -286,16 +274,6 @@ type jsonReport struct {
 type jsonRow struct {
 	System string `json:"system"`
 	States int    `json:"states"`
-	// StatesFull/StatesReduced are the row's states-checked totals under
-	// -reduce: the concrete state count summed over every property that
-	// ran the Reduce stage, against the bisimulation-block count the
-	// checker actually visited (each property refines over its own
-	// observation classes, so quotient sizes differ per column).
-	// ReductionRatio is StatesFull / StatesReduced — the row's
-	// states-checked shrink factor.
-	StatesFull     int     `json:"states_full,omitempty"`
-	StatesReduced  int     `json:"states_reduced,omitempty"`
-	ReductionRatio float64 `json:"reduction_ratio,omitempty"`
 	// StatesExplored is the smallest orbit-representative count any of
 	// the row's properties visited under -symmetry (equal to States when
 	// the row has no non-trivial symmetry group; properties whose pinned
@@ -318,11 +296,6 @@ type jsonRow struct {
 type jsonProp struct {
 	Kind  string `json:"kind"`
 	Holds bool   `json:"holds"`
-	// StatesReduced is the bisimulation-quotient block count this
-	// property was checked on under -reduce (0 = no Reduce stage ran,
-	// e.g. reduction off, the existential ev-usage schema, or a formula
-	// that simplifies to ⊤).
-	StatesReduced int `json:"states_reduced,omitempty"`
 	// PartialOrder reports that this property was checked on an ample-set
 	// reduced space under -por; StatesExplored is that reduced state
 	// count (the full interleaving count is never computed under POR).
@@ -349,7 +322,7 @@ type jsonProp struct {
 // With shared, one workspace serves the whole row, so later properties
 // reuse earlier per-component work through its cache; without it every
 // repetition runs in a fresh workspace (timed cold).
-func runRow(s *effpi.BenchSystem, reps, maxStates int, shared bool, par int, reduction effpi.Reduction, symmetry effpi.SymmetryMode, por effpi.PartialOrderMode, kinds map[effpi.Kind]bool) (jsonRow, int) {
+func runRow(s *effpi.BenchSystem, reps, maxStates int, shared bool, par int, symmetry effpi.SymmetryMode, por effpi.PartialOrderMode, kinds map[effpi.Kind]bool) (jsonRow, int) {
 	ctx := context.Background()
 	row := jsonRow{System: s.Name}
 	cells := make([]string, 0, len(s.Props))
@@ -365,8 +338,7 @@ func runRow(s *effpi.BenchSystem, reps, maxStates int, shared bool, par int, red
 		}
 		return ws.NewSessionFromType(s.Env, s.Type,
 			effpi.WithMaxStates(maxStates), effpi.WithParallelism(par),
-			effpi.WithReduction(reduction), effpi.WithSymmetry(symmetry),
-			effpi.WithPartialOrder(por))
+			effpi.WithSymmetry(symmetry), effpi.WithPartialOrder(por))
 	}
 	for _, prop := range s.Props {
 		if !keepProp(kinds, prop) {
@@ -389,7 +361,6 @@ func runRow(s *effpi.BenchSystem, reps, maxStates int, shared bool, par int, red
 				break
 			}
 			jp.Holds = last.Holds
-			jp.StatesReduced = last.ReducedStates
 			if last.PartialOrder {
 				// Under POR, States and StatesExplored both count the
 				// reduced space — keep the row's full count from the
@@ -426,11 +397,6 @@ func runRow(s *effpi.BenchSystem, reps, maxStates int, shared bool, par int, red
 			}
 			jp.Witness = w
 		}
-		if jp.StatesReduced > 0 {
-			// Row-level states-checked totals: concrete vs quotient.
-			row.StatesFull += last.States
-			row.StatesReduced += jp.StatesReduced
-		}
 		jp.MeanSeconds, jp.StddevSeconds = meanStddev(times)
 		mark := ""
 		if want, ok := s.Expected[prop.Kind]; ok {
@@ -449,12 +415,7 @@ func runRow(s *effpi.BenchSystem, reps, maxStates int, shared bool, par int, red
 	if symmetry != effpi.SymmetryOff && row.StatesExplored > 0 {
 		row.OrbitRatio = float64(row.States) / float64(row.StatesExplored)
 	}
-	if reduction != effpi.ReduceOff && row.StatesReduced > 0 {
-		// Rows where no property ran the Reduce stage (e.g. -props
-		// ev-usage) keep the plain state count instead of a 0\u21920 cell.
-		row.ReductionRatio = float64(row.StatesFull) / float64(row.StatesReduced)
-		statesCell = fmt.Sprintf("%10d\u2192%-8d", row.StatesFull, row.StatesReduced)
-	} else if row.OrbitRatio > 0 {
+	if row.OrbitRatio > 0 {
 		statesCell = fmt.Sprintf("%10d\u2192%-8d", row.States, row.StatesExplored)
 	} else if por != effpi.PartialOrderOff && row.StatesAmple > 0 {
 		statesCell = fmt.Sprintf("%10d\u2192%-8d", row.States, row.StatesAmple)

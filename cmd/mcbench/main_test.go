@@ -16,7 +16,7 @@ func TestRunRowAttachesReplayedWitnesses(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark row not found")
 	}
-	row, mismatches := runRow(s, 1, 1<<18, true, 1, effpi.ReduceOff, effpi.SymmetryOff, effpi.PartialOrderOff, nil)
+	row, mismatches := runRow(s, 1, 1<<18, true, 1, effpi.SymmetryOff, effpi.PartialOrderOff, nil)
 	if mismatches != 0 {
 		t.Fatalf("unexpected verdict mismatches: %d", mismatches)
 	}
@@ -57,64 +57,6 @@ func TestRunRowAttachesReplayedWitnesses(t *testing.T) {
 	}
 }
 
-// TestRunRowReduced: under -reduce a row carries the states_full /
-// states_reduced pair with their ratio, every LTL property reports its
-// quotient size, verdicts still match Fig. 9, and failing properties
-// still serialise replay-validated witnesses (now produced by lifting).
-func TestRunRowReduced(t *testing.T) {
-	s, ok := effpi.BenchSystemByName("Dining philos. (4, deadlock)")
-	if !ok {
-		t.Fatal("benchmark row not found")
-	}
-	row, mismatches := runRow(s, 1, 1<<18, true, 1, effpi.ReduceStrong, effpi.SymmetryOff, effpi.PartialOrderOff, nil)
-	if mismatches != 0 {
-		t.Fatalf("unexpected verdict mismatches under -reduce: %d", mismatches)
-	}
-	// The row totals sum over the five LTL-checked columns (ev-usage has
-	// no Reduce stage): concrete states checked vs quotient blocks.
-	wantFull, wantReduced := 0, 0
-	for _, p := range row.Properties {
-		if p.StatesReduced > 0 {
-			wantFull += row.States
-			wantReduced += p.StatesReduced
-		}
-	}
-	if row.StatesFull != wantFull || wantFull != 5*row.States {
-		t.Errorf("states_full=%d, want %d (5 reduced columns × %d states)", row.StatesFull, wantFull, row.States)
-	}
-	if row.StatesReduced != wantReduced || wantReduced <= 0 || wantReduced > wantFull {
-		t.Errorf("states_reduced=%d, want %d in (0, %d]", row.StatesReduced, wantReduced, wantFull)
-	}
-	if want := float64(row.StatesFull) / float64(row.StatesReduced); row.ReductionRatio != want {
-		t.Errorf("reduction_ratio=%v, want %v", row.ReductionRatio, want)
-	}
-	sawWitness := false
-	for _, p := range row.Properties {
-		kind, err := effpi.ParseKind(p.Kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind == effpi.EventualOutput {
-			if p.StatesReduced != 0 {
-				t.Errorf("ev-usage: states_reduced=%d, want 0", p.StatesReduced)
-			}
-			continue
-		}
-		if p.StatesReduced <= 0 {
-			t.Errorf("%s: no quotient size recorded under -reduce", p.Kind)
-		}
-		if !p.Holds {
-			if p.Witness == nil || !p.Witness.Replayed {
-				t.Fatalf("%s: reduced FAIL without replay-validated witness", p.Kind)
-			}
-			sawWitness = true
-		}
-	}
-	if !sawWitness {
-		t.Fatal("reduced row produced no witnesses")
-	}
-}
-
 // TestRunRowSymmetry: under -symmetry a ping-pong row (interchangeable
 // pairs) carries the states_explored / orbit_ratio pair with an actual
 // collapse, verdicts still match Fig. 9, and failing properties still
@@ -125,7 +67,7 @@ func TestRunRowSymmetry(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark row not found")
 	}
-	row, mismatches := runRow(s, 1, 1<<20, true, 1, effpi.ReduceOff, effpi.SymmetryOn, effpi.PartialOrderOff, nil)
+	row, mismatches := runRow(s, 1, 1<<20, true, 1, effpi.SymmetryOn, effpi.PartialOrderOff, nil)
 	if mismatches != 0 {
 		t.Fatalf("unexpected verdict mismatches under -symmetry: %d", mismatches)
 	}
@@ -176,7 +118,7 @@ func TestPropFilter(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark row not found")
 	}
-	row, mismatches := runRow(s, 1, 1<<18, true, 1, effpi.ReduceOff, effpi.SymmetryOff, effpi.PartialOrderOff, kinds)
+	row, mismatches := runRow(s, 1, 1<<18, true, 1, effpi.SymmetryOff, effpi.PartialOrderOff, kinds)
 	if mismatches != 0 {
 		t.Fatalf("unexpected verdict mismatches: %d", mismatches)
 	}
@@ -260,7 +202,7 @@ func TestRunRowPartialOrder(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark row not found")
 	}
-	row, mismatches := runRow(s, 1, 1<<20, true, 1, effpi.ReduceOff, effpi.SymmetryOff, effpi.PartialOrderOn, nil)
+	row, mismatches := runRow(s, 1, 1<<20, true, 1, effpi.SymmetryOff, effpi.PartialOrderOn, nil)
 	if mismatches != 0 {
 		t.Fatalf("unexpected verdict mismatches under -por: %d", mismatches)
 	}

@@ -8,7 +8,7 @@
 // memoised transition semantics, with a size-bounded eviction policy); a
 // Session binds one program or type to a workspace and is configured
 // with functional options (WithMaxStates, WithParallelism,
-// WithEarlyExit, WithReduction, WithSymmetry, WithPartialOrder,
+// WithEarlyExit, WithSymmetry, WithPartialOrder,
 // WithClosed, WithProgress, …):
 //
 //	ws := effpi.NewWorkspace()
@@ -42,17 +42,6 @@
 // "-early" flag of effpi verify (WithEarlyExit here) stops exploring as
 // soon as a violation exists (on-the-fly checking; see DESIGN.md).
 //
-// State-space reduction: WithReduction(ReduceStrong) — "-reduce strong"
-// in effpi verify, "-reduce" in mcbench, "reduction": "strong" in
-// effpid requests — inserts a Reduce stage between exploration and
-// checking that quotients the state space by strong bisimulation over
-// the property's observation classes. Verdicts are provably (and, on
-// every FAIL, machine-checkedly) identical: the counterexample found on
-// the quotient is lifted back to a concrete run and re-validated by the
-// replay oracle before it is returned, and Outcome.ReducedStates
-// reports the block count actually checked (symmetric systems shrink by
-// orders of magnitude; see DESIGN.md §reduction).
-//
 // Symmetry reduction: WithSymmetry(SymmetryOn) — "-symmetry on" in
 // effpi verify, "-symmetry" in mcbench, "symmetry": "on" in effpid
 // requests — shrinks the *exploration* itself: closed systems are
@@ -69,8 +58,8 @@
 // 6 560). Every orbit edge records its canonicalising permutation; a
 // FAIL's orbit counterexample is rewritten into a concrete run by
 // composing those permutations and re-validated by the replay oracle
-// before it is returned. Symmetry composes with WithEarlyExit and
-// WithReduction, and falls back to the concrete pipeline for open
+// before it is returned. Symmetry composes with WithEarlyExit, and
+// falls back to the concrete pipeline for open
 // (non-Closed) properties; see DESIGN.md §symmetry.
 //
 // Go-source frontend: FromPackages (and ExtractGoSource for a single

@@ -40,8 +40,6 @@ type (
 	// BenchSystem is one benchmark row: a named system with its property
 	// instances and the verdicts Fig. 9 publishes for them.
 	BenchSystem = systems.System
-	// Reduction selects the state-space reduction stage (WithReduction).
-	Reduction = verify.Reduction
 	// SymmetryMode selects exploration-time symmetry reduction
 	// (WithSymmetry).
 	SymmetryMode = verify.SymmetryMode
@@ -58,16 +56,6 @@ const (
 	Forwarding     = verify.Forwarding
 	Reactive       = verify.Reactive
 	Responsive     = verify.Responsive
-)
-
-// The reduction modes of WithReduction.
-const (
-	// ReduceOff checks on the concrete LTS (the default).
-	ReduceOff = verify.ReduceOff
-	// ReduceStrong checks on the strong-bisimulation quotient over the
-	// property's observation classes, with replay-validated witness
-	// lifting on every FAIL.
-	ReduceStrong = verify.ReduceStrong
 )
 
 // The symmetry modes of WithSymmetry.
@@ -92,10 +80,6 @@ const (
 
 // AllKinds lists the six schemas in the column order of Fig. 9.
 func AllKinds() []Kind { return verify.AllKinds() }
-
-// ParseReduction resolves a reduction mode name ("off", "strong") as
-// used by CLI flags and the effpid request field.
-func ParseReduction(name string) (Reduction, error) { return verify.ParseReduction(name) }
 
 // ParseSymmetry resolves a symmetry mode name ("off", "on") as used by
 // CLI flags and the effpid request field.

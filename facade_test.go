@@ -473,53 +473,6 @@ func TestWithClosedOverride(t *testing.T) {
 	}
 }
 
-// TestWithReduction: the session-level reduction option checks on the
-// bisimulation quotient — verdicts and witness replays identical to the
-// unreduced session on a full benchmark row, ReducedStates populated for
-// every LTL-checked property, and the option rejects unknown modes.
-func TestWithReduction(t *testing.T) {
-	ctx := context.Background()
-	sys, ok := BenchSystemByName("Dining philos. (4, deadlock)")
-	if !ok {
-		t.Fatal("benchmark row not found")
-	}
-	run := func(opts ...Option) []*Outcome {
-		t.Helper()
-		sess, err := NewWorkspace().NewSessionFromType(sys.Env, sys.Type, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs, err := sess.VerifyAll(ctx, sys.Props...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs
-	}
-	base := run()
-	reduced := run(WithReduction(ReduceStrong))
-	for i := range base {
-		if reduced[i].Holds != base[i].Holds || reduced[i].States != base[i].States {
-			t.Errorf("%s: reduced (%v,%d) vs unreduced (%v,%d)", base[i].Property,
-				reduced[i].Holds, reduced[i].States, base[i].Holds, base[i].States)
-		}
-		if base[i].ReducedStates != 0 {
-			t.Errorf("%s: unreduced outcome carries ReducedStates=%d", base[i].Property, base[i].ReducedStates)
-		}
-		isLTL := base[i].Property.Kind != EventualOutput
-		if (reduced[i].ReducedStates > 0) != isLTL {
-			t.Errorf("%s: ReducedStates=%d (LTL=%v)", base[i].Property, reduced[i].ReducedStates, isLTL)
-		}
-		if !reduced[i].Holds && isLTL {
-			if err := Replay(reduced[i]); err != nil {
-				t.Errorf("%s: lifted witness does not replay through the façade: %v", base[i].Property, err)
-			}
-		}
-	}
-	if _, err := NewWorkspace().NewSessionFromType(sys.Env, sys.Type, WithReduction(Reduction(99))); err == nil {
-		t.Error("WithReduction must reject unknown modes")
-	}
-}
-
 // TestWithSymmetry: the session-level symmetry option explores orbit
 // representatives — verdicts, concrete States counts and witness replays
 // identical to the reference session on a symmetric benchmark row,

@@ -14,7 +14,7 @@ import (
 // congruence laws can be validated semantically, and protocol
 // refactorings can be checked behaviour-preserving.
 //
-// The decision procedure is the minimize.go partition refiner run on the
+// The decision procedure is the refine.go partition refiner run on the
 // disjoint union of the two systems: the roots are bisimilar iff the
 // coarsest stable partition puts them in one block. Labels are compared
 // by Key (the two LTSs have independent dense alphabets, so their label
@@ -69,9 +69,7 @@ func Bisimilar(m1, m2 *LTS) bool {
 		ustart = append(ustart, int32(len(uedges)))
 	}
 
-	blockOf, _, _ := refineCSR(nil, n, // nil ctx: refinement never errors
-		func(s int) []Edge { return uedges[ustart[s]:ustart[s+1]] },
-		func(l int32) int32 { return l })
+	blockOf, _ := refineCSR(n, func(s int) []Edge { return uedges[ustart[s]:ustart[s+1]] })
 	return blockOf[m1.Initial] == blockOf[n1+m2.Initial]
 }
 

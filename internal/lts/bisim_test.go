@@ -108,3 +108,33 @@ func TestBisimilarTerminationKinds(t *testing.T) {
 		t.Error("bisimilarity must be reflexive")
 	}
 }
+
+// TestBisimilarQuotientSizes cross-checks the refiner against the
+// bisimilarity corpus from the other direction: a type and its unfolding
+// explore to different LTSs whose joint quotient must put the two roots
+// in one block (Bisimilar true) while separating e.g. loops on different
+// channels.
+func TestBisimilarQuotientSizes(t *testing.T) {
+	env := types.EnvOf(
+		"x", types.ChanIO{Elem: types.Int{}},
+		"y", types.ChanIO{Elem: types.Int{}},
+	)
+	loop := func(ch string) types.Type {
+		return types.Rec{Var: "t", Body: types.Out{Ch: types.Var{Name: ch}, Payload: types.Int{},
+			Cont: types.Thunk(types.RecVar{Name: "t"})}}
+	}
+	ok, err := TypesBisimilar(env, loop("x"), types.Unfold(loop("x")), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Error("µt.T must be bisimilar to its unfolding under the refiner")
+	}
+	ok, err = TypesBisimilar(env, loop("x"), loop("y"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Error("loops on different channels must not be bisimilar")
+	}
+}

@@ -4,8 +4,7 @@ package lts
 // materialising every reachable state, the builder canonicalises each
 // successor multiset to a representative of its orbit under a group of
 // channel permutations, so whole families of symmetric interleavings
-// collapse *during* BFS — before they cost states, edges or cache work —
-// the way the bisimulation quotient (minimize.go) collapses them after.
+// collapse *during* BFS — before they cost states, edges or cache work.
 //
 // The group is detected statically (DetectSymmetry) and described by
 // generators, never materialised. Environment channels are partitioned

@@ -157,88 +157,6 @@ func rawWitness(o *verify.Outcome) interface{} {
 	return o.Witness.Raw
 }
 
-// TestRandomDifferentialReduction extends the differential suite to the
-// Reduce stage: every seeded system is verified with reduction on and
-// off at parallelism 1, 2 and 8. Verdicts (and errors) must be identical
-// everywhere, every reduced FAIL must carry a lifted witness that the
-// replay oracle validates against the CONCRETE LTS, the lifted witnesses
-// must be identical across worker counts (the quotient, like the LTS, is
-// schedule-independent), and the quotient must never be larger than the
-// state space it abstracts.
-func TestRandomDifferentialReduction(t *testing.T) {
-	n := genSeedCount(t)
-	fails, systems := 0, 0
-	for seed := 0; seed < n; seed++ {
-		s := RandomSystem(int64(seed))
-		base, baseErr := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{MaxStates: genMaxStates, Parallelism: 1})
-		var redBase []*verify.Outcome
-		for _, par := range []int{1, 2, 8} {
-			red, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{
-				MaxStates: genMaxStates, Parallelism: par, Reduction: verify.ReduceStrong})
-			if (err == nil) != (baseErr == nil) || (err != nil && err.Error() != baseErr.Error()) {
-				t.Fatalf("seed %d par %d: reduced err=%v, unreduced serial err=%v", seed, par, err, baseErr)
-			}
-			if err != nil {
-				break // bound exceeded identically everywhere: nothing to compare
-			}
-			if par == 1 {
-				redBase = red
-			}
-			for i := range base {
-				if red[i].Holds != base[i].Holds {
-					t.Errorf("seed %d par %d %s: reduced verdict %v, unreduced %v", seed, par, base[i].Property, red[i].Holds, base[i].Holds)
-				}
-				if red[i].States != base[i].States {
-					t.Errorf("seed %d par %d %s: reduced States %d, unreduced %d", seed, par, base[i].Property, red[i].States, base[i].States)
-				}
-				if red[i].ReducedStates > red[i].States {
-					t.Errorf("seed %d par %d %s: quotient larger than the state space (%d > %d)", seed, par, base[i].Property, red[i].ReducedStates, red[i].States)
-				}
-				// ReducedStates is 0 when no Reduce stage ran: always for
-				// ev-usage (existential, no formula) and for formulas that
-				// simplify to ⊤ (the generator produces e.g. non-usage
-				// probes with empty use-sets); when a quotient WAS
-				// checked, its size must agree across worker counts.
-				if base[i].Property.Kind == verify.EventualOutput && red[i].ReducedStates != 0 {
-					t.Errorf("seed %d par %d %s: ev-usage must not reduce, got %d", seed, par, base[i].Property, red[i].ReducedStates)
-				}
-				if red[i].ReducedStates != redBase[i].ReducedStates {
-					t.Errorf("seed %d par %d %s: ReducedStates=%d, serial reduced run says %d", seed, par, base[i].Property, red[i].ReducedStates, redBase[i].ReducedStates)
-				}
-				if !reflect.DeepEqual(rawWitness(red[i]), rawWitness(redBase[i])) {
-					t.Errorf("seed %d par %d %s: lifted witness differs from the serial reduced run's", seed, par, base[i].Property)
-				}
-			}
-		}
-		if baseErr != nil {
-			continue
-		}
-		systems++
-		for _, o := range redBase {
-			if o.Holds || o.Property.Kind == verify.EventualOutput {
-				continue
-			}
-			fails++
-			if o.Witness == nil {
-				t.Fatalf("seed %d %s: reduced FAIL without witness", seed, o.Property)
-			}
-			// Replay validates structurally against o.LTS — the concrete
-			// LTS (the Reduce stage keeps it on the outcome) — and
-			// semantically against a re-translated property automaton.
-			if o.LTS == nil || o.LTS.Len() != o.States {
-				t.Fatalf("seed %d %s: reduced outcome does not carry the concrete LTS", seed, o.Property)
-			}
-			if err := verify.Replay(o); err != nil {
-				t.Errorf("seed %d %s: lifted witness does not replay on the concrete LTS: %v", seed, o.Property, err)
-			}
-		}
-	}
-	if fails == 0 {
-		t.Fatalf("no failing properties across %d reduced systems — the lifting oracle was never exercised", systems)
-	}
-	t.Logf("replayed %d lifted witnesses across %d systems", fails, systems)
-}
-
 // TestRandomEarlyExitAgreesWithFull: on-the-fly (early-exit) checking of
 // the symbolically compilable schemas must reach the same verdict as the
 // full explore-then-check pipeline on every generated system, never

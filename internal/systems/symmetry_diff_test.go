@@ -179,8 +179,8 @@ func TestPingPongSymmetryRatio(t *testing.T) {
 // is 3^8 − 1 = 6 560) is a one-element orbit, leaving exactly 833
 // representatives — a 7.9× reduction, and the FAIL's lifted witness
 // must still replay concretely. Verified per property rather than via
-// VerifyAll: the joint quotient of the full six-property batch pins f0
-// and f1 for the other columns, which freezes the ring (a rotation
+// VerifyAll: the full six-property batch pins the union of its
+// channels, f0 and f1, which freezes the ring (a rotation
 // moves every fork), so the batch stays concrete by design.
 func TestDiningSymmetryRatio(t *testing.T) {
 	s := DiningPhilosophers(8, true)

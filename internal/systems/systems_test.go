@@ -110,75 +110,6 @@ func TestFig9MatrixParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestFig9MatrixReduction is the acceptance gate of the Reduce stage:
-// the complete 19×6 matrix re-verified on bisimulation quotients must
-// reproduce every Fig. 9 verdict, and every failing LTL property must
-// carry a lifted witness the replay oracle validates against the
-// concrete LTS — i.e. reduction on vs off is verdict- and
-// witness-replay-identical across the whole published table.
-func TestFig9MatrixReduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reduction sweep of the full matrix skipped in -short mode")
-	}
-	replayed := 0
-	for _, s := range Fig9Systems() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props,
-				verify.AllOptions{MaxStates: 1 << 22, Reduction: verify.ReduceStrong})
-			if err != nil {
-				t.Fatalf("%s: %v", s.Name, err)
-			}
-			for _, o := range outcomes {
-				if want, ok := s.Expected[o.Property.Kind]; ok && o.Holds != want {
-					t.Errorf("%s / %s: reduced verdict %v, Fig. 9 says %v (checked %d of %d states)",
-						s.Name, o.Property, o.Holds, want, o.ReducedStates, o.States)
-				}
-				if o.Property.Kind == verify.EventualOutput {
-					continue
-				}
-				if o.ReducedStates <= 0 || o.ReducedStates > o.States {
-					t.Errorf("%s / %s: quotient size %d out of range (states %d)", s.Name, o.Property, o.ReducedStates, o.States)
-				}
-				if !o.Holds {
-					if err := verify.Replay(o); err != nil {
-						t.Errorf("%s / %s: lifted witness does not replay: %v", s.Name, o.Property, err)
-					}
-					replayed++
-				}
-			}
-		})
-	}
-	t.Logf("replayed %d lifted witnesses across the matrix", replayed)
-}
-
-// TestDining8ReductionRatio pins the headline shrink of the large rows:
-// deadlock-freedom of the fixed 8-philosopher system — a PASS that
-// forces the checker through the whole product — collapses its 6561
-// states to a single bisimulation block (every state can always keep
-// synchronising, and the formula cannot tell the synchronisations
-// apart), far beyond the ≥5× bar the reduction is held to.
-func TestDining8ReductionRatio(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-sized row skipped in -short mode")
-	}
-	s := DiningPhilosophers(8, false)
-	o, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type,
-		Property: s.Props[0], Reduction: verify.ReduceStrong})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Property.Kind != verify.DeadlockFree || !o.Holds {
-		t.Fatalf("fixture drifted: %s holds=%v", o.Property, o.Holds)
-	}
-	if o.States < 6561 {
-		t.Fatalf("states=%d, expected the full 6561", o.States)
-	}
-	if ratio := float64(o.States) / float64(o.ReducedStates); ratio < 5 {
-		t.Errorf("reduction ratio %.1f× (states %d → %d blocks), want ≥ 5×", ratio, o.States, o.ReducedStates)
-	}
-}
-
 // TestLargeSystemsMatrix checks the beyond-Fig. 9 rows the parallel
 // engine unlocks: all six properties must complete under the DEFAULT
 // state bound (MaxStates 0) with verdicts consistent with the paper's

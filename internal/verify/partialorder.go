@@ -9,8 +9,8 @@ package verify
 // state and edge of the reduced LTS is a state and edge of the full
 // one, so a FAIL witness found on the reduced space is already a
 // concrete run and the replay oracle re-validates it directly, with no
-// lifting stage (unlike symmetry and bisimulation reduction, which
-// check on quotient objects).
+// lifting stage (unlike symmetry reduction, which checks on orbit
+// representatives).
 //
 // Eligibility mirrors the symbolic compiler: NonUsage, DeadlockFree and
 // Reactive have alphabet-independent action-set semantics from which a
@@ -25,10 +25,10 @@ package verify
 // Precedence: symmetry reduction wins when both are requested and a
 // group is detected — the orbit exploration's canonicalisation assumes
 // it sees every concrete successor, so the two exploration-time
-// reductions do not stack (lts.Options documents the same rule). The
-// bisimulation Reduce stage and EarlyExit compose freely with POR: both
-// consume whatever LTS the exploration produced, and a POR LTS
-// preserves their verdicts because it preserves the property itself.
+// reductions do not stack (lts.Options documents the same rule).
+// EarlyExit composes freely with POR: the on-the-fly search runs over
+// the ample-reduced incremental exploration, which preserves the
+// property itself.
 
 import (
 	"fmt"
@@ -82,8 +82,9 @@ func ParsePartialOrder(name string) (PartialOrderMode, error) {
 }
 
 // porEligible reports whether the schema's action-set semantics support
-// a pre-exploration visible-label set (the same three schemas the
-// symbolic compiler handles).
+// a pre-exploration visible-label set — the same three schemas the
+// symbolic compiler handles, so it also decides which properties the
+// early-exit engine serves.
 func porEligible(k Kind) bool {
 	switch k {
 	case NonUsage, DeadlockFree, Reactive:
@@ -91,38 +92,6 @@ func porEligible(k Kind) bool {
 	default:
 		return false
 	}
-}
-
-// porProps decides, per batch property, whether it takes the
-// partial-order path in VerifyAll (own ample exploration instead of the
-// group's shared LTS): the mode must be on, the schema eligible, and —
-// when symmetry reduction is also requested for a closed property — the
-// batch must not have a detectable symmetry group, because a detected
-// group claims the exploration (same precedence VerifyContext applies).
-// The probe runs DetectSymmetry at most once, with the same pinned set
-// the group exploration would use, so the two decisions agree.
-func porProps(cache *typelts.Cache, t types.Type, props []Property, obsSets []map[string]bool, propErrs []error, opts AllOptions) []bool {
-	out := make([]bool, len(props))
-	if opts.PartialOrder != PartialOrderOn {
-		return out
-	}
-	var probed, symDetected bool
-	for i, p := range props {
-		if propErrs[i] != nil || !porEligible(p.Kind) {
-			continue
-		}
-		if opts.Symmetry == SymmetryOn && len(obsSets[i]) == 0 {
-			if !probed {
-				probed = true
-				symDetected = lts.DetectSymmetry(cache, t, batchPinnedChannels(props)) != nil
-			}
-			if symDetected {
-				continue
-			}
-		}
-		out[i] = true
-	}
-	return out
 }
 
 // porFilter builds the ample-set filter for an eligible property, or

@@ -7,7 +7,7 @@ import (
 )
 
 // TestParsePartialOrder covers the flag/wire-name round trip and the
-// valid-values error contract shared with ParseSymmetry/ParseReduction.
+// valid-values error contract shared with ParseSymmetry.
 func TestParsePartialOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -127,36 +127,6 @@ func TestPartialOrderSymmetryPrecedence(t *testing.T) {
 	}
 	if both.Holds != base.Holds || both.States != base.States {
 		t.Errorf("verdict/States (%v, %d) differ from reference (%v, %d)", both.Holds, both.States, base.Holds, base.States)
-	}
-}
-
-// TestPartialOrderComposesWithReduction: the bisimulation Reduce stage
-// runs downstream of the ample exploration — the quotient is built over
-// the reduced LTS — with identical verdicts and a replay-validated
-// witness on FAIL.
-func TestPartialOrderComposesWithReduction(t *testing.T) {
-	env, sys := symPairs(3)
-	for _, p := range symProps() {
-		if p.Kind == Forwarding {
-			continue // not POR-eligible; covered by the matrix tests
-		}
-		base, err := Verify(Request{Env: env, Type: sys, Property: p})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		both, err := Verify(Request{Env: env, Type: sys, Property: p, PartialOrder: PartialOrderOn, Reduction: ReduceStrong})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if both.Holds != base.Holds {
-			t.Errorf("%s: verdict %v under POR+reduction, reference %v", p, both.Holds, base.Holds)
-		}
-		if !both.PartialOrder {
-			t.Errorf("%s: PartialOrder disengaged under composition", p)
-		}
-		if both.ReducedStates == 0 || both.ReducedStates > both.StatesExplored {
-			t.Errorf("%s: quotient has %d blocks over %d reduced states", p, both.ReducedStates, both.StatesExplored)
-		}
 	}
 }
 

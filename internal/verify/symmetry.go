@@ -23,14 +23,6 @@ package verify
 // then equivalent to checking it on the concrete system (the classical
 // symmetry-reduction argument of Emerson–Sistla). The lift below turns
 // that equivalence into machine-checked evidence for every FAIL.
-//
-// Cross-property quotient reuse (jointQuotient): VerifyAll refines the
-// group's LTS once, over the product of every property's observation-
-// class vector, and each property then minimises the (small) joint
-// quotient instead of the full LTS. Quotient-of-quotient by coarser
-// classes equals the direct quotient, so verdicts, block counts and
-// witnesses are unchanged — only the per-property refinement cost drops
-// from O(concrete edges) to O(joint edges).
 
 import (
 	"context"
@@ -88,7 +80,8 @@ func ParseSymmetry(name string) (SymmetryMode, error) {
 }
 
 // validModeNames renders a mode-name map as a sorted, comma-separated
-// list for error messages (shared by ParseSymmetry and ParseReduction).
+// list for error messages (shared by ParseSymmetry and
+// ParsePartialOrder).
 func validModeNames[M comparable](m map[M]string) string {
 	names := make([]string, 0, len(m))
 	for _, n := range m {
@@ -306,103 +299,4 @@ func finishLift(req Request, inc *lts.Incremental, w *mucalc.Witness, out *Outco
 		out.Formula = phi
 	}
 	return nil
-}
-
-// jointQuotient is the once-per-group joint refinement VerifyAll shares
-// across the properties of one observable-set group: the partition of
-// the explored LTS under the product of every property's observation
-// classes, plus its projected LTS (lts.QuotientLTS) for the per-property
-// second-stage minimisations to run on.
-type jointQuotient struct {
-	q *lts.Quotient
-	l *lts.LTS
-}
-
-// buildJoint compiles every LTL property of a group over the explored
-// LTS, joins their observation-class vectors and refines once. It
-// returns nil — each property then refines the full LTS itself, exactly
-// as without reuse — when fewer than two properties contribute a
-// non-trivial class vector (no sharing to be had) or any compilation
-// fails (the failing property will surface its own error).
-func buildJoint(ctx context.Context, env *types.Env, m *lts.LTS, props []Property) *jointQuotient {
-	var vecs [][]int32
-	for _, p := range props {
-		if p.Kind == EventualOutput {
-			continue
-		}
-		phi, err := Compile(env, m, p)
-		if err != nil {
-			return nil
-		}
-		if mucalc.TriviallyTrue(phi) {
-			continue
-		}
-		classes, _ := mucalc.LabelClasses(m.Labels, phi)
-		vecs = append(vecs, classes)
-	}
-	if len(vecs) < 2 {
-		return nil
-	}
-	joint := vecs[0]
-	for _, v := range vecs[1:] {
-		joint = combineClasses(joint, v)
-	}
-	q, err := lts.MinimizeContext(ctx, m, joint)
-	if err != nil {
-		return nil
-	}
-	return &jointQuotient{q: q, l: lts.QuotientLTS(q)}
-}
-
-// combineClasses intersects two per-label class vectors into the dense
-// product partition, numbering the pairs in first-encounter label order
-// so the result is deterministic.
-func combineClasses(a, b []int32) []int32 {
-	seen := map[[2]int32]int32{}
-	out := make([]int32, len(a))
-	for i := range a {
-		k := [2]int32{a[i], b[i]}
-		id, ok := seen[k]
-		if !ok {
-			id = int32(len(seen))
-			seen[k] = id
-		}
-		out[i] = id
-	}
-	return out
-}
-
-// checkReducedJoint is checkReduced on a shared joint quotient: the
-// property minimises the joint LTS (states = joint blocks, labels =
-// concrete label indices) instead of the full one, and a FAIL witness is
-// lifted in two stages — property quotient → joint blocks, then joint
-// blocks → concrete states — before the caller re-validates it with the
-// replay oracle. Quotient-of-quotient by the property's (coarser)
-// classes equals the direct quotient, so verdicts and block counts match
-// checkReduced exactly.
-func checkReducedJoint(ctx context.Context, m *lts.LTS, j *jointQuotient, phi mucalc.Formula, out *Outcome) (mucalc.Result, error) {
-	if mucalc.TriviallyTrue(phi) {
-		return mucalc.CheckContext(ctx, m, phi)
-	}
-	classes, _ := mucalc.LabelClasses(j.l.Labels, phi)
-	q2, err := lts.MinimizeContext(ctx, j.l, classes)
-	if err != nil {
-		return mucalc.Result{}, err
-	}
-	out.ReducedStates = q2.NumBlocks()
-	res, err := mucalc.CheckModelContext(ctx, mucalc.QuotientModel(q2), phi)
-	if err != nil || res.Holds {
-		return res, err
-	}
-	w2, err := liftWitness(q2, res.Witness)
-	if err != nil {
-		return res, fmt.Errorf("verify: lifting the joint-quotient counterexample to joint blocks: %w", err)
-	}
-	w1, err := liftWitness(j.q, w2)
-	if err != nil {
-		return res, fmt.Errorf("verify: lifting the joint-block counterexample to concrete states: %w", err)
-	}
-	res.Witness = w1
-	res.Counterexample = w1.Trace(m.Labels)
-	return res, nil
 }

@@ -46,7 +46,7 @@ func symProps() []Property {
 }
 
 // TestParseSymmetry covers the flag/wire-name round trip and the
-// valid-values error contract shared with ParseReduction.
+// valid-values error contract shared with ParsePartialOrder.
 func TestParseSymmetry(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -67,20 +67,6 @@ func TestParseSymmetry(t *testing.T) {
 	for _, want := range []string{`"orbit"`, "off", "on"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("ParseSymmetry error %q does not mention %s", err, want)
-		}
-	}
-}
-
-// TestParseReductionErrorListsValues: the sibling parser names the valid
-// modes too (the CLIs and effpid forward these errors verbatim).
-func TestParseReductionErrorListsValues(t *testing.T) {
-	_, err := ParseReduction("weak")
-	if err == nil {
-		t.Fatal("unknown reduction must error")
-	}
-	for _, want := range []string{`"weak"`, "off", "strong"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("ParseReduction error %q does not mention %s", err, want)
 		}
 	}
 }
@@ -152,34 +138,6 @@ func rawWitness(o *Outcome) interface{} {
 	return o.Witness.Raw
 }
 
-// TestSymmetryComposesWithReduction: the orbit LTS feeds the Reduce
-// stage like any other; verdicts still match and FAILs survive the
-// two-stage lift (quotient blocks → orbit states → concrete run).
-func TestSymmetryComposesWithReduction(t *testing.T) {
-	env, sys := symPairs(4)
-	for _, p := range symProps() {
-		base, err := Verify(Request{Env: env, Type: sys, Property: p})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		both, err := Verify(Request{Env: env, Type: sys, Property: p, Symmetry: SymmetryOn, Reduction: ReduceStrong})
-		if err != nil {
-			t.Fatalf("%s symmetry+reduction: %v", p, err)
-		}
-		if both.Holds != base.Holds {
-			t.Errorf("%s: symmetry+reduction verdict %v, reference %v", p, both.Holds, base.Holds)
-		}
-		if both.ReducedStates > both.StatesExplored {
-			t.Errorf("%s: quotient (%d blocks) larger than the orbit space it abstracts (%d)", p, both.ReducedStates, both.StatesExplored)
-		}
-		if !both.Holds {
-			if err := Replay(both); err != nil {
-				t.Errorf("%s: two-stage lifted witness does not replay: %v", p, err)
-			}
-		}
-	}
-}
-
 // TestSymmetryEarlyExit: the on-the-fly engine explores orbit
 // representatives too — verdicts match the full reference pipeline,
 // never more states are touched than the concrete count, and early
@@ -243,8 +201,8 @@ func TestSymmetryOpenPropertyFallsBack(t *testing.T) {
 
 // TestVerifyAllSymmetryMatchesSingle: the batched pipeline under
 // symmetry agrees with per-property requests on verdicts, concrete
-// States and witness replays, at every batch parallelism — including
-// the serial scheduling path, which must prepare groups identically.
+// States and witness replays, at every batch width — width 1 runs the
+// engine as a plain loop and must prepare groups identically.
 func TestVerifyAllSymmetryMatchesSingle(t *testing.T) {
 	env, sys := symPairs(4)
 	props := symProps()
@@ -282,106 +240,5 @@ func TestVerifyAllSymmetryMatchesSingle(t *testing.T) {
 				t.Errorf("par %d %s: batched symmetric witness does not replay: %v", par, props[i], err)
 			}
 		}
-	}
-}
-
-// TestVerifyAllJointQuotient: under ReduceStrong the batch refines one
-// joint partition per exploration group and projects per-property
-// quotients from it. The projection must be invisible in the results:
-// verdicts, States and ReducedStates all equal the per-property Verify
-// pipeline's, at every batch parallelism, with replaying witnesses.
-func TestVerifyAllJointQuotient(t *testing.T) {
-	env, sys := symPairs(3)
-	props := symProps()
-	singles := make([]*Outcome, len(props))
-	for i, p := range props {
-		o, err := Verify(Request{Env: env, Type: sys, Property: p, Reduction: ReduceStrong})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		singles[i] = o
-	}
-	var serial []*Outcome
-	for _, par := range []int{1, 2, 8} {
-		outs, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: par, Reduction: ReduceStrong})
-		if err != nil {
-			t.Fatalf("par %d: %v", par, err)
-		}
-		if par == 1 {
-			serial = outs
-		}
-		for i := range props {
-			if outs[i].Holds != singles[i].Holds {
-				t.Errorf("par %d %s: joint verdict %v, single %v", par, props[i], outs[i].Holds, singles[i].Holds)
-			}
-			if outs[i].ReducedStates != singles[i].ReducedStates {
-				t.Errorf("par %d %s: joint quotient has %d blocks, direct quotient %d — projection changed the partition",
-					par, props[i], outs[i].ReducedStates, singles[i].ReducedStates)
-			}
-			if !reflect.DeepEqual(rawWitness(outs[i]), rawWitness(serial[i])) {
-				t.Errorf("par %d %s: witness differs from the serial batched run's", par, props[i])
-			}
-			if outs[i].Holds || props[i].Kind == EventualOutput {
-				continue
-			}
-			if err := Replay(outs[i]); err != nil {
-				t.Errorf("par %d %s: joint-quotient witness does not replay: %v", par, props[i], err)
-			}
-		}
-	}
-}
-
-// TestVerifyAllJointWithSymmetry: the full stack — orbit exploration,
-// joint refinement over the orbit LTS, per-property projection, and the
-// two-stage witness lift — agrees with the unreduced asymmetric batch.
-func TestVerifyAllJointWithSymmetry(t *testing.T) {
-	env, sys := symPairs(4)
-	props := symProps()
-	base, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 4} {
-		outs, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: par, Symmetry: SymmetryOn, Reduction: ReduceStrong})
-		if err != nil {
-			t.Fatalf("par %d: %v", par, err)
-		}
-		for i := range props {
-			if outs[i].Holds != base[i].Holds {
-				t.Errorf("par %d %s: verdict %v, reference %v", par, props[i], outs[i].Holds, base[i].Holds)
-			}
-			if outs[i].States != base[i].States {
-				t.Errorf("par %d %s: States %d, reference %d", par, props[i], outs[i].States, base[i].States)
-			}
-			if outs[i].Holds || props[i].Kind == EventualOutput {
-				continue
-			}
-			if err := Replay(outs[i]); err != nil {
-				t.Errorf("par %d %s: witness does not replay: %v", par, props[i], err)
-			}
-		}
-	}
-}
-
-// TestCombineClassesDeterministic: the product partition is a pure
-// function of its inputs with dense, first-encounter-ordered class ids
-// — the invariant the joint quotient's cross-parallelism determinism
-// rests on.
-func TestCombineClassesDeterministic(t *testing.T) {
-	a := []int32{0, 1, 0, 2, 1, 0}
-	b := []int32{0, 0, 1, 1, 0, 0}
-	got := combineClasses(a, b)
-	want := []int32{0, 1, 2, 3, 1, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("combineClasses = %v, want %v", got, want)
-	}
-	if again := combineClasses(a, b); !reflect.DeepEqual(again, got) {
-		t.Errorf("combineClasses is not deterministic: %v then %v", got, again)
-	}
-	// Refining a partition by itself must be the identity on block
-	// structure (same grouping, dense renumbering).
-	self := combineClasses(a, a)
-	if !reflect.DeepEqual(self, []int32{0, 1, 0, 2, 1, 0}) {
-		t.Errorf("combineClasses(a, a) = %v, want the dense renumbering of a", self)
 	}
 }

@@ -14,8 +14,6 @@ package verify
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -131,19 +129,6 @@ type Request struct {
 	// (lts.Options.Parallelism): 0 = GOMAXPROCS, 1 = serial. The verdict
 	// and the explored LTS are identical at any value.
 	Parallelism int
-	// Reduction selects the Reduce stage of the pipeline (Explore →
-	// Reduce → Check). ReduceStrong checks the property on the strong-
-	// bisimulation quotient of the explored LTS (over the formula's
-	// observation classes) instead of the concrete state space; verdicts
-	// are identical, FAIL witnesses are lifted back to concrete runs and
-	// re-validated by Replay before the outcome is returned, and the
-	// outcome's ReducedStates records the block count actually checked.
-	// EventualOutput (existential, checked by reachability, no formula)
-	// always runs on the concrete LTS; so do formulas that simplify to ⊤
-	// (the checker answers those without touching the model), and an
-	// EarlyExit request that takes the on-the-fly path skips the stage
-	// too (on-the-fly quotienting is future work; see ROADMAP).
-	Reduction Reduction
 	// Symmetry selects exploration-time symmetry reduction (see
 	// SymmetryMode): with SymmetryOn, a closed property of a system with
 	// detectable channel-bundle symmetry explores the orbit LTS — often
@@ -171,10 +156,6 @@ type Request struct {
 	// union so one orbit exploration is sound for every property sharing
 	// it.
 	symPinned []string
-	// joint, when non-nil, is the shared cross-property joint quotient of
-	// the reused LTS (see buildJoint); a ReduceStrong check then refines
-	// the joint quotient instead of the full LTS.
-	joint *jointQuotient
 	// EarlyExit selects on-the-fly checking: the property's formula is
 	// compiled symbolically (alphabet-independent action-set predicates),
 	// and the nested DFS drives an lts.Incremental that materialises
@@ -214,14 +195,15 @@ type Outcome struct {
 	// — orbit representatives under symmetry reduction, otherwise equal
 	// to States. The symmetry win is States / StatesExplored.
 	StatesExplored int
-	// ReducedStates is the number of quotient blocks the checker actually
-	// ran on when a Reduce stage was applied (0 = no reduction stage; the
-	// reduction ratio is States / ReducedStates).
-	ReducedStates int
 	// ProductStates and AutomatonStates report model-checker effort.
 	ProductStates   int
 	AutomatonStates int
-	// Duration is the wall-clock verification time (exploration+check).
+	// Duration is the wall-clock time of the property's own VerifyContext
+	// call: exploration (when the property explored on its own), compile,
+	// check, and for a FAIL the lift and replay. Under VerifyAll a
+	// shared-route property's group exploration is not included — it is
+	// paid once for the whole group. The definition is the same at every
+	// Parallelism.
 	Duration time.Duration
 	// Counterexample is a violating run when Holds is false.
 	Counterexample *mucalc.Trace
@@ -341,16 +323,7 @@ func VerifyContext(ctx context.Context, req Request) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res mucalc.Result
-	if req.Reduction == ReduceStrong {
-		if req.joint != nil {
-			res, err = checkReducedJoint(ctx, m, req.joint, phi, out)
-		} else {
-			res, err = checkReduced(ctx, m, phi, out)
-		}
-	} else {
-		res, err = mucalc.CheckContext(ctx, m, phi)
-	}
+	res, err := mucalc.CheckContext(ctx, m, phi)
 	if err != nil {
 		return nil, err
 	}
@@ -360,28 +333,34 @@ func VerifyContext(ctx context.Context, req Request) (*Outcome, error) {
 	out.AutomatonStates = res.AutomatonStates
 	out.Counterexample = res.Counterexample
 	out.Witness = DecodeWitness(m, res.Witness)
+	if err := finishFail(ctx, req, sem, m, out); err != nil {
+		return nil, err
+	}
 	out.Duration = time.Since(start)
-	if !out.Holds {
-		symmetric := m.Sym != nil && out.Witness != nil
-		if symmetric {
-			// The witness runs over orbit representatives; rewrite it as
-			// a concrete run before validation.
-			if err := liftSymmetric(ctx, req, sem, m, out); err != nil {
-				return nil, fmt.Errorf("verify: symmetry produced an invalid counterexample lift: %w", err)
-			}
-		}
-		if req.Reduction == ReduceStrong || symmetric || out.PartialOrder {
-			// The witness was found on a reduced space — a quotient
-			// (blocks, orbits or both, lifted above) or an ample-reduced
-			// edge-subset (already a concrete run, no lift needed) — so
-			// the FAIL is only reported once the existing replay oracle
-			// confirms a genuine concrete violation.
-			if err := Replay(out); err != nil {
-				return nil, fmt.Errorf("verify: reduction produced an invalid counterexample lift: %w", err)
-			}
+	return out, nil
+}
+
+// finishFail is the tail every FAIL runs through, whichever engine found
+// it: a witness over an orbit LTS is first lifted to a concrete run, and
+// a witness found on any reduced space — orbits, or an ample-reduced
+// edge-subset whose runs are already concrete — is only reported once
+// the replay oracle confirms a genuine concrete violation.
+func finishFail(ctx context.Context, req Request, sem *typelts.Semantics, m *lts.LTS, out *Outcome) error {
+	if out.Holds {
+		return nil
+	}
+	symmetric := m.Sym != nil && out.Witness != nil
+	if symmetric {
+		if err := liftSymmetric(ctx, req, sem, m, out); err != nil {
+			return fmt.Errorf("verify: symmetry produced an invalid counterexample lift: %w", err)
 		}
 	}
-	return out, nil
+	if symmetric || out.PartialOrder {
+		if err := Replay(out); err != nil {
+			return fmt.Errorf("verify: reduction produced an invalid counterexample: %w", err)
+		}
+	}
+	return nil
 }
 
 // verifyOnTheFly runs the early-exit pipeline: the nested DFS of
@@ -424,363 +403,12 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 	if !out.Holds {
 		out.Counterexample = failed.Counterexample
 		out.Witness = DecodeWitness(m, failed.Witness)
-		if m.Sym != nil && out.Witness != nil {
-			// Symbolic formulas read labels directly, so the lift needs no
-			// recompilation — but the witness must still become a concrete
-			// run, validated by the replay oracle like every other
-			// symmetric FAIL.
-			if err := liftSymmetric(ctx, req, sem, m, out); err != nil {
-				return nil, fmt.Errorf("verify: symmetry produced an invalid counterexample lift: %w", err)
-			}
-			if err := Replay(out); err != nil {
-				return nil, fmt.Errorf("verify: reduction produced an invalid counterexample lift: %w", err)
-			}
-		} else if out.PartialOrder {
-			// The ample-reduced fragment is an edge-subset of the full
-			// space, so the witness is already a concrete run; validate it
-			// directly before reporting the FAIL.
-			if err := Replay(out); err != nil {
-				return nil, fmt.Errorf("verify: partial-order reduction produced an invalid counterexample: %w", err)
-			}
+		if err := finishFail(ctx, req, sem, m, out); err != nil {
+			return nil, err
 		}
 	}
 	out.Duration = time.Since(start)
 	return out, nil
-}
-
-// VerifyAll verifies all six Fig. 9 properties of a system, reusing the
-// explored LTS across properties that share the same observable *set*
-// (the key is order-insensitive: observables are sorted before joining),
-// and sharing one transition cache — interner, memoised per-state steps,
-// synchronisation matches — across every exploration, so properties with
-// different Y-limitations still reuse each other's per-state work.
-//
-// VerifyAll runs at the default parallelism (GOMAXPROCS); see
-// VerifyAllWith for the knob and the concurrency structure.
-func VerifyAll(env *types.Env, t types.Type, props []Property, maxStates int) ([]*Outcome, error) {
-	return VerifyAllWith(env, t, props, AllOptions{MaxStates: maxStates})
-}
-
-// AllOptions configures VerifyAllWith.
-type AllOptions struct {
-	// MaxStates bounds each LTS exploration (0 = lts.DefaultMaxStates).
-	MaxStates int
-	// Reduction selects the Reduce stage for every property of the batch
-	// (see Request.Reduction). Under VerifyAll the refinement runs once
-	// per observable-set group, over the join of every property's
-	// observation classes, and each property then minimises the shared
-	// joint quotient (see buildJoint) — same verdicts, block counts and
-	// witnesses, less repeated work.
-	Reduction Reduction
-	// Symmetry selects exploration-time symmetry reduction for every
-	// property of the batch (see Request.Symmetry). The orbit exploration
-	// is shared per group, pinning the union of every property's
-	// channels, so one exploration is sound for all of them.
-	Symmetry SymmetryMode
-	// PartialOrder selects exploration-time partial-order reduction for
-	// every property of the batch (see Request.PartialOrder). Because the
-	// visible-label set is per property, an eligible property cannot
-	// reuse the group exploration: it explores its own ample-reduced LTS
-	// over the shared transition cache, and group explorations only run
-	// for the properties that still need the full space. When symmetry
-	// reduction is also on and a group is detected for the closed
-	// properties, symmetry wins and those properties fall back to the
-	// shared orbit exploration (same precedence as Request.PartialOrder).
-	PartialOrder PartialOrderMode
-	// Cache, when non-nil, is the shared transition cache every
-	// exploration runs on, letting a long-lived owner (the public
-	// package's Workspace) reuse per-component work across whole
-	// requests. It must have been built with typelts.NewCache(env, true)
-	// for the same env passed to VerifyAllContext. Nil means a fresh
-	// per-call cache, the previous behaviour.
-	Cache *typelts.Cache
-	// Progress, when non-nil, receives periodic exploration snapshots
-	// from every group exploration (lts.Options.Progress). Under the
-	// concurrent pipeline callbacks arrive from multiple goroutines; the
-	// callee must be safe for that.
-	Progress func(lts.Progress)
-	// Parallelism selects the engine and sizes each exploration's worker
-	// pool: 0 = GOMAXPROCS, 1 = the fully serial engine (explorations
-	// and property checks run one after another — the reference
-	// behaviour). Values ≥ 2 enable the concurrent pipeline, in which
-	// every observable-set group explores on its own goroutine (with
-	// Parallelism BFS workers each) and every property checks on its
-	// own goroutine — so the *goroutine* count scales with the group
-	// and property counts too; actual CPU use stays bounded by
-	// GOMAXPROCS, which is the knob for capping machine load. At any
-	// value the verdicts, state counts and explored LTSes are
-	// identical; only wall-clock changes.
-	Parallelism int
-}
-
-// VerifyAllWith is VerifyAll with explicit parallelism. With Parallelism
-// ≠ 1 the pipeline is concurrent on three levels: property groups
-// (distinct observable sets) explore their LTSes on parallel goroutines
-// over one shared transition cache; each exploration is itself a
-// parallel BFS (lts.Options.Parallelism); and the model-checking stages
-// (mucalc.Check / EvUsageHolds) of independent properties run on their
-// own goroutines over the shared read-only LTSes. Outcomes are collected
-// in input order, and the error contract matches the serial engine:
-// outcomes up to the first failing property, plus that property's error.
-func VerifyAllWith(env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
-	return VerifyAllContext(context.Background(), env, t, props, opts)
-}
-
-// VerifyAllContext is VerifyAllWith with cancellation: ctx reaches every
-// group exploration and every model-checking stage, so the whole batch
-// unwinds promptly — with an error wrapping ctx.Err() — once the context
-// is done. The error contract is unchanged (outcomes up to the first
-// failing property, plus that property's error); under the concurrent
-// pipeline a cancelled context typically surfaces on the earliest
-// still-running property.
-func VerifyAllContext(ctx context.Context, env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par == 1 {
-		return verifyAllSerial(ctx, env, t, props, opts)
-	}
-
-	outcomes := make([]*Outcome, 0, len(props))
-	if len(props) == 0 {
-		return outcomes, nil
-	}
-	// Fail fast (and once) on inadmissible types instead of racing every
-	// exploration into the same error; the serial engine reports this
-	// against the first property.
-	if err := Admissible(env, t); err != nil {
-		return outcomes, fmt.Errorf("%s: %w", props[0], err)
-	}
-
-	// Group properties by observable set. ObservablesFor errors are
-	// deferred per property so the input-order error contract holds.
-	keys := make([]string, len(props))
-	obsSets := make([]map[string]bool, len(props))
-	propErrs := make([]error, len(props))
-	for i, p := range props {
-		obs, err := ObservablesFor(env, p)
-		if err != nil {
-			propErrs[i] = err
-			continue
-		}
-		sorted := append([]string{}, obs...)
-		sort.Strings(sorted)
-		keys[i] = strings.Join(sorted, ",")
-		set := make(map[string]bool, len(obs))
-		for _, x := range obs {
-			set[x] = true
-		}
-		obsSets[i] = set
-	}
-
-	// One exploration per distinct observable set, all concurrent, all
-	// sharing the transition cache (so groups still reuse each other's
-	// per-component work even though their Y-limitations differ). The
-	// group goroutine also prepares the shared per-group artifacts the
-	// property checks consume: the symmetry group (closed groups only —
-	// at most one group qualifies, so the single-exploration discipline
-	// of lts.Symmetry holds) and the joint quotient.
-	shared := opts.Cache
-	if shared == nil {
-		shared = typelts.NewCache(env, true)
-	}
-	batchPinned := batchPinnedChannels(props)
-	porProp := porProps(shared, t, props, obsSets, propErrs, opts)
-	// Properties taking the partial-order path explore their own reduced
-	// LTS inside VerifyContext, so they neither join nor force a group
-	// exploration (and the joint quotient is built without them).
-	groupProps := map[string][]Property{}
-	for i, p := range props {
-		if propErrs[i] == nil && !porProp[i] {
-			groupProps[keys[i]] = append(groupProps[keys[i]], p)
-		}
-	}
-	type exploration struct {
-		done  chan struct{}
-		lts   *lts.LTS
-		joint *jointQuotient
-		err   error
-	}
-	groups := map[string]*exploration{}
-	for i := range props {
-		if propErrs[i] != nil || porProp[i] {
-			continue
-		}
-		if _, ok := groups[keys[i]]; ok {
-			continue
-		}
-		g := &exploration{done: make(chan struct{})}
-		groups[keys[i]] = g
-		go func(obs map[string]bool, key string, g *exploration) {
-			defer close(g.done)
-			sem := &typelts.Semantics{Env: env, Observable: obs, WitnessOnly: true, Cache: shared}
-			var sym *lts.Symmetry
-			if opts.Symmetry == SymmetryOn && len(obs) == 0 {
-				sym = lts.DetectSymmetry(shared, t, batchPinned)
-			}
-			g.lts, g.err = lts.ExploreContext(ctx, sem, t, lts.Options{MaxStates: opts.MaxStates, Parallelism: par, Progress: opts.Progress, Symmetry: sym})
-			if g.err == nil && opts.Reduction == ReduceStrong {
-				g.joint = buildJoint(ctx, env, g.lts, groupProps[key])
-			}
-		}(obsSets[i], keys[i], g)
-	}
-
-	// Property checks: one goroutine each, blocking on its group's LTS.
-	// Each outcome's Duration is the property's wall-clock time including
-	// the (shared, overlapping) exploration wait.
-	results := make([]*Outcome, len(props))
-	done := make(chan struct{})
-	var pending int
-	for i := range props {
-		if propErrs[i] != nil {
-			continue
-		}
-		pending++
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			start := time.Now()
-			var reuse *lts.LTS
-			var joint *jointQuotient
-			porMode := PartialOrderOff
-			if porProp[i] {
-				// Per-property ample exploration (shared cache, no group
-				// LTS): the reduced space depends on the property's own
-				// visible-label set.
-				porMode = PartialOrderOn
-			} else {
-				g := groups[keys[i]]
-				<-g.done
-				if g.err != nil {
-					propErrs[i] = g.err
-					return
-				}
-				reuse, joint = g.lts, g.joint
-			}
-			o, err := VerifyContext(ctx, Request{
-				Env: env, Type: t, Property: props[i],
-				MaxStates: opts.MaxStates, Reuse: reuse, Cache: shared, Parallelism: par,
-				Reduction: opts.Reduction, Symmetry: opts.Symmetry, PartialOrder: porMode,
-				symPinned: batchPinned, joint: joint,
-			})
-			if err != nil {
-				propErrs[i] = err
-				return
-			}
-			o.Duration = time.Since(start)
-			results[i] = o
-		}(i)
-	}
-	for ; pending > 0; pending-- {
-		<-done
-	}
-
-	for i, p := range props {
-		if propErrs[i] != nil {
-			return outcomes, fmt.Errorf("%s: %w", p, propErrs[i])
-		}
-		outcomes = append(outcomes, results[i])
-	}
-	return outcomes, nil
-}
-
-// verifyAllSerial is the reference single-threaded pipeline (and the
-// baseline the parallel engine is measured against): one property after
-// another, LTS reuse by observable-set key, one shared cache. Group
-// explorations run at the first property of each key — with the same
-// shared symmetry group and joint quotient the concurrent pipeline
-// prepares — so outcomes (verdicts, state counts, witnesses) are
-// byte-identical at any AllOptions.Parallelism.
-func verifyAllSerial(ctx context.Context, env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
-	outcomes := make([]*Outcome, 0, len(props))
-	shared := opts.Cache
-	if shared == nil {
-		shared = typelts.NewCache(env, true)
-	}
-	batchPinned := batchPinnedChannels(props)
-
-	// First pass: group the properties by observable set, deferring
-	// ObservablesFor errors so the input-order error contract holds.
-	keys := make([]string, len(props))
-	obsSets := make([]map[string]bool, len(props))
-	propErrs := make([]error, len(props))
-	for i, p := range props {
-		obs, err := ObservablesFor(env, p)
-		if err != nil {
-			propErrs[i] = err
-			continue
-		}
-		sorted := append([]string{}, obs...)
-		sort.Strings(sorted)
-		keys[i] = strings.Join(sorted, ",")
-		set := make(map[string]bool, len(obs))
-		for _, x := range obs {
-			set[x] = true
-		}
-		obsSets[i] = set
-	}
-	porProp := porProps(shared, t, props, obsSets, propErrs, opts)
-	groupProps := map[string][]Property{}
-	for i, p := range props {
-		if propErrs[i] == nil && !porProp[i] {
-			groupProps[keys[i]] = append(groupProps[keys[i]], p)
-		}
-	}
-
-	ltsCache := map[string]*lts.LTS{}
-	joints := map[string]*jointQuotient{}
-	for i, p := range props {
-		if propErrs[i] != nil {
-			return outcomes, fmt.Errorf("%s: %w", p, propErrs[i])
-		}
-		if porProp[i] {
-			// Per-property ample exploration, mirroring the concurrent
-			// pipeline's partial-order branch (shared cache, no group LTS,
-			// no joint quotient).
-			o, err := VerifyContext(ctx, Request{
-				Env: env, Type: t, Property: p, MaxStates: opts.MaxStates,
-				Cache: shared, Parallelism: 1, Progress: opts.Progress,
-				Reduction: opts.Reduction, Symmetry: opts.Symmetry,
-				PartialOrder: PartialOrderOn, symPinned: batchPinned,
-			})
-			if err != nil {
-				return outcomes, fmt.Errorf("%s: %w", p, err)
-			}
-			outcomes = append(outcomes, o)
-			continue
-		}
-		key := keys[i]
-		if _, ok := ltsCache[key]; !ok {
-			if err := Admissible(env, t); err != nil {
-				return outcomes, fmt.Errorf("%s: %w", p, err)
-			}
-			sem := &typelts.Semantics{Env: env, Observable: obsSets[i], WitnessOnly: true, Cache: shared}
-			var sym *lts.Symmetry
-			if opts.Symmetry == SymmetryOn && len(obsSets[i]) == 0 {
-				sym = lts.DetectSymmetry(shared, t, batchPinned)
-			}
-			m, err := lts.ExploreContext(ctx, sem, t, lts.Options{MaxStates: opts.MaxStates, Parallelism: 1, Progress: opts.Progress, Symmetry: sym})
-			if err != nil {
-				return outcomes, fmt.Errorf("%s: %w", p, err)
-			}
-			ltsCache[key] = m
-			if opts.Reduction == ReduceStrong {
-				joints[key] = buildJoint(ctx, env, m, groupProps[key])
-			}
-		}
-		req := Request{
-			Env: env, Type: t, Property: p, MaxStates: opts.MaxStates,
-			Reuse: ltsCache[key], Cache: shared, Parallelism: 1,
-			Progress: opts.Progress, Reduction: opts.Reduction,
-			Symmetry: opts.Symmetry, symPinned: batchPinned, joint: joints[key],
-		}
-		o, err := VerifyContext(ctx, req)
-		if err != nil {
-			return outcomes, fmt.Errorf("%s: %w", p, err)
-		}
-		outcomes = append(outcomes, o)
-	}
-	return outcomes, nil
 }
 
 // ObservablesFor computes the Y-limitation set for a property: the

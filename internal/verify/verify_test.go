@@ -329,9 +329,9 @@ func TestVerifyAllParallelismEquivalence(t *testing.T) {
 	}
 }
 
-// TestVerifyAllErrorContract checks the concurrent pipeline preserves the
-// serial error semantics: outcomes up to the first failing property, and
-// that property's wrapped error.
+// TestVerifyAllErrorContract checks the batch engine keeps the same error
+// semantics at every width: outcomes up to the first failing property,
+// and that property's wrapped error.
 func TestVerifyAllErrorContract(t *testing.T) {
 	env, sys, _ := miniPhilosophers()
 	props := []Property{

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"effpi/internal/lts"
@@ -23,7 +24,9 @@ type Witness struct {
 	Stem, Cycle []WitnessStep
 	// States maps every state id visited by the lasso to its component
 	// multiset: the FlattenPar leaves of the state's interned
-	// representative type.
+	// representative type. The order of each slice is unspecified — it
+	// follows the interner's IDs, which parallel exploration assigns in
+	// schedule order; StateText prints the components sorted.
 	States map[int][]types.Type
 }
 
@@ -61,7 +64,9 @@ func DecodeWitness(m *lts.LTS, raw *mucalc.Witness) *Witness {
 	return w
 }
 
-// StateText pretty-prints a visited state as its component multiset.
+// StateText pretty-prints a visited state as its component multiset,
+// components in sorted order, so the text does not depend on the
+// schedule that interned them.
 func (w *Witness) StateText(s int) string {
 	comps := w.States[s]
 	if len(comps) == 0 {
@@ -71,6 +76,7 @@ func (w *Witness) StateText(s int) string {
 	for i, c := range comps {
 		parts[i] = c.String()
 	}
+	sort.Strings(parts)
 	return strings.Join(parts, " ‖ ")
 }
 

@@ -13,7 +13,6 @@ type sessionOptions struct {
 	maxStates    int
 	parallelism  int
 	earlyExit    bool
-	reduction    Reduction
 	symmetry     SymmetryMode
 	partialOrder PartialOrderMode
 	// closed, when non-nil, overrides Property.Closed on every property
@@ -47,9 +46,10 @@ func WithMaxStates(n int) Option {
 	}
 }
 
-// WithParallelism sets the exploration worker count: 0 = GOMAXPROCS,
-// 1 = the serial reference engine. Verdicts, state counts and witnesses
-// are identical at any value; only wall-clock changes.
+// WithParallelism sets the exploration worker count and the width of
+// VerifyAll's batch executor: 0 = GOMAXPROCS, 1 = one thing at a time.
+// Verdicts, state counts and witnesses are identical at any value; only
+// wall-clock changes.
 func WithParallelism(n int) Option {
 	return func(o *sessionOptions) error {
 		o.parallelism = n
@@ -63,28 +63,6 @@ func WithParallelism(n int) Option {
 func WithEarlyExit(v bool) Option {
 	return func(o *sessionOptions) error {
 		o.earlyExit = v
-		return nil
-	}
-}
-
-// WithReduction selects the state-space reduction stage applied between
-// exploration and checking (the Reduce of Explore → Reduce → Check).
-// ReduceStrong quotients every explored LTS by strong bisimulation over
-// the property's observation classes before model checking: verdicts are
-// identical to ReduceOff (the default), every failing property's
-// counterexample is lifted back to a concrete run and machine-re-checked
-// by the replay oracle before it is returned, and Outcome.ReducedStates
-// reports the block count actually checked. Symmetric systems shrink by
-// orders of magnitude; the worst case is a same-size quotient plus the
-// refinement cost. The stage does not apply to ev-usage (existential,
-// checked by reachability) or to requests served by the on-the-fly
-// engine (WithEarlyExit).
-func WithReduction(r Reduction) Option {
-	return func(o *sessionOptions) error {
-		if r != ReduceOff && r != ReduceStrong {
-			return fmt.Errorf("effpi: unknown reduction %v", r)
-		}
-		o.reduction = r
 		return nil
 	}
 }

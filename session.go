@@ -128,7 +128,7 @@ func (s *Session) Verify(ctx context.Context, prop Property) (*Outcome, error) {
 	o, err := verify.VerifyContext(ctx, verify.Request{
 		Env: s.env, Type: t, Property: prop,
 		MaxStates: s.opt.maxStates, Parallelism: s.opt.parallelism,
-		EarlyExit: s.opt.earlyExit, Reduction: s.opt.reduction, Symmetry: s.opt.symmetry,
+		EarlyExit: s.opt.earlyExit, Symmetry: s.opt.symmetry,
 		PartialOrder: s.opt.partialOrder, Cache: s.cache,
 		Progress: s.progressHook(&prop),
 	})
@@ -140,13 +140,14 @@ func (s *Session) Verify(ctx context.Context, prop Property) (*Outcome, error) {
 	return o, nil
 }
 
-// VerifyAll verifies a batch of properties over one shared exploration
-// pipeline: properties with the same observable set reuse one LTS, and
-// all explorations run on the workspace cache. With the session's
-// parallelism ≠ 1 the batch is concurrent on three levels (see the
-// internal engine's docs); outcomes always come back in input order with
-// verdicts identical to the serial engine's. Passing the six Fig. 9
-// properties of a system reproduces one row of the paper's table.
+// VerifyAll verifies a batch of properties over one batch engine:
+// properties with the same observable set check on one shared LTS,
+// properties served by early exit or partial-order reduction explore on
+// their own, and all explorations run on the workspace cache. The
+// session's parallelism bounds how many explorations and checks run at
+// once; outcomes always come back in input order, byte-identical at
+// every parallelism. Passing the six Fig. 9 properties of a system
+// reproduces one row of the paper's table.
 func (s *Session) VerifyAll(ctx context.Context, props ...Property) ([]*Outcome, error) {
 	t, err := s.Check(ctx)
 	if err != nil {
@@ -160,13 +161,10 @@ func (s *Session) VerifyAll(ctx context.Context, props ...Property) ([]*Outcome,
 		applied[i] = s.applyClosed(p)
 		s.emit(Event{Kind: EventPropertyStarted, Property: &applied[i]})
 	}
-	if s.opt.earlyExit {
-		return s.verifyAllEarlyExit(ctx, t, applied)
-	}
 	outs, err := verify.VerifyAllContext(ctx, s.env, t, applied, verify.AllOptions{
 		MaxStates:    s.opt.maxStates,
 		Parallelism:  s.opt.parallelism,
-		Reduction:    s.opt.reduction,
+		EarlyExit:    s.opt.earlyExit,
 		Symmetry:     s.opt.symmetry,
 		PartialOrder: s.opt.partialOrder,
 		Cache:        s.cache,
@@ -180,33 +178,6 @@ func (s *Session) VerifyAll(ctx context.Context, props ...Property) ([]*Outcome,
 		o := o
 		s.emit(Event{Kind: EventPropertyVerdict, Property: &o.Property, Holds: o.Holds, Witness: o.Witness, States: o.States})
 	}
-	return outs, nil
-}
-
-// verifyAllEarlyExit is the WithEarlyExit batch path: on-the-fly
-// checking is DFS-driven and per-property by nature (each property
-// explores only what its own search touches), so the batch runs
-// properties sequentially over the shared cache, with no LTS reuse —
-// a partial fragment must never serve another property. Verdicts equal
-// the full pipeline's; the error contract matches VerifyAll (outcomes up
-// to the first failing property, plus that property's error).
-func (s *Session) verifyAllEarlyExit(ctx context.Context, t Type, props []Property) ([]*Outcome, error) {
-	outs := make([]*Outcome, 0, len(props))
-	for _, p := range props {
-		o, err := verify.VerifyContext(ctx, verify.Request{
-			Env: s.env, Type: t, Property: p,
-			MaxStates: s.opt.maxStates, EarlyExit: true, Reduction: s.opt.reduction, Symmetry: s.opt.symmetry,
-			PartialOrder: s.opt.partialOrder, Cache: s.cache,
-			Progress: s.progressHook(&p),
-		})
-		if err != nil {
-			s.ws.sweep()
-			return outs, wrapVerifyErr(fmt.Errorf("%s: %w", p, err), s.opt.maxStates)
-		}
-		s.emit(Event{Kind: EventPropertyVerdict, Property: &p, Holds: o.Holds, Witness: o.Witness, States: o.States})
-		outs = append(outs, o)
-	}
-	s.ws.sweep()
 	return outs, nil
 }
 
