@@ -104,7 +104,7 @@ func BenchmarkFig9Ring10Tokens3(b *testing.B) { benchFig9(b, systems.Ring(10, 3)
 func benchVerifyAll(b *testing.B, s *systems.System, parallelism int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{Parallelism: parallelism})
+		outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{Parallelism: parallelism})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkLargeVerifyAllRing16Tokens4Parallel(b *testing.B) {
 func benchSymmetryVerifyAll(b *testing.B, s *systems.System, sym verify.SymmetryMode) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		outs, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{Symmetry: sym})
+		outs, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{Symmetry: sym})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func benchSymmetryVerifyDining(b *testing.B, sym verify.SymmetryMode) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: prop,
-			Symmetry: sym})
+			Options: verify.Options{Symmetry: sym}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -350,14 +350,13 @@ func BenchmarkAblationSchedulerPolicies(b *testing.B) {
 // The Serial/POR pairs time the whole VerifyAll pipeline under
 // partial-order reduction. The ping-pong pair is the showcase
 // (independent pairs collapse 3^n interleavings into one near-linear
-// corridor); the dining pairs are the honest negative result the
-// DESIGN.md §por documents: philosopher-to-philosopher token handover
-// makes every adjacent pair dependent, so the conflict graph is one
-// connected ring, ample sets barely prune (~1.0×), and the mode costs
-// real time — each eligible property explores its own barely-reduced
-// space instead of sharing the group's single exploration. The pairs
-// keep both behaviours pinned: a regression in either direction (lost
-// reduction on ping-pong, runaway overhead on dining) shows up here.
+// corridor); the dining pairs are the negative result DESIGN.md §por
+// documents: philosopher-to-philosopher token handover makes every
+// adjacent pair dependent, so ample sets barely prune (~1.0×), and a
+// full row's mixed group is explored once in full either way, so the
+// mode must cost nothing there. The pairs keep both behaviours pinned:
+// a regression in either direction (lost reduction on ping-pong,
+// overhead on dining) shows up here.
 
 // benchPORVerifyAll runs the full batch pipeline (exploration included,
 // fresh cache per iteration) under the given partial-order mode,
@@ -379,7 +378,7 @@ func benchPORVerifyAll(b *testing.B, s *systems.System, por verify.PartialOrderM
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		outs, err := verify.VerifyAllWith(s.Env, s.Type, props, verify.AllOptions{PartialOrder: por})
+		outs, err := verify.VerifyAllWith(s.Env, s.Type, props, verify.Options{PartialOrder: por})
 		if err != nil {
 			b.Fatal(err)
 		}

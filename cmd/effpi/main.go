@@ -91,14 +91,14 @@ verify flags:
   -symmetry MODE off | on — explore orbit representatives under the
                  system's channel permutation group: classes of
                  interchangeable channel bundles and rotations of
-                 ring-shaped bundles (closed properties only; verdicts
-                 unchanged, counterexamples permutation-lifted to
-                 concrete runs and replay-validated)
+                 ring-shaped bundles (verdicts unchanged,
+                 counterexamples permutation-lifted to concrete runs
+                 and replay-validated)
   -por MODE      off | on — partial-order reduction: explore only an
-                 ample subset of each state's transitions (non-usage,
-                 deadlock-free and reactive; verdicts unchanged,
-                 counterexamples are concrete runs of the reduced
-                 space, replay-validated; yields to -symmetry)
+                 ample subset of each state's transitions (verdicts
+                 unchanged, counterexamples are concrete runs of the
+                 reduced space, replay-validated)
+                 where -early, -symmetry and -por engage: DESIGN.md §batch
   -width N       truncate printed witness states to N runes (default
                  100, 0 = full)
 
@@ -214,8 +214,8 @@ func cmdVerify(args []string) error {
 	open := fs.Bool("open", false, "open-process mode (default: closed composition)")
 	maxStates := fs.Int("max", 0, "state bound (0 = default)")
 	early := fs.Bool("early", false, "early-exit mode: stop exploring as soon as a violation is found (on-the-fly checking; non-usage, deadlock-free and reactive)")
-	symmetry := fs.String("symmetry", "off", "exploration-time symmetry reduction: off | on (orbit representatives under interchangeable-bundle and ring-rotation groups; verdicts unchanged, witnesses permutation-lifted and replay-validated)")
-	por := fs.String("por", "off", "exploration-time partial-order reduction: off | on (ample transition subsets; verdicts unchanged, witnesses replay-validated; yields to -symmetry)")
+	symmetry := fs.String("symmetry", "off", "exploration-time symmetry reduction: off | on (orbit representatives under interchangeable-bundle and ring-rotation groups; verdicts unchanged, witnesses permutation-lifted and replay-validated; where it engages: DESIGN.md §batch)")
+	por := fs.String("por", "off", "exploration-time partial-order reduction: off | on (ample transition subsets; verdicts unchanged, witnesses replay-validated; where it engages: DESIGN.md §batch)")
 	width := fs.Int("width", 100, "truncate printed witness states to this width (0 = full)")
 	pkgMode := fs.Bool("pkg", false, "treat arguments as Go package directories and statically extract the protocol (implied by a directory or ./... argument)")
 	if err := fs.Parse(args); err != nil {

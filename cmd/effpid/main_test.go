@@ -542,26 +542,49 @@ func TestEarlyExitRequest(t *testing.T) {
 	}
 }
 
-// TestPartialOrderRequest: a "partial_order": "on" request explores
-// ample transition subsets — verdicts match the unreduced run, every
-// engaged result carries partial_order plus a states_explored count no
-// larger than the reference state space, a FAIL still carries a
-// replay-validated witness, and /metrics exposes the POR gauges.
+// TestPartialOrderRequest: a "partial_order": "on" request for the
+// POR-eligible properties of a row explores ample transition subsets —
+// verdicts match the unreduced run, every engaged result carries
+// partial_order plus a states_explored count no larger than the
+// reference state space, a FAIL still carries a replay-validated
+// witness, and /metrics exposes the POR gauges. The whole row is a
+// mixed batch (its one group has members POR cannot serve), so there
+// the eligible results equal the unreduced ones.
 func TestPartialOrderRequest(t *testing.T) {
 	ts := testServer(t, serverConfig{})
-	body := func(mode string) string {
+	row, ok := effpi.BenchSystemByName("Ping-pong (6 pairs)")
+	if !ok {
+		t.Fatal("benchmark row not found")
+	}
+	var props []propJSON
+	var idx []int
+	for i, p := range row.Props {
+		if p.Kind == effpi.NonUsage || p.Kind == effpi.DeadlockFree || p.Kind == effpi.Reactive {
+			props = append(props, propJSON{Kind: p.Kind.String(), Channels: p.Channels, From: p.From, To: p.To, Open: !p.Closed})
+			idx = append(idx, i)
+		}
+	}
+	eligible, err := json.Marshal(props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(mode, props string) string {
 		return fmt.Sprintf(`{
 			"system": "Ping-pong (6 pairs)",
-			"partial_order": %q
-		}`, mode)
+			"partial_order": %q%s
+		}`, mode, props)
 	}
-	code, base := postVerify(t, ts, body("off"))
+	code, base := postVerify(t, ts, body("off", ""))
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, base)
 	}
-	code, por := postVerify(t, ts, body("on"))
+	code, por := postVerify(t, ts, body("on", `, "properties": `+string(eligible)))
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, por)
+	}
+	code, mixed := postVerify(t, ts, body("on", ""))
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, mixed)
 	}
 	type result struct {
 		Kind           string             `json:"kind"`
@@ -571,21 +594,23 @@ func TestPartialOrderRequest(t *testing.T) {
 		PartialOrder   bool               `json:"partial_order"`
 		Witness        *effpi.WitnessJSON `json:"witness"`
 	}
-	var baseResp, porResp struct {
+	var baseResp, porResp, mixedResp struct {
 		Results []result `json:"results"`
 	}
-	if err := json.Unmarshal(base, &baseResp); err != nil {
-		t.Fatal(err)
+	for _, r := range []struct {
+		buf  []byte
+		into any
+	}{{base, &baseResp}, {por, &porResp}, {mixed, &mixedResp}} {
+		if err := json.Unmarshal(r.buf, r.into); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := json.Unmarshal(por, &porResp); err != nil {
-		t.Fatal(err)
-	}
-	if len(porResp.Results) != len(baseResp.Results) || len(porResp.Results) == 0 {
-		t.Fatalf("result counts differ: %d vs %d", len(porResp.Results), len(baseResp.Results))
+	if len(porResp.Results) != len(props) || len(porResp.Results) == 0 || len(baseResp.Results) != len(row.Props) {
+		t.Fatalf("result counts: %d reduced for %d properties, %d reference", len(porResp.Results), len(props), len(baseResp.Results))
 	}
 	engaged := 0
 	for i, r := range porResp.Results {
-		b := baseResp.Results[i]
+		b := baseResp.Results[idx[i]]
 		if r.Holds != b.Holds {
 			t.Errorf("%s: reduced verdict %v differs from reference %v", r.Kind, r.Holds, b.Holds)
 		}
@@ -611,6 +636,14 @@ func TestPartialOrderRequest(t *testing.T) {
 	}
 	if engaged == 0 {
 		t.Fatal("no property engaged partial-order reduction on the ping-pong row")
+	}
+	for _, i := range idx {
+		m, b := mixedResp.Results[i], baseResp.Results[i]
+		mj, _ := json.Marshal(m)
+		bj, _ := json.Marshal(b)
+		if !bytes.Equal(mj, bj) {
+			t.Errorf("%s: mixed-batch result differs from the reference:\n%s\nvs\n%s", m.Kind, mj, bj)
+		}
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")

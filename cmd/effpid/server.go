@@ -296,7 +296,8 @@ type verifyRequest struct {
 	// Parallelism is the exploration worker count (0 = server default;
 	// verdicts are identical at any value).
 	Parallelism int `json:"parallelism,omitempty"`
-	// EarlyExit selects on-the-fly checking where the schema allows it.
+	// EarlyExit selects on-the-fly checking. Where early_exit, symmetry
+	// and partial_order engage is one planner rule (DESIGN.md §batch).
 	EarlyExit bool `json:"early_exit,omitempty"`
 	// Symmetry selects exploration-time symmetry reduction: "off"
 	// (default) or "on" (orbit representatives under the system's
@@ -309,7 +310,7 @@ type verifyRequest struct {
 	// "off" (default) or "on" (ample transition subsets from the type
 	// semantics' independence relation; verdicts identical, FAIL
 	// witnesses are concrete runs of the reduced space and
-	// replay-validated; yields to symmetry when both engage).
+	// replay-validated).
 	PartialOrder string `json:"partial_order,omitempty"`
 	// TimeoutMS caps this request's service time (0 = server default;
 	// capped by the server's -max-timeout). The clock starts when the

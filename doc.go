@@ -26,8 +26,7 @@
 // workspace, behind an admission-controlled job queue: POST /v1/verify
 // (synchronous), POST /v1/jobs + GET/DELETE /v1/jobs/{id} (asynchronous
 // submit/poll/cancel), GET /healthz, GET /readyz, GET /metrics. A
-// saturated queue answers 429 with a Retry-After estimate; cmd/loadgen
-// measures the resulting throughput/latency/rejection envelope. See
+// saturated queue answers 429 with a Retry-After estimate. See
 // README.md for a curl walkthrough.
 //
 // Reading counterexample output: a failing property is reported as a
@@ -90,9 +89,8 @@
 // sets only drop edges, so a FAIL's counterexample is already a
 // concrete run — it is re-validated by the replay oracle before it is
 // returned, no lifting needed; Outcome.States and
-// Outcome.StatesExplored both count the reduced space. The mode engages
-// for the deadlock-free, no-usage and reactive schemas and yields to
-// WithSymmetry when a symmetry group is detected; see DESIGN.md
+// Outcome.StatesExplored both count the reduced space. Where it engages
+// is one planner rule (DESIGN.md §batch engine); see DESIGN.md
 // §partial-order for the ample conditions and the Dining-shaped
 // negative result.
 package effpi

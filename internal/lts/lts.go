@@ -129,10 +129,10 @@ type Options struct {
 	// Symmetry, when non-nil, canonicalises every registered state to
 	// its orbit representative under the given channel-permutation group
 	// (see DetectSymmetry), recording the applied permutation per edge
-	// in LTS.Sym. It is honoured only for the explorations its
-	// soundness argument covers — closed (no observable set),
-	// witness-only, over the same interner the group was detected with —
-	// and silently ignored otherwise. Canonicalisation runs on the
+	// in LTS.Sym. As a safety gate it is honoured only for the
+	// explorations its soundness argument covers — closed (no observable
+	// set), witness-only, over the same interner the group was detected
+	// with — and ignored otherwise. Canonicalisation runs on the
 	// single-threaded registration side of every engine, so the parallel
 	// determinism contract is preserved: the symmetric LTS is
 	// byte-identical at any worker count.
@@ -143,9 +143,8 @@ type Options struct {
 	// for properties that only observe the labels PartialOrder.Visible
 	// reports. Ample selection runs on the single-threaded registration
 	// side of every engine, so the reduced LTS is byte-identical at any
-	// worker count. Ignored when Symmetry is active: orbit
-	// canonicalisation assumes every successor is registered, so
-	// symmetry takes precedence.
+	// worker count. The verifier's planner never sets both reductions;
+	// as a safety gate, PartialOrder is ignored under Symmetry.
 	PartialOrder *POR
 }
 

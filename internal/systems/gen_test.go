@@ -100,9 +100,9 @@ func TestRandomDifferentialVerdictsAndWitnesses(t *testing.T) {
 	fails, systems := 0, 0
 	for seed := 0; seed < n; seed++ {
 		s := RandomSystem(int64(seed))
-		base, baseErr := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{MaxStates: genMaxStates, Parallelism: 1})
+		base, baseErr := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{MaxStates: genMaxStates, Parallelism: 1})
 		for _, par := range []int{2, 8} {
-			got, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{MaxStates: genMaxStates, Parallelism: par})
+			got, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{MaxStates: genMaxStates, Parallelism: par})
 			if (err == nil) != (baseErr == nil) || (err != nil && err.Error() != baseErr.Error()) {
 				t.Fatalf("seed %d par %d: err=%v, serial err=%v", seed, par, err, baseErr)
 			}
@@ -171,8 +171,8 @@ func TestRandomEarlyExitAgreesWithFull(t *testing.T) {
 			default:
 				continue
 			}
-			full, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, MaxStates: genMaxStates, Parallelism: 1})
-			early, eerr := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, MaxStates: genMaxStates, EarlyExit: true})
+			full, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, Options: verify.Options{MaxStates: genMaxStates, Parallelism: 1}})
+			early, eerr := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, Options: verify.Options{MaxStates: genMaxStates, EarlyExit: true}})
 			if (err == nil) != (eerr == nil) {
 				t.Fatalf("seed %d %s: full err=%v, early err=%v", seed, p, err, eerr)
 			}

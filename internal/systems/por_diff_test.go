@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"effpi/internal/types"
 	"effpi/internal/verify"
 )
 
@@ -19,23 +20,65 @@ func porEligibleKind(k verify.Kind) bool {
 	return k == verify.NonUsage || k == verify.DeadlockFree || k == verify.Reactive
 }
 
-// TestRandomDifferentialPartialOrder: every seeded system is verified
-// with partial order on at parallelism 1, 2 and 8 and compared against
-// the reference (partial order off, serial). The reduced space is an
-// edge-subset of the full one, so a run that exceeds the state bound
-// under reduction must have exceeded it without; the reverse can differ
-// per property, so bound-exceeding seeds are only checked for agreement
-// on *whether* they error.
+// porBatch splits a row's properties for the partial-order suites: the
+// POR-eligible ones — a batch POR serves, since all of them share one
+// observable set — and their indexes in the row.
+func porBatch(props []verify.Property) ([]verify.Property, []int) {
+	var eligible []verify.Property
+	var idx []int
+	for i, p := range props {
+		if porEligibleKind(p.Kind) {
+			eligible = append(eligible, p)
+			idx = append(idx, i)
+		}
+	}
+	return eligible, idx
+}
+
+// outcomeKey is an outcome's verdict, state counts, reducer flag and raw
+// witness lasso.
+func outcomeKey(o *verify.Outcome) string {
+	return fmt.Sprintf("%v|%d|%d|%v|%v", o.Holds, o.States, o.StatesExplored, o.PartialOrder, rawWitness(o))
+}
+
+// checkMixedUnreduced verifies a whole row — a mixed batch, whose one
+// group has members POR cannot serve — with partial order on, and
+// asserts that its eligible outcomes are byte-identical to the
+// reducers-off ones: the group is explored in full for everyone.
+func checkMixedUnreduced(t *testing.T, name string, env *types.Env, sys types.Type, props []verify.Property, opts verify.Options, off []*verify.Outcome) {
+	t.Helper()
+	opts.PartialOrder = verify.PartialOrderOn
+	mixed, err := verify.VerifyAllWith(env, sys, props, opts)
+	if err != nil {
+		t.Fatalf("%s mixed batch: %v", name, err)
+	}
+	for i, p := range props {
+		if porEligibleKind(p.Kind) && outcomeKey(mixed[i]) != outcomeKey(off[i]) {
+			t.Errorf("%s %s: mixed-batch outcome %s differs from POR off %s", name, p, outcomeKey(mixed[i]), outcomeKey(off[i]))
+		}
+	}
+}
+
+// TestRandomDifferentialPartialOrder: every seeded system's POR-eligible
+// properties are verified as one batch with partial order on at
+// parallelism 1, 2 and 8 and compared against the reference (the whole
+// row, partial order off, serial). The reduced space is an edge-subset
+// of the full one, so a run that exceeds the state bound under reduction
+// must have exceeded it without; the reverse can differ, so
+// bound-exceeding seeds are only checked for agreement on *whether* they
+// error. The whole row with partial order on is a mixed batch and must
+// reproduce the reference outcomes exactly.
 func TestRandomDifferentialPartialOrder(t *testing.T) {
 	n := genSeedCount(t)
 	fails, engaged, systems := 0, 0, 0
 	for seed := 0; seed < n; seed++ {
 		s := RandomSystem(int64(seed))
-		base, baseErr := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{MaxStates: genMaxStates, Parallelism: 1})
+		props, idx := porBatch(s.Props)
+		base, baseErr := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{MaxStates: genMaxStates, Parallelism: 1})
 		var porBase []*verify.Outcome
 		var porBaseErr error
 		for _, par := range []int{1, 2, 8} {
-			por, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{
+			por, err := verify.VerifyAllWith(s.Env, s.Type, props, verify.Options{
 				MaxStates: genMaxStates, Parallelism: par, PartialOrder: verify.PartialOrderOn})
 			if par == 1 {
 				porBase, porBaseErr = por, err
@@ -52,9 +95,6 @@ func TestRandomDifferentialPartialOrder(t *testing.T) {
 				break
 			}
 			for i := range por {
-				if por[i].PartialOrder && !porEligibleKind(por[i].Property.Kind) {
-					t.Errorf("seed %d par %d %s: PartialOrder engaged for an ineligible schema", seed, par, por[i].Property)
-				}
 				if por[i].StatesExplored != porBase[i].StatesExplored {
 					t.Errorf("seed %d par %d %s: explored %d states, serial reduced run explored %d",
 						seed, par, por[i].Property, por[i].StatesExplored, porBase[i].StatesExplored)
@@ -68,25 +108,27 @@ func TestRandomDifferentialPartialOrder(t *testing.T) {
 				if baseErr != nil {
 					continue // no reference verdicts to compare against
 				}
-				if por[i].Holds != base[i].Holds {
-					t.Errorf("seed %d par %d %s: reduced verdict %v, reference %v", seed, par, por[i].Property, por[i].Holds, base[i].Holds)
+				ref := base[idx[i]]
+				if por[i].Holds != ref.Holds {
+					t.Errorf("seed %d par %d %s: reduced verdict %v, reference %v", seed, par, por[i].Property, por[i].Holds, ref.Holds)
 				}
-				if por[i].StatesExplored > base[i].States {
+				if por[i].StatesExplored > ref.States {
 					t.Errorf("seed %d par %d %s: explored %d states, full space has %d",
-						seed, par, por[i].Property, por[i].StatesExplored, base[i].States)
+						seed, par, por[i].Property, por[i].StatesExplored, ref.States)
 				}
-				if !por[i].PartialOrder && por[i].States != base[i].States {
+				if !por[i].PartialOrder && por[i].States != ref.States {
 					t.Errorf("seed %d par %d %s: disengaged mode changed States %d -> %d",
-						seed, par, por[i].Property, base[i].States, por[i].States)
+						seed, par, por[i].Property, ref.States, por[i].States)
 				}
 			}
 		}
 		if porBaseErr != nil || baseErr != nil {
 			continue
 		}
+		checkMixedUnreduced(t, fmt.Sprintf("seed %d", seed), s.Env, s.Type, s.Props, verify.Options{MaxStates: genMaxStates, Parallelism: 1}, base)
 		systems++
 		for i, o := range porBase {
-			if o.PartialOrder && o.StatesExplored < base[i].States {
+			if o.PartialOrder && o.StatesExplored < base[idx[i]].States {
 				engaged++
 			}
 			if o.Holds || !o.PartialOrder {
@@ -111,41 +153,44 @@ func TestRandomDifferentialPartialOrder(t *testing.T) {
 }
 
 // TestFig9MatrixPartialOrder is the acceptance gate of the partial-order
-// mode: the complete 19×6 matrix re-verified on ample subsets at 1, 2
-// and 8 workers must reproduce every Fig. 9 verdict, never explore more
-// states than the concrete space, actually shrink the loosely-coupled
-// families (ping-pong, ring), and validate every failing LTL property's
-// witness through the replay oracle. Dining-shaped rows keep ample sets
-// close to full (their conflict graph is one connected ring — see
-// DESIGN.md §por), so the matrix asserts they do not *grow*, not that
-// they shrink.
+// mode: every row's POR-eligible properties, re-verified as one batch on
+// ample subsets at 1, 2 and 8 workers, must reproduce their Fig. 9
+// verdicts, never explore more states than the concrete space, actually
+// shrink the loosely-coupled families (ping-pong, ring), and validate
+// every failing property's witness through the replay oracle. The whole
+// row with partial order on is a mixed batch and must reproduce the
+// reference outcomes exactly. Dining-shaped rows keep ample sets close
+// to full (their conflict graph is one connected ring — see DESIGN.md
+// §por), so the matrix asserts they do not *grow*, not that they shrink.
 func TestFig9MatrixPartialOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partial-order sweep of the full matrix skipped in -short mode")
 	}
 	reduced, replayed := 0, 0
 	for _, s := range Fig9Systems() {
-		base, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{MaxStates: 1 << 22, Parallelism: 1})
+		base, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{MaxStates: 1 << 22, Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s reference: %v", s.Name, err)
 		}
+		props, idx := porBatch(s.Props)
 		for _, par := range []int{1, 2, 8} {
 			s, par, base := s, par, base
 			t.Run(fmt.Sprintf("par=%d/%s", par, s.Name), func(t *testing.T) {
-				outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props,
-					verify.AllOptions{MaxStates: 1 << 22, Parallelism: par, PartialOrder: verify.PartialOrderOn})
+				outcomes, err := verify.VerifyAllWith(s.Env, s.Type, props,
+					verify.Options{MaxStates: 1 << 22, Parallelism: par, PartialOrder: verify.PartialOrderOn})
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name, err)
 				}
 				for i, o := range outcomes {
+					ref := base[idx[i]]
 					if want, ok := s.Expected[o.Property.Kind]; ok && o.Holds != want {
 						t.Errorf("%s / %s: reduced verdict %v, Fig. 9 says %v (explored %d of %d states)",
-							s.Name, o.Property, o.Holds, want, o.StatesExplored, base[i].States)
+							s.Name, o.Property, o.Holds, want, o.StatesExplored, ref.States)
 					}
-					if o.StatesExplored > base[i].States {
-						t.Errorf("%s / %s: explored %d states, full space has %d", s.Name, o.Property, o.StatesExplored, base[i].States)
+					if o.StatesExplored > ref.States {
+						t.Errorf("%s / %s: explored %d states, full space has %d", s.Name, o.Property, o.StatesExplored, ref.States)
 					}
-					if o.StatesExplored < base[i].States {
+					if o.StatesExplored < ref.States {
 						reduced++
 					}
 					if o.Holds || !o.PartialOrder {
@@ -156,6 +201,7 @@ func TestFig9MatrixPartialOrder(t *testing.T) {
 					}
 					replayed++
 				}
+				checkMixedUnreduced(t, s.Name, s.Env, s.Type, s.Props, verify.Options{MaxStates: 1 << 22, Parallelism: par}, base)
 			})
 		}
 	}
@@ -207,7 +253,7 @@ func TestPartialOrderRatios(t *testing.T) {
 		if prop == nil {
 			t.Fatalf("%s: no %v property wired", tc.sys.Name, tc.kind)
 		}
-		full, err := verify.Verify(verify.Request{Env: tc.sys.Env, Type: tc.sys.Type, Property: *prop, MaxStates: 1 << 22})
+		full, err := verify.Verify(verify.Request{Env: tc.sys.Env, Type: tc.sys.Type, Property: *prop, Options: verify.Options{MaxStates: 1 << 22}})
 		if err != nil {
 			t.Fatalf("%s / %v full: %v", tc.sys.Name, tc.kind, err)
 		}
@@ -215,7 +261,7 @@ func TestPartialOrderRatios(t *testing.T) {
 			t.Errorf("%s / %v: full space has %d states, want %d", tc.sys.Name, tc.kind, full.States, tc.full)
 		}
 		red, err := verify.Verify(verify.Request{Env: tc.sys.Env, Type: tc.sys.Type, Property: *prop,
-			MaxStates: 1 << 22, PartialOrder: verify.PartialOrderOn})
+			Options: verify.Options{MaxStates: 1 << 22, PartialOrder: verify.PartialOrderOn}})
 		if err != nil {
 			t.Fatalf("%s / %v reduced: %v", tc.sys.Name, tc.kind, err)
 		}

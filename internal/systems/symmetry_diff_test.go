@@ -28,11 +28,11 @@ func TestRandomDifferentialSymmetry(t *testing.T) {
 	fails, systems := 0, 0
 	for seed := 0; seed < n; seed++ {
 		s := RandomSystem(int64(seed))
-		base, baseErr := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{MaxStates: genMaxStates, Parallelism: 1})
+		base, baseErr := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{MaxStates: genMaxStates, Parallelism: 1})
 		var symBase []*verify.Outcome
 		var symBaseErr error
 		for _, par := range []int{1, 2, 8} {
-			sym, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{
+			sym, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{
 				MaxStates: genMaxStates, Parallelism: par, Symmetry: verify.SymmetryOn})
 			if par == 1 {
 				symBase, symBaseErr = sym, err
@@ -111,7 +111,7 @@ func TestFig9MatrixSymmetry(t *testing.T) {
 			s, par := s, par
 			t.Run(fmt.Sprintf("par=%d/%s", par, s.Name), func(t *testing.T) {
 				outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props,
-					verify.AllOptions{MaxStates: 1 << 22, Parallelism: par, Symmetry: verify.SymmetryOn})
+					verify.Options{MaxStates: 1 << 22, Parallelism: par, Symmetry: verify.SymmetryOn})
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name, err)
 				}
@@ -156,7 +156,7 @@ func TestFig9MatrixSymmetry(t *testing.T) {
 func TestPingPongSymmetryRatio(t *testing.T) {
 	s := PingPongPairs(10, false)
 	outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props,
-		verify.AllOptions{MaxStates: 1 << 22, Symmetry: verify.SymmetryOn})
+		verify.Options{MaxStates: 1 << 22, Symmetry: verify.SymmetryOn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestDiningSymmetryRatio(t *testing.T) {
 	}
 	for _, par := range []int{1, 2, 8} {
 		o, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: prop,
-			Parallelism: par, Symmetry: verify.SymmetryOn})
+			Options: verify.Options{Parallelism: par, Symmetry: verify.SymmetryOn}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestDiningSymmetryRatio(t *testing.T) {
 		}
 	}
 	o, err := verify.Verify(verify.Request{Env: fixed.Env, Type: fixed.Type, Property: prop,
-		Symmetry: verify.SymmetryOn})
+		Options: verify.Options{Symmetry: verify.SymmetryOn}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestDiningTenRotational(t *testing.T) {
 		}
 	}
 	o, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: prop,
-		Symmetry: verify.SymmetryOn})
+		Options: verify.Options{Symmetry: verify.SymmetryOn}})
 	if err != nil {
 		t.Fatal(err)
 	}

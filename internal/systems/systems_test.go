@@ -12,10 +12,10 @@ import (
 // expected verdicts at the default parallelism.
 func checkSystem(t *testing.T, s *System, maxStates int) {
 	t.Helper()
-	checkSystemWith(t, s, verify.AllOptions{MaxStates: maxStates})
+	checkSystemWith(t, s, verify.Options{MaxStates: maxStates})
 }
 
-func checkSystemWith(t *testing.T, s *System, opts verify.AllOptions) {
+func checkSystemWith(t *testing.T, s *System, opts verify.Options) {
 	t.Helper()
 	if err := verify.Admissible(s.Env, s.Type); err != nil {
 		t.Fatalf("%s: not admissible: %v", s.Name, err)
@@ -104,7 +104,7 @@ func TestFig9MatrixParallelismInvariant(t *testing.T) {
 		for _, s := range Fig9Systems() {
 			s, par := s, par
 			t.Run(fmt.Sprintf("par=%d/%s", par, s.Name), func(t *testing.T) {
-				checkSystemWith(t, s, verify.AllOptions{MaxStates: 1 << 22, Parallelism: par})
+				checkSystemWith(t, s, verify.Options{MaxStates: 1 << 22, Parallelism: par})
 			})
 		}
 	}

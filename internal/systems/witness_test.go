@@ -1,7 +1,9 @@
 package systems
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"effpi/internal/verify"
@@ -19,7 +21,7 @@ import (
 // It returns the outcomes for cross-parallelism comparison.
 func replayAllFailures(t *testing.T, s *System, maxStates, par int) []*verify.Outcome {
 	t.Helper()
-	outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.AllOptions{MaxStates: maxStates, Parallelism: par})
+	outcomes, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, verify.Options{MaxStates: maxStates, Parallelism: par})
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name, err)
 	}
@@ -99,6 +101,56 @@ func TestFig9MatrixWitnesses(t *testing.T) {
 	}
 }
 
+// TestWitnessRenderingScheduleIndependent: the rendered witnesses — the
+// user-visible output — of every Fig. 9 and Large row come out byte for
+// byte the same from VerifyAll runs at widths 1, 2 and 8, each compared
+// with the width-1 run, with reducers off and with symmetry and partial
+// order on. At width ≥ 2 workers and explorations race on one interner,
+// so this pins that rendering never depends on which equivalent
+// spelling of a component was interned first.
+func TestWitnessRenderingScheduleIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Fig. 9 and Large rows rendered twice at three widths skipped in -short mode")
+	}
+	render := func(outs []*verify.Outcome) string {
+		var b strings.Builder
+		for _, o := range outs {
+			fmt.Fprintf(&b, "%s holds=%v\n", o.Property, o.Holds)
+			if o.Witness != nil {
+				b.WriteString(o.Witness.Render(0))
+			}
+		}
+		return b.String()
+	}
+	configs := []struct {
+		name string
+		opts verify.Options
+	}{
+		{"off", verify.Options{}},
+		{"symmetry+por", verify.Options{Symmetry: verify.SymmetryOn, PartialOrder: verify.PartialOrderOn}},
+	}
+	for _, s := range append(Fig9Systems(), LargeSystems()...) {
+		for _, c := range configs {
+			t.Run(c.name+"/"+s.Name, func(t *testing.T) {
+				var want string
+				for _, w := range []int{1, 2, 8} {
+					opts := c.opts
+					opts.Parallelism = w
+					outs, err := verify.VerifyAllWith(s.Env, s.Type, s.Props, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := render(outs); w == 1 {
+						want = got
+					} else if got != want {
+						t.Fatalf("width %d renders differently from width 1:\n%s\nvs\n%s", w, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestEarlyExitPhilosophers5 is the early-exit acceptance criterion:
 // checking a failing property of the 5-philosopher system on-the-fly must
 // find a replay-valid witness while exploring strictly fewer states than
@@ -112,11 +164,11 @@ func TestEarlyExitPhilosophers5(t *testing.T) {
 			default:
 				continue
 			}
-			full, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, Parallelism: 1})
+			full, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, Options: verify.Options{Parallelism: 1}})
 			if err != nil {
 				t.Fatalf("%s / %s: %v", s.Name, p, err)
 			}
-			early, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, EarlyExit: true})
+			early, err := verify.Verify(verify.Request{Env: s.Env, Type: s.Type, Property: p, Options: verify.Options{EarlyExit: true}})
 			if err != nil {
 				t.Fatalf("%s / %s (early): %v", s.Name, p, err)
 			}

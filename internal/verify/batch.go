@@ -1,21 +1,14 @@
 package verify
 
-// The batch engine behind VerifyAll. Every property of a batch takes one
-// of two routes, fixed before any work starts (planBatch):
-//
-//   - shared: the property is checked on the LTS of its observable-set
-//     group, explored once for every shared-route property with the same
-//     Y-limitation;
-//   - own: the property explores its own reduced space — on the fly
-//     under EarlyExit, or ample-reduced under PartialOrder — because that
-//     space depends on the property itself.
-//
-// The engine runs in two phases on one bounded executor of width
-// Parallelism: first the group explorations and the own-route
-// properties, then the shared-route checks, whose LTSes the first phase
-// has finished. No task ever waits for another while holding a slot,
-// and width 1 is a plain loop in input order. Every exploration runs on
-// the one shared transition cache.
+// The verification engine. Every Verify and VerifyAll call is one batch:
+// planBatch fixes, before any work starts, which explorations run and
+// which reducer each one uses. The engine then runs in two phases on one
+// bounded executor of width Parallelism: first every exploration (for an
+// early-exit property the exploration is the whole verification), then
+// the checks of the grouped properties on the LTSes the first phase has
+// finished. No task ever waits for another while holding a slot, and
+// width 1 is a plain loop in input order. Every exploration runs on the
+// one shared transition cache.
 
 import (
 	"context"
@@ -25,11 +18,52 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"effpi/internal/lts"
+	"effpi/internal/mucalc"
 	"effpi/internal/typelts"
 	"effpi/internal/types"
 )
+
+// Options configures a verification: the exploration bound, the three
+// reducers, the transition cache, progress reporting and the executor
+// width. Which exploration a reducer engages on is decided in one place,
+// planBatch.
+type Options struct {
+	// MaxStates bounds each LTS exploration (0 = lts.DefaultMaxStates).
+	MaxStates int
+	// Symmetry selects exploration-time symmetry reduction (SymmetryMode).
+	Symmetry SymmetryMode
+	// PartialOrder selects exploration-time partial-order reduction
+	// (PartialOrderMode).
+	PartialOrder PartialOrderMode
+	// EarlyExit selects on-the-fly checking: the property's formula is
+	// compiled symbolically and the nested DFS drives an lts.Incremental
+	// that materialises states only as the search reaches them, so a
+	// violation found early leaves the rest of the state space
+	// unexplored. Verdicts are identical to the full pipeline's; the
+	// outcome's States counts only what was discovered, and its LTS is
+	// the explored fragment (lts.LTS.Partial). On-the-fly exploration is
+	// serial.
+	EarlyExit bool
+	// Cache, when non-nil, is the shared transition cache every
+	// exploration runs on, letting a long-lived owner (the public
+	// package's Workspace) reuse per-component work across whole
+	// requests. It must have been built with typelts.NewCache(env, true)
+	// for the same env that is verified. Nil means a fresh per-call cache.
+	Cache *typelts.Cache
+	// Progress, when non-nil, receives periodic exploration snapshots
+	// from every exploration (lts.Options.Progress). At width ≥ 2
+	// callbacks arrive from multiple goroutines; the callee must be safe
+	// for that.
+	Progress func(lts.Progress)
+	// Parallelism is the width of the batch executor and the BFS worker
+	// count of each exploration: 0 = GOMAXPROCS, 1 = one task after
+	// another and serial explorations. At any value the verdicts, state
+	// counts and witnesses are identical; only wall-clock changes.
+	Parallelism int
+}
 
 // VerifyAll verifies a batch of properties of one system (typically the
 // six of a Fig. 9 row), reusing one explored LTS across properties that
@@ -41,52 +75,11 @@ import (
 // VerifyAll runs at the default parallelism (GOMAXPROCS); see
 // VerifyAllWith for the knobs.
 func VerifyAll(env *types.Env, t types.Type, props []Property, maxStates int) ([]*Outcome, error) {
-	return VerifyAllWith(env, t, props, AllOptions{MaxStates: maxStates})
-}
-
-// AllOptions configures VerifyAllWith.
-type AllOptions struct {
-	// MaxStates bounds each LTS exploration (0 = lts.DefaultMaxStates).
-	MaxStates int
-	// Symmetry selects exploration-time symmetry reduction for every
-	// property of the batch (see Request.Symmetry). The orbit exploration
-	// of the closed group is shared, pinning the union of every
-	// property's channels, so one exploration is sound for all of them.
-	Symmetry SymmetryMode
-	// PartialOrder selects exploration-time partial-order reduction for
-	// every property of the batch (see Request.PartialOrder). The
-	// visible-label set is per property, so an eligible property takes
-	// the own route: it explores its own ample-reduced LTS. When symmetry
-	// is also on and a group is detected for the closed properties,
-	// symmetry wins and those properties take the shared route.
-	PartialOrder PartialOrderMode
-	// EarlyExit selects on-the-fly checking for every property of the
-	// batch (see Request.EarlyExit). A property whose schema compiles
-	// symbolically takes the own route, so a partial fragment never
-	// serves another property; the others fall back to the full pipeline
-	// and take the shared route.
-	EarlyExit bool
-	// Cache, when non-nil, is the shared transition cache every
-	// exploration runs on, letting a long-lived owner (the public
-	// package's Workspace) reuse per-component work across whole
-	// requests. It must have been built with typelts.NewCache(env, true)
-	// for the same env passed to VerifyAllContext. Nil means a fresh
-	// per-call cache.
-	Cache *typelts.Cache
-	// Progress, when non-nil, receives periodic exploration snapshots
-	// from every exploration of the batch (lts.Options.Progress). At
-	// width ≥ 2 callbacks arrive from multiple goroutines; the callee
-	// must be safe for that.
-	Progress func(lts.Progress)
-	// Parallelism is the width of the batch executor and the BFS worker
-	// count of each exploration: 0 = GOMAXPROCS, 1 = one task after
-	// another and serial explorations. At any value the verdicts, state
-	// counts and witnesses are identical; only wall-clock changes.
-	Parallelism int
+	return VerifyAllWith(env, t, props, Options{MaxStates: maxStates})
 }
 
 // VerifyAllWith is VerifyAll with explicit options.
-func VerifyAllWith(env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
+func VerifyAllWith(env *types.Env, t types.Type, props []Property, opts Options) ([]*Outcome, error) {
 	return VerifyAllContext(context.Background(), env, t, props, opts)
 }
 
@@ -96,7 +89,17 @@ func VerifyAllWith(env *types.Env, t types.Type, props []Property, opts AllOptio
 // done. Outcomes come back in input order. On error the result is the
 // outcomes before the first failing property (in input order), plus that
 // property's error, at every width.
-func VerifyAllContext(ctx context.Context, env *types.Env, t types.Type, props []Property, opts AllOptions) ([]*Outcome, error) {
+func VerifyAllContext(ctx context.Context, env *types.Env, t types.Type, props []Property, opts Options) ([]*Outcome, error) {
+	outs, err := verifyBatch(ctx, env, t, props, opts)
+	if err != nil {
+		return outs, fmt.Errorf("%s: %w", props[len(outs)], err)
+	}
+	return outs, nil
+}
+
+// verifyBatch plans and runs one batch. It returns the outcomes in input
+// order up to the first failing property, and that property's error.
+func verifyBatch(ctx context.Context, env *types.Env, t types.Type, props []Property, opts Options) ([]*Outcome, error) {
 	outcomes := make([]*Outcome, 0, len(props))
 	if len(props) == 0 {
 		return outcomes, nil
@@ -104,68 +107,53 @@ func VerifyAllContext(ctx context.Context, env *types.Env, t types.Type, props [
 	// Fail once on an inadmissible type instead of running every
 	// exploration into the same error.
 	if err := Admissible(env, t); err != nil {
-		return outcomes, fmt.Errorf("%s: %w", props[0], err)
+		return outcomes, err
 	}
 	b := planBatch(env, t, props, opts)
 
-	// Phase 1: group explorations and own-route properties, in the order
-	// of the first property each serves.
+	// Phase 1: the explorations, in the order of the first property each
+	// serves.
 	var explore []task
-	for i := range props {
-		switch {
-		case b.errs[i] != nil:
-		case b.own[i]:
-			explore = append(explore, task{first: i, run: func() { b.verify(ctx, i, nil) }})
-		case b.groupOf[i].first == i:
-			g := b.groupOf[i]
-			explore = append(explore, task{first: i, run: func() { b.exploreGroup(ctx, g) }})
+	for _, x := range b.explorations {
+		run := func() { b.explore(ctx, x) }
+		if x.early {
+			run = func() { b.verifyEarly(ctx, x) }
 		}
+		explore = append(explore, task{first: x.members[0], run: run})
 	}
 	b.run(explore)
 
-	// Phase 2: shared-route checks on the group LTSes.
+	// Phase 2: the grouped properties' checks on their LTSes.
 	var check []task
-	for i := range props {
-		if !b.own[i] && b.errs[i] == nil {
-			check = append(check, task{first: i, run: func() {
-				g := b.groupOf[i]
-				if g.err != nil {
-					b.fail(i, g.err)
-					return
-				}
-				b.verify(ctx, i, g.lts)
-			}})
+	for i, x := range b.of {
+		if x != nil && !x.early {
+			check = append(check, task{first: i, run: func() { b.check(ctx, i, x) }})
 		}
 	}
 	b.run(check)
 
-	for i, p := range props {
+	for i := range props {
 		if b.errs[i] != nil {
-			return outcomes, fmt.Errorf("%s: %w", p, b.errs[i])
+			return outcomes, b.errs[i]
 		}
 		outcomes = append(outcomes, b.results[i])
 	}
 	return outcomes, nil
 }
 
-// batch is one planned VerifyAll call.
+// batch is one planned verification.
 type batch struct {
 	env    *types.Env
 	t      types.Type
 	props  []Property
-	opts   AllOptions
+	opts   Options
 	width  int
 	cache  *typelts.Cache
 	pinned []string
-	// own marks the own-route properties; the others check on
-	// groupOf[i].lts.
-	own     []bool
-	groupOf []*group
-	// sym is the symmetry group of the closed exploration, detected at
-	// most once (symDetected): while routing, or by the closed group's
-	// exploration, which never runs concurrently with routing.
-	sym         *lts.Symmetry
-	symDetected bool
+	// explorations are ordered by their first property; of[i] is the one
+	// serving property i (nil when its observables could not be computed).
+	explorations []*exploration
+	of           []*exploration
 
 	results []*Outcome
 	errs    []error
@@ -176,12 +164,24 @@ type batch struct {
 	mu       sync.Mutex
 }
 
-// group is one observable-set group of shared-route properties.
-type group struct {
-	obs   map[string]bool
-	first int // lowest property index served
-	lts   *lts.LTS
-	err   error
+// exploration is one planned exploration: the observable-set group of
+// its members, or a single early-exit property searched on the fly.
+type exploration struct {
+	obs     map[string]bool
+	members []int // ascending property indexes
+	early   bool
+	// symmetric marks an orbit exploration. sym is its own permutation
+	// group — an lts.Symmetry's memos are unlocked, so no two
+	// explorations share one: planBatch hands the group it detected to
+	// the first closed exploration, and the others detect their own.
+	symmetric bool
+	sym       *lts.Symmetry
+	por       *lts.POR
+	lts       *lts.LTS
+	err       error
+	// took is the time of the exploration and of its symmetry detection,
+	// charged to the Duration of a sole member.
+	took time.Duration
 }
 
 // task is one unit of executor work; first is the lowest property index
@@ -191,17 +191,34 @@ type task struct {
 	run   func()
 }
 
-// planBatch fixes every property's route and groups the shared-route
-// properties by observable set. ObservablesFor errors are recorded per
+// planBatch is the one place the reducer options are interpreted. It
+// splits the batch into explorations and fixes each one's reducer:
+//
+//   - Under EarlyExit, a property whose schema compiles symbolically
+//     (porEligible: NonUsage, DeadlockFree, Reactive) is an exploration
+//     of its own, searched on the fly. This is the only per-property
+//     exploration.
+//   - Every other property joins the group of its observable set, and
+//     each group is explored once for all its members.
+//   - An exploration runs on orbit representatives under Symmetry when it
+//     is closed (empty observable set) and lts.DetectSymmetry finds a
+//     group, pinning every channel any property of the batch observes.
+//   - Otherwise it runs ample-reduced under PartialOrder when every member
+//     is porEligible. The visible labels are the union of the members'
+//     (porFilterAll): a reduction that preserves every label in V ⊇ V_p
+//     preserves each property p (Peled, "All from one, one for all").
+//   - Otherwise it explores the full state space.
+//
+// Verdicts never depend on the plan; state counts, witnesses and the
+// Outcome.PartialOrder flag do. ObservablesFor errors are recorded per
 // property, so the input-order error contract holds.
-func planBatch(env *types.Env, t types.Type, props []Property, opts AllOptions) *batch {
+func planBatch(env *types.Env, t types.Type, props []Property, opts Options) *batch {
 	b := &batch{
 		env: env, t: t, props: props, opts: opts,
 		width:   opts.Parallelism,
 		cache:   opts.Cache,
-		pinned:  batchPinnedChannels(props),
-		own:     make([]bool, len(props)),
-		groupOf: make([]*group, len(props)),
+		pinned:  pinnedChannels(props),
+		of:      make([]*exploration, len(props)),
 		results: make([]*Outcome, len(props)),
 		errs:    make([]error, len(props)),
 	}
@@ -212,64 +229,51 @@ func planBatch(env *types.Env, t types.Type, props []Property, opts AllOptions) 
 		b.cache = typelts.NewCache(env, true)
 	}
 	b.firstErr.Store(int64(len(props)))
-	byKey := map[string]*group{}
+	byKey := map[string]*exploration{}
 	for i, p := range props {
 		obs, err := ObservablesFor(env, p)
 		if err != nil {
 			b.fail(i, err)
 			continue
 		}
-		if b.ownRoute(p, len(obs) == 0) {
-			b.own[i] = true
-			continue
-		}
+		early := opts.EarlyExit && porEligible(p.Kind)
 		sorted := append([]string{}, obs...)
 		sort.Strings(sorted)
 		key := strings.Join(sorted, ",")
-		g, ok := byKey[key]
-		if !ok {
-			g = &group{obs: make(map[string]bool, len(obs)), first: i}
-			for _, x := range obs {
-				g.obs[x] = true
+		x := byKey[key]
+		if x == nil || early {
+			x = &exploration{obs: make(map[string]bool, len(obs)), early: early}
+			for _, o := range obs {
+				x.obs[o] = true
 			}
-			byKey[key] = g
+			b.explorations = append(b.explorations, x)
+			if !early {
+				byKey[key] = x
+			}
 		}
-		b.groupOf[i] = g
+		x.members = append(x.members, i)
+		b.of[i] = x
+	}
+
+	// One detection decides for every closed exploration; its group goes
+	// to the first, and the later ones detect their own when they run.
+	detected, symmetric := false, false
+	for _, x := range b.explorations {
+		if opts.Symmetry == SymmetryOn && len(x.obs) == 0 {
+			if !detected {
+				start := time.Now()
+				x.sym, detected = lts.DetectSymmetry(b.cache, t, b.pinned), true
+				x.took, symmetric = time.Since(start), x.sym != nil
+			}
+			if x.symmetric = symmetric; symmetric {
+				continue
+			}
+		}
+		if opts.PartialOrder == PartialOrderOn {
+			x.por = porFilterAll(env, props, x.members)
+		}
 	}
 	return b
-}
-
-// ownRoute decides whether a property explores on its own. Only the
-// schemas with alphabet-independent action-set semantics (porEligible)
-// can: under EarlyExit they always do, under PartialOrder unless
-// symmetry claims the closed exploration — a detected group wins, since
-// the orbit construction must see every concrete successor. Detection
-// runs at most once, with the pinned set the closed group's exploration
-// uses, so the routing and the exploration agree.
-func (b *batch) ownRoute(p Property, closed bool) bool {
-	if !porEligible(p.Kind) {
-		return false
-	}
-	if b.opts.EarlyExit {
-		return true
-	}
-	if b.opts.PartialOrder != PartialOrderOn {
-		return false
-	}
-	return !(closed && b.closedSymmetry() != nil)
-}
-
-// closedSymmetry detects (once) the symmetry group the closed
-// exploration runs under, or nil when symmetry is off or none exists.
-func (b *batch) closedSymmetry() *lts.Symmetry {
-	if b.opts.Symmetry != SymmetryOn {
-		return nil
-	}
-	if !b.symDetected {
-		b.symDetected = true
-		b.sym = lts.DetectSymmetry(b.cache, b.t, b.pinned)
-	}
-	return b.sym
 }
 
 // run executes tasks on at most width goroutines; width 1 is a plain
@@ -300,37 +304,87 @@ func (b *batch) run(tasks []task) {
 	wg.Wait()
 }
 
-// exploreGroup explores one group's shared LTS. Only the closed group
-// (empty observable set) can run under symmetry, so the single-
-// exploration discipline of lts.Symmetry holds.
-func (b *batch) exploreGroup(ctx context.Context, g *group) {
-	var sym *lts.Symmetry
-	if len(g.obs) == 0 {
-		sym = b.closedSymmetry()
-	}
-	sem := &typelts.Semantics{Env: b.env, Observable: g.obs, WitnessOnly: true, Cache: b.cache}
-	g.lts, g.err = lts.ExploreContext(ctx, sem, b.t, lts.Options{
-		MaxStates: b.opts.MaxStates, Parallelism: b.width, Progress: b.opts.Progress, Symmetry: sym,
-	})
+// semantics is the witness-only type semantics under the Y-limitation
+// obs, on the batch cache. Each exploration and check gets its own: a
+// Semantics carries goroutine-local memo state.
+func (b *batch) semantics(obs map[string]bool) *typelts.Semantics {
+	return &typelts.Semantics{Env: b.env, Observable: obs, WitnessOnly: true, Cache: b.cache}
 }
 
-// verify runs property i through VerifyContext: on reuse, the group's
-// LTS (shared route), or nil for its own exploration.
-func (b *batch) verify(ctx context.Context, i int, reuse *lts.LTS) {
-	req := Request{
-		Env: b.env, Type: b.t, Property: b.props[i],
-		MaxStates: b.opts.MaxStates, Reuse: reuse, Cache: b.cache, Parallelism: b.width,
-		Symmetry: b.opts.Symmetry, symPinned: b.pinned,
+// symmetry returns x's own permutation group, detecting it now unless
+// planBatch already did.
+func (b *batch) symmetry(x *exploration) *lts.Symmetry {
+	if x.symmetric && x.sym == nil {
+		x.sym = lts.DetectSymmetry(b.cache, b.t, b.pinned)
 	}
-	if reuse == nil {
-		req.PartialOrder, req.EarlyExit, req.Progress = b.opts.PartialOrder, b.opts.EarlyExit, b.opts.Progress
-	}
-	o, err := VerifyContext(ctx, req)
+	return x.sym
+}
+
+// request is property i's verification request under the batch options.
+func (b *batch) request(i int) Request {
+	return Request{Env: b.env, Type: b.t, Property: b.props[i], Options: b.opts}
+}
+
+// explore explores one group's shared LTS.
+func (b *batch) explore(ctx context.Context, x *exploration) {
+	start := time.Now()
+	x.lts, x.err = lts.ExploreContext(ctx, b.semantics(x.obs), b.t, lts.Options{
+		MaxStates: b.opts.MaxStates, Parallelism: b.width, Progress: b.opts.Progress,
+		Symmetry: b.symmetry(x), PartialOrder: x.por,
+	})
+	x.took += time.Since(start)
+}
+
+// verifyEarly verifies an early-exit exploration's one property.
+func (b *batch) verifyEarly(ctx context.Context, x *exploration) {
+	start := time.Now()
+	i := x.members[0]
+	o, err := verifyOnTheFly(ctx, b.request(i), b.semantics(x.obs), b.symmetry(x), x.por)
 	if err != nil {
 		b.fail(i, err)
 		return
 	}
+	o.Duration = x.took + time.Since(start)
 	b.results[i] = o
+}
+
+// check verifies grouped property i on its group's explored LTS: compile,
+// model check, and for a FAIL decode, lift and replay the witness.
+func (b *batch) check(ctx context.Context, i int, x *exploration) {
+	if x.err != nil {
+		b.fail(i, x.err)
+		return
+	}
+	start := time.Now()
+	req, m := b.request(i), x.lts
+	out := &Outcome{
+		Property:       req.Property,
+		States:         int(m.Covered()),
+		StatesExplored: m.Len(),
+		LTS:            m,
+		PartialOrder:   x.por != nil,
+	}
+	err := error(nil)
+	if req.Property.Kind == EventualOutput {
+		// Fig. 7(3), existential reachability (see EvUsageHolds).
+		out.Holds = EvUsageHolds(NewUses(b.env, m), m, req.Property.Channels)
+	} else if out.Formula, err = Compile(b.env, m, req.Property); err == nil {
+		var res mucalc.Result
+		if res, err = mucalc.CheckContext(ctx, m, out.Formula); err == nil {
+			out.Holds, out.ProductStates, out.AutomatonStates = res.Holds, res.ProductStates, res.AutomatonStates
+			out.Counterexample, out.Witness = res.Counterexample, DecodeWitness(m, res.Witness)
+			err = finishFail(ctx, req, b.semantics(x.obs), m, out)
+		}
+	}
+	if err != nil {
+		b.fail(i, err)
+		return
+	}
+	out.Duration = time.Since(start)
+	if len(x.members) == 1 {
+		out.Duration += x.took
+	}
+	b.results[i] = out
 }
 
 // fail records property i's error and lowers firstErr.

@@ -10,24 +10,33 @@ import (
 	"effpi/internal/types"
 )
 
-// engineRow is one route of the batch engine: a system, its batch, and
-// the options that send the batch's properties down that route.
+// engineRow is one plan of the batch engine: a system, its batch, and
+// the options that make planBatch pick that plan. single marks the rows
+// whose every exploration serves one property or runs unreduced, so each
+// outcome must equal a lone Verify of the same property; check, when
+// set, asserts the row's own plan on the width-1 outcomes against the
+// reducers-off reference.
 type engineRow struct {
-	name  string
-	env   *types.Env
-	sys   types.Type
-	props []Property
-	opts  AllOptions
+	name   string
+	env    *types.Env
+	sys    types.Type
+	props  []Property
+	opts   Options
+	single bool
+	check  func(t *testing.T, outs, ref []*Outcome)
 }
 
-// engineRows covers every route the engine can pick: the shared group
-// LTS, POR's own exploration, early exit's own exploration with the
-// fallback schemas joining the shared group, symmetry (alone and
-// winning over POR), and a batch with several open-property groups.
+// engineRows covers every plan the engine can pick: the shared group
+// LTS; POR on one union-filtered exploration, on one exploration per
+// open group, and disengaged in a mixed group; early exit's own
+// explorations with the fallback schemas joining the shared group;
+// symmetry (alone, winning over POR, and under early exit); and a
+// batch with several open-property groups.
 func engineRows() []engineRow {
 	philEnv, phil, philProps := miniPhilosophers()
 	pairEnv, pairs := symPairs(3)
 	symEnv, symSys := symPairs(4)
+	unionEnv, unionSys := symPairs(8)
 	open := []Property{
 		{Kind: NonUsage, Channels: []string{"f0"}},
 		{Kind: Forwarding, From: "f0", To: "f1"},
@@ -37,12 +46,84 @@ func engineRows() []engineRow {
 		{Kind: Reactive, From: "f0"},
 	}
 	return []engineRow{
-		{"shared", philEnv, phil, philProps, AllOptions{}},
-		{"por-own", pairEnv, pairs, symProps(), AllOptions{PartialOrder: PartialOrderOn}},
-		{"early-own+fallback", philEnv, phil, philProps, AllOptions{EarlyExit: true}},
-		{"symmetry", symEnv, symSys, symProps(), AllOptions{Symmetry: SymmetryOn}},
-		{"symmetry-over-por", symEnv, symSys, symProps(), AllOptions{Symmetry: SymmetryOn, PartialOrder: PartialOrderOn}},
-		{"open-groups", philEnv, phil, open, AllOptions{}},
+		{name: "shared", env: philEnv, sys: phil, props: philProps, single: true},
+		{name: "por-union", env: unionEnv, sys: unionSys, props: porUnionProps(), opts: Options{PartialOrder: PartialOrderOn}, check: checkPORUnion},
+		{name: "por-own", env: pairEnv, sys: pairs, props: porOwnProps(), opts: Options{PartialOrder: PartialOrderOn}, single: true, check: checkPOREngaged},
+		{name: "por-mixed", env: pairEnv, sys: pairs, props: symProps(), opts: Options{PartialOrder: PartialOrderOn}, check: checkPORDisengaged},
+		{name: "early-own+fallback", env: philEnv, sys: phil, props: philProps, opts: Options{EarlyExit: true}, single: true},
+		{name: "symmetry", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn}},
+		{name: "symmetry-over-por", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn, PartialOrder: PartialOrderOn}},
+		{name: "early+symmetry", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn, EarlyExit: true}, check: checkEarlySymmetric},
+		{name: "open-groups", env: philEnv, sys: phil, props: open, single: true},
+	}
+}
+
+// porUnionProps are the three POR-eligible schemas over one closed
+// observable set, so one exploration with the union filter serves them.
+func porUnionProps() []Property {
+	return []Property{
+		{Kind: NonUsage, Channels: []string{"z1"}, Closed: true},
+		{Kind: DeadlockFree, Channels: []string{"z1"}, Closed: true},
+		{Kind: Reactive, From: "z1", Closed: true},
+	}
+}
+
+// porOwnProps are POR-eligible open properties with pairwise distinct
+// observable sets: each group has one member, explored under its own
+// filter exactly as a lone Verify would.
+func porOwnProps() []Property {
+	return []Property{
+		{Kind: NonUsage, Channels: []string{"z1"}},
+		{Kind: DeadlockFree, Channels: []string{"z2", "y2"}},
+		{Kind: Reactive, From: "y3"},
+	}
+}
+
+// checkPORUnion: every outcome comes from one reduced exploration that
+// is smaller than the full space.
+func checkPORUnion(t *testing.T, outs, ref []*Outcome) {
+	for i, o := range outs {
+		if o.LTS != outs[0].LTS {
+			t.Errorf("%s: explored on its own, want the one union-filtered LTS", o.Property)
+		}
+		if !o.PartialOrder || o.StatesExplored >= ref[i].States {
+			t.Errorf("%s: por=%v explored %d of %d states, want a reduction", o.Property, o.PartialOrder, o.StatesExplored, ref[i].States)
+		}
+	}
+}
+
+// checkPOREngaged: every outcome is reduced.
+func checkPOREngaged(t *testing.T, outs, ref []*Outcome) {
+	for i, o := range outs {
+		if !o.PartialOrder || o.StatesExplored >= ref[i].States {
+			t.Errorf("%s: por=%v explored %d of %d states, want a reduction", o.Property, o.PartialOrder, o.StatesExplored, ref[i].States)
+		}
+	}
+}
+
+// checkPORDisengaged: a group with a member POR cannot serve explores in
+// full, so every outcome — the eligible ones included — is the
+// reducers-off outcome, byte for byte.
+func checkPORDisengaged(t *testing.T, outs, ref []*Outcome) {
+	for i, o := range outs {
+		if got, want := renderOutcome(o), renderOutcome(ref[i]); got != want {
+			t.Errorf("%s: mixed-group outcome differs from reducers off:\n%s\nvs\n%s", o.Property, got, want)
+		}
+	}
+}
+
+// checkEarlySymmetric: the eligible properties ran on the fly over
+// their own orbit explorations, never sharing one.
+func checkEarlySymmetric(t *testing.T, outs, _ []*Outcome) {
+	seen := map[*lts.LTS]bool{}
+	for _, o := range outs {
+		if !porEligible(o.Property.Kind) {
+			continue
+		}
+		if !o.EarlyExit || o.LTS.Sym == nil || seen[o.LTS] {
+			t.Errorf("%s: early=%v symmetric=%v shared=%v, want an own on-the-fly orbit exploration", o.Property, o.EarlyExit, o.LTS.Sym != nil, seen[o.LTS])
+		}
+		seen[o.LTS] = true
 	}
 }
 
@@ -70,30 +151,21 @@ func ltsShape(m *lts.LTS) string {
 	return b.String()
 }
 
-// TestVerifyAllEngine is the batch engine's contract, route by width:
-// at widths 1, 2 and 8 every outcome — verdict, state counts, raw and
-// rendered witness, explored LTS — is byte-identical, equals the
-// per-property Verify of the same request, and every FAIL replays. A
-// probe channel missing from Γ at index 3 yields exactly the three
-// outcomes before it plus that property's error, and so does a group
-// that exceeds its state bound, at every width.
+// TestVerifyAllEngine is the batch engine's contract, plan by width: at
+// widths 1, 2 and 8 every outcome — verdict, state counts, raw and
+// rendered witness, explored LTS — is byte-identical, every verdict
+// equals the reducers-off batch's, and every FAIL replays. A probe
+// channel missing from Γ at index 3 yields exactly the three outcomes
+// before it plus that property's error, at every width.
 func TestVerifyAllEngine(t *testing.T) {
 	widths := []int{1, 2, 8}
 	for _, row := range engineRows() {
 		t.Run(row.name, func(t *testing.T) {
-			want := make([]string, len(row.props))
-			for i, p := range row.props {
-				o, err := Verify(Request{
-					Env: row.env, Type: row.sys, Property: p, Parallelism: 1,
-					Symmetry: row.opts.Symmetry, PartialOrder: row.opts.PartialOrder, EarlyExit: row.opts.EarlyExit,
-					symPinned: batchPinnedChannels(row.props),
-				})
-				if err != nil {
-					t.Fatalf("Verify %s: %v", p, err)
-				}
-				want[i] = renderOutcome(o)
+			ref, err := VerifyAllWith(row.env, row.sys, row.props, Options{Parallelism: 1})
+			if err != nil {
+				t.Fatalf("reducers off: %v", err)
 			}
-			var shapes []string
+			var want, shapes []string
 			for _, w := range widths {
 				opts := row.opts
 				opts.Parallelism = w
@@ -104,20 +176,41 @@ func TestVerifyAllEngine(t *testing.T) {
 				if len(outs) != len(row.props) {
 					t.Fatalf("width %d: %d outcomes for %d properties", w, len(outs), len(row.props))
 				}
+				if w == widths[0] && row.check != nil {
+					row.check(t, outs, ref)
+				}
 				for i, o := range outs {
-					if got := renderOutcome(o); got != want[i] {
-						t.Errorf("width %d %s: batch outcome differs from Verify:\n%s\nvs\n%s", w, row.props[i], got, want[i])
+					if o.Holds != ref[i].Holds {
+						t.Errorf("width %d %s: verdict %v, reducers off %v", w, row.props[i], o.Holds, ref[i].Holds)
 					}
 					if !o.Holds && o.Property.Kind != EventualOutput {
 						if err := Replay(o); err != nil {
 							t.Errorf("width %d %s: witness does not replay: %v", w, row.props[i], err)
 						}
 					}
-					shape := ltsShape(o.LTS)
+					got, shape := renderOutcome(o), ltsShape(o.LTS)
 					if w == widths[0] {
-						shapes = append(shapes, shape)
-					} else if shape != shapes[i] {
+						want, shapes = append(want, got), append(shapes, shape)
+						continue
+					}
+					if got != want[i] {
+						t.Errorf("width %d %s: outcome differs from width %d:\n%s\nvs\n%s", w, row.props[i], widths[0], got, want[i])
+					}
+					if shape != shapes[i] {
 						t.Errorf("width %d %s: explored LTS differs from width %d", w, row.props[i], widths[0])
+					}
+				}
+			}
+			if row.single {
+				for i, p := range row.props {
+					opts := row.opts
+					opts.Parallelism = 1
+					o, err := Verify(Request{Env: row.env, Type: row.sys, Property: p, Options: opts})
+					if err != nil {
+						t.Fatalf("Verify %s: %v", p, err)
+					}
+					if got := renderOutcome(o); got != want[i] {
+						t.Errorf("%s: lone Verify differs from the batch:\n%s\nvs\n%s", p, got, want[i])
 					}
 				}
 			}
@@ -152,7 +245,7 @@ func TestVerifyAllEngineStateBound(t *testing.T) {
 		{Kind: NonUsage, Channels: []string{"f0"}},
 		{Kind: Forwarding, From: "f0", To: "f1"},
 	}
-	full, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: 1})
+	full, err := VerifyAllWith(env, sys, props, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +260,7 @@ func TestVerifyAllEngineStateBound(t *testing.T) {
 		t.Fatalf("fixture has no group larger than the closed one (states %v)", full)
 	}
 	for _, w := range []int{1, 2, 8} {
-		outs, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: w, MaxStates: bound})
+		outs, err := VerifyAllWith(env, sys, props, Options{Parallelism: w, MaxStates: bound})
 		if !errors.Is(err, lts.ErrStateBound) {
 			t.Fatalf("width %d: error %v, want the state bound", w, err)
 		}

@@ -1,8 +1,8 @@
 package verify
 
-// Exploration-time partial-order reduction (Request.PartialOrder): the
+// Exploration-time partial-order reduction (Options.PartialOrder): the
 // verifier hands lts.Explore an ample-set filter (lts.POR) whose
-// visibility predicate is derived from the property's own action sets —
+// visibility predicate is derived from the properties' own action sets —
 // the same Fig. 7 machinery the symbolic compiler uses — so the
 // exploration registers, per state, only a persistent subset of the
 // enabled synchronisations. Ample sets only ever *drop* edges: every
@@ -17,18 +17,11 @@ package verify
 // sound visible-label set can be computed before exploration. The other
 // schemas (Forwarding, Responsive — shaped by the payload variables
 // found in the explored alphabet — and EventualOutput, which is not
-// LTL) silently run the full exploration. Reactive carries an
-// eventuality (Box(Diamond ...)), so its filter uses the strong cycle
-// proviso (lts.POR.Liveness); the two safety schemas run with the weak
-// queue proviso.
-//
-// Precedence: symmetry reduction wins when both are requested and a
-// group is detected — the orbit exploration's canonicalisation assumes
-// it sees every concrete successor, so the two exploration-time
-// reductions do not stack (lts.Options documents the same rule).
-// EarlyExit composes freely with POR: the on-the-fly search runs over
-// the ample-reduced incremental exploration, which preserves the
-// property itself.
+// LTL) need the full exploration. Reactive carries an eventuality
+// (Box(Diamond ...)), so its filter uses the strong cycle proviso
+// (lts.POR.Liveness); the two safety schemas run with the weak queue
+// proviso. Which explorations the reduction engages on is planBatch's
+// routing rule.
 
 import (
 	"fmt"
@@ -47,13 +40,10 @@ const (
 	PartialOrderOff PartialOrderMode = iota
 	// PartialOrderOn explores an ample subset of the enabled transitions
 	// per state, computed from the participating-component independence
-	// relation of the type semantics with the property's visible labels
+	// relation of the type semantics with the properties' visible labels
 	// excluded. Verdicts are identical to PartialOrderOff; every FAIL's
 	// witness is a concrete run of the reduced (⊆ full) space,
-	// re-validated by Replay. The mode only engages for the eligible
-	// schemas (NonUsage, DeadlockFree, Reactive) and when symmetry
-	// reduction has not claimed the exploration — otherwise it silently
-	// runs the full exploration.
+	// re-validated by Replay. Where it engages is planBatch's routing rule.
 	PartialOrderOn
 )
 
@@ -139,4 +129,30 @@ func porFilter(env *types.Env, p Property) *lts.POR {
 	default:
 		return nil
 	}
+}
+
+// porFilterAll is the ample-set filter of an exploration shared by the
+// properties at idx, or nil unless every one is porEligible: a label is
+// visible when any member's filter sees it, and the strong cycle proviso
+// applies when any member needs it.
+func porFilterAll(env *types.Env, props []Property, idx []int) *lts.POR {
+	filters := make([]*lts.POR, 0, len(idx))
+	for _, i := range idx {
+		if !porEligible(props[i].Kind) {
+			return nil
+		}
+		filters = append(filters, porFilter(env, props[i]))
+	}
+	union := &lts.POR{Visible: func(l typelts.Label) bool {
+		for _, f := range filters {
+			if f.Visible(l) {
+				return true
+			}
+		}
+		return false
+	}}
+	for _, f := range filters {
+		union.Liveness = union.Liveness || f.Liveness
+	}
+	return union
 }

@@ -43,13 +43,13 @@ func TestPartialOrderVerdictsMatchOff(t *testing.T) {
 	env, sys := symPairs(4)
 	sawReduction, sawFail := false, false
 	for _, p := range symProps() {
-		base, err := Verify(Request{Env: env, Type: sys, Property: p, Parallelism: 1})
+		base, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{Parallelism: 1}})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 		var serial *Outcome
 		for _, par := range []int{1, 2, 8} {
-			por, err := Verify(Request{Env: env, Type: sys, Property: p, Parallelism: par, PartialOrder: PartialOrderOn})
+			por, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{Parallelism: par, PartialOrder: PartialOrderOn}})
 			if err != nil {
 				t.Fatalf("%s par %d: %v", p, par, err)
 			}
@@ -115,7 +115,7 @@ func TestPartialOrderSymmetryPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := Verify(Request{Env: env, Type: sys, Property: p, Symmetry: SymmetryOn, PartialOrder: PartialOrderOn})
+	both, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{Symmetry: SymmetryOn, PartialOrder: PartialOrderOn}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPartialOrderEarlyExit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		otf, err := Verify(Request{Env: env, Type: sys, Property: p, PartialOrder: PartialOrderOn, EarlyExit: true})
+		otf, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{PartialOrder: PartialOrderOn, EarlyExit: true}})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -159,44 +159,58 @@ func TestPartialOrderEarlyExit(t *testing.T) {
 	}
 }
 
-// TestPartialOrderReuseIgnored: a Reuse request verifies on the given
-// LTS untouched — the mode never rewrites an exploration it did not run.
+// TestPartialOrderReuseIgnored: a POR-eligible property checked on an
+// LTS it shares with a property POR cannot serve reuses that full
+// exploration untouched — the mode never reduces an exploration another
+// property needs in full.
 func TestPartialOrderReuseIgnored(t *testing.T) {
 	env, sys := symPairs(3)
-	p := Property{Kind: DeadlockFree, Channels: []string{"z1"}, Closed: true}
-	base, err := Verify(Request{Env: env, Type: sys, Property: p})
+	props := []Property{
+		{Kind: DeadlockFree, Channels: []string{"z1"}, Closed: true},
+		{Kind: Forwarding, From: "z1", To: "y1", Closed: true},
+	}
+	base, err := Verify(Request{Env: env, Type: sys, Property: props[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reused, err := Verify(Request{Env: env, Type: sys, Property: p, Reuse: base.LTS, PartialOrder: PartialOrderOn})
+	outs, err := VerifyAllWith(env, sys, props, Options{PartialOrder: PartialOrderOn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused.PartialOrder {
-		t.Error("PartialOrder engaged on a Reuse request")
+	if outs[0].LTS != outs[1].LTS {
+		t.Error("the two properties did not share their group's exploration")
 	}
-	if reused.StatesExplored != base.StatesExplored {
-		t.Errorf("reuse explored %d states, want the given LTS's %d", reused.StatesExplored, base.StatesExplored)
+	if outs[0].PartialOrder {
+		t.Error("PartialOrder engaged on an exploration shared with an ineligible property")
+	}
+	if outs[0].StatesExplored != base.StatesExplored {
+		t.Errorf("shared check explored %d states, want the full space's %d", outs[0].StatesExplored, base.StatesExplored)
 	}
 }
 
-// TestVerifyAllPartialOrderMatchesSingle: the batch pipeline routes
-// eligible properties through their own ample explorations and the rest
-// through the shared group LTS — outcomes must equal the single-request
-// path's at every batch parallelism.
+// TestVerifyAllPartialOrderMatchesSingle: a batch whose POR-eligible
+// properties each have their own observable set explores each one under
+// its own filter — outcomes must equal the single-request path's at
+// every batch parallelism. In a mixed batch, where the eligible
+// properties share their group with one POR cannot serve, the group is
+// explored in full: the eligible outcomes are byte-identical to the
+// same batch with POR off.
 func TestVerifyAllPartialOrderMatchesSingle(t *testing.T) {
 	env, sys := symPairs(3)
-	props := symProps()
+	props := porOwnProps()
 	want := make([]*Outcome, len(props))
 	for i, p := range props {
-		o, err := Verify(Request{Env: env, Type: sys, Property: p, PartialOrder: PartialOrderOn})
+		o, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{PartialOrder: PartialOrderOn}})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
+		}
+		if !o.PartialOrder {
+			t.Fatalf("%s: partial order did not engage on a lone request", p)
 		}
 		want[i] = o
 	}
 	for _, par := range []int{1, 2, 8} {
-		got, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: par, PartialOrder: PartialOrderOn})
+		got, err := VerifyAllWith(env, sys, props, Options{Parallelism: par, PartialOrder: PartialOrderOn})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}
@@ -209,6 +223,26 @@ func TestVerifyAllPartialOrderMatchesSingle(t *testing.T) {
 			}
 		}
 	}
+
+	mixed := symProps()
+	off, err := VerifyAllWith(env, sys, mixed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 8} {
+		on, err := VerifyAllWith(env, sys, mixed, Options{Parallelism: par, PartialOrder: PartialOrderOn})
+		if err != nil {
+			t.Fatalf("mixed par %d: %v", par, err)
+		}
+		for i, p := range mixed {
+			if !porEligible(p.Kind) {
+				continue
+			}
+			if got, want := renderOutcome(on[i]), renderOutcome(off[i]); got != want {
+				t.Errorf("mixed par %d %s: outcome differs from POR off:\n%s\nvs\n%s", par, p, got, want)
+			}
+		}
+	}
 }
 
 // TestVerifyAllPartialOrderSymmetryPrecedence: with both modes on over a
@@ -218,11 +252,11 @@ func TestVerifyAllPartialOrderMatchesSingle(t *testing.T) {
 func TestVerifyAllPartialOrderSymmetryPrecedence(t *testing.T) {
 	env, sys := symPairs(4)
 	props := symProps()
-	symOnly, err := VerifyAllWith(env, sys, props, AllOptions{Symmetry: SymmetryOn})
+	symOnly, err := VerifyAllWith(env, sys, props, Options{Symmetry: SymmetryOn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := VerifyAllWith(env, sys, props, AllOptions{Symmetry: SymmetryOn, PartialOrder: PartialOrderOn})
+	both, err := VerifyAllWith(env, sys, props, Options{Symmetry: SymmetryOn, PartialOrder: PartialOrderOn})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package verify
 
-// Exploration-time symmetry reduction (Request.Symmetry): the verifier
+// Exploration-time symmetry reduction (Options.Symmetry): the verifier
 // detects the channel permutation group of a closed system — the direct
 // product of symmetric groups over interchangeable-bundle classes and
 // cyclic rotation groups over ring bundles (lts.DetectSymmetry, pinning
@@ -46,12 +46,10 @@ const (
 	// SymmetryOn canonicalises every explored state to its orbit
 	// representative under the system's channel permutation group —
 	// interchangeable-bundle classes and ring rotations
-	// (lts.DetectSymmetry) — pinning the property's channels. Verdicts are
+	// (lts.DetectSymmetry) — pinning every observed channel. Verdicts are
 	// identical to SymmetryOff; every FAIL's witness is lifted to a
-	// concrete run and re-validated by Replay. The mode only engages for
-	// closed properties of systems with detectable symmetry — otherwise
-	// the exploration silently runs concrete, byte-identical to
-	// SymmetryOff.
+	// concrete run and re-validated by Replay. Where it engages is
+	// planBatch's routing rule.
 	SymmetryOn
 )
 
@@ -91,9 +89,11 @@ func validModeNames[M comparable](m map[M]string) string {
 	return strings.Join(names, ", ")
 }
 
-// pinnedChannels lists the channels a property observes — probe
-// channels, From and To — which symmetry detection must never permute.
-func pinnedChannels(p Property) []string {
+// pinnedChannels lists the channels a batch observes — probe channels,
+// From and To, in first-mention order — which symmetry detection must
+// never permute: one orbit exploration serves every closed property of
+// the batch, so its group must fix every channel any of them observes.
+func pinnedChannels(props []Property) []string {
 	var out []string
 	seen := map[string]bool{}
 	add := func(x string) {
@@ -102,28 +102,12 @@ func pinnedChannels(p Property) []string {
 			out = append(out, x)
 		}
 	}
-	for _, c := range p.Channels {
-		add(c)
-	}
-	add(p.From)
-	add(p.To)
-	return out
-}
-
-// batchPinnedChannels is the union of pinnedChannels over a property
-// batch: VerifyAll shares one orbit exploration across every property of
-// an observable-set group, so the group must fix every channel any of
-// them observes.
-func batchPinnedChannels(props []Property) []string {
-	var out []string
-	seen := map[string]bool{}
 	for _, p := range props {
-		for _, c := range pinnedChannels(p) {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
+		for _, c := range p.Channels {
+			add(c)
 		}
+		add(p.From)
+		add(p.To)
 	}
 	return out
 }

@@ -81,13 +81,13 @@ func TestSymmetryVerdictsMatchOff(t *testing.T) {
 	env, sys := symPairs(4)
 	sawReduction, sawFail := false, false
 	for _, p := range symProps() {
-		base, err := Verify(Request{Env: env, Type: sys, Property: p, Parallelism: 1})
+		base, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{Parallelism: 1}})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 		var serial *Outcome
 		for _, par := range []int{1, 2, 8} {
-			sym, err := Verify(Request{Env: env, Type: sys, Property: p, Parallelism: par, Symmetry: SymmetryOn})
+			sym, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{Parallelism: par, Symmetry: SymmetryOn}})
 			if err != nil {
 				t.Fatalf("%s par %d: %v", p, par, err)
 			}
@@ -154,7 +154,7 @@ func TestSymmetryEarlyExit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		early, err := Verify(Request{Env: env, Type: sys, Property: p, EarlyExit: true, Symmetry: SymmetryOn})
+		early, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{EarlyExit: true, Symmetry: SymmetryOn}})
 		if err != nil {
 			t.Fatalf("%s early+symmetry: %v", p, err)
 		}
@@ -186,7 +186,7 @@ func TestSymmetryOpenPropertyFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, err := Verify(Request{Env: env, Type: sys, Property: p, Symmetry: SymmetryOn})
+	sym, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{Symmetry: SymmetryOn}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestVerifyAllSymmetryMatchesSingle(t *testing.T) {
 	}
 	var serial []*Outcome
 	for _, par := range []int{1, 2, 8} {
-		outs, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: par, Symmetry: SymmetryOn})
+		outs, err := VerifyAllWith(env, sys, props, Options{Parallelism: par, Symmetry: SymmetryOn})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}

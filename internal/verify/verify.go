@@ -114,65 +114,7 @@ type Request struct {
 	Env      *types.Env
 	Type     types.Type
 	Property Property
-	// MaxStates bounds LTS exploration (0 = lts.DefaultMaxStates).
-	MaxStates int
-	// Reuse, when non-nil, skips exploration and verifies on a previously
-	// explored LTS (which must have been built with the same observables).
-	Reuse *lts.LTS
-	// Cache, when non-nil, supplies the shared transition cache (interner
-	// + memoised raw steps) the exploration runs on. VerifyAll threads one
-	// cache through all properties of a system so their explorations
-	// share per-state work; it must have been built with
-	// typelts.NewCache(Env, true).
-	Cache *typelts.Cache
-	// Parallelism is the worker count for LTS exploration
-	// (lts.Options.Parallelism): 0 = GOMAXPROCS, 1 = serial. The verdict
-	// and the explored LTS are identical at any value.
-	Parallelism int
-	// Symmetry selects exploration-time symmetry reduction (see
-	// SymmetryMode): with SymmetryOn, a closed property of a system with
-	// detectable channel-bundle symmetry explores the orbit LTS — often
-	// exponentially smaller — and every FAIL's witness is lifted back to
-	// a concrete run and re-validated by Replay. Verdicts are identical
-	// to SymmetryOff. Ignored when Reuse is set (the reused LTS carries
-	// its own symmetry bookkeeping, which the FAIL lift honours).
-	Symmetry SymmetryMode
-	// PartialOrder selects exploration-time partial-order reduction (see
-	// PartialOrderMode): with PartialOrderOn, an eligible property
-	// (NonUsage, DeadlockFree, Reactive) explores only an ample subset of
-	// each state's enabled transitions, computed from the independence
-	// relation of the type semantics with the property's visible labels
-	// excluded (lts.POR). Verdicts are identical to PartialOrderOff, and
-	// every FAIL's witness — already a concrete run, since ample sets only
-	// drop edges — is re-validated by Replay before the outcome returns.
-	// Ignored when Reuse is set (the reused LTS is already explored), for
-	// the non-eligible schemas, and when symmetry reduction claims the
-	// exploration: symmetry wins, because the orbit construction must see
-	// every concrete successor (the two exploration-time reductions do
-	// not stack; see DESIGN.md §por).
-	PartialOrder PartialOrderMode
-	// symPinned extends the pinned channel set of symmetry detection
-	// beyond the property's own channels. VerifyAll sets it to the batch
-	// union so one orbit exploration is sound for every property sharing
-	// it.
-	symPinned []string
-	// EarlyExit selects on-the-fly checking: the property's formula is
-	// compiled symbolically (alphabet-independent action-set predicates),
-	// and the nested DFS drives an lts.Incremental that materialises
-	// states only as the search reaches them — so a violation found early
-	// leaves the rest of the state space unexplored, and the outcome's
-	// States counts only what was discovered. Verdicts are identical to
-	// the full pipeline's. Honored for the schemas whose formula structure
-	// does not depend on the explored alphabet (NonUsage, DeadlockFree,
-	// Reactive); the others — Forwarding, Responsive (shaped by the
-	// payload variables found in the alphabet) and EventualOutput (not
-	// LTL) — silently run the full pipeline, as does a Reuse request.
-	// On-the-fly exploration is serial; Parallelism is ignored. The
-	// outcome's LTS is the explored fragment (lts.LTS.Partial).
-	EarlyExit bool
-	// Progress, when non-nil, receives periodic exploration snapshots
-	// (lts.Options.Progress).
-	Progress func(lts.Progress)
+	Options
 }
 
 // Outcome is a verification result.
@@ -198,12 +140,10 @@ type Outcome struct {
 	// ProductStates and AutomatonStates report model-checker effort.
 	ProductStates   int
 	AutomatonStates int
-	// Duration is the wall-clock time of the property's own VerifyContext
-	// call: exploration (when the property explored on its own), compile,
-	// check, and for a FAIL the lift and replay. Under VerifyAll a
-	// shared-route property's group exploration is not included — it is
-	// paid once for the whole group. The definition is the same at every
-	// Parallelism.
+	// Duration is the wall-clock time spent on this property alone: its
+	// check, and for a FAIL the lift and replay, plus any exploration that
+	// served no other property (so a lone Verify includes its
+	// exploration). The definition is the same at every Parallelism.
 	Duration time.Duration
 	// Counterexample is a violating run when Holds is false.
 	Counterexample *mucalc.Trace
@@ -232,9 +172,7 @@ type Outcome struct {
 	// reduction: States and StatesExplored count the ample-reduced state
 	// space — a subset of the full one, whose size is never computed —
 	// and a FAIL witness is a concrete run of that subset, validated by
-	// Replay. False when the request's PartialOrderOn silently disengaged
-	// (non-eligible schema, Reuse, or symmetry reduction taking
-	// precedence).
+	// Replay. Where the reduction engages is planBatch's routing rule.
 	PartialOrder bool
 }
 
@@ -244,100 +182,19 @@ func Verify(req Request) (*Outcome, error) {
 }
 
 // VerifyContext is Verify with cancellation: ctx is plumbed into the LTS
-// exploration (lts.ExploreContext / lts.NewIncrementalContext) and the
-// model-checking passes (mucalc.CheckModelContext), so the request
-// returns promptly — with an error wrapping ctx.Err() — once the context
-// is cancelled or past its deadline. A cancelled request leaves any
-// shared typelts.Cache fully usable: the cache is an append-only memo of
+// exploration and the model-checking passes, so the request returns
+// promptly — with an error wrapping ctx.Err() — once the context is
+// cancelled or past its deadline. A cancelled request leaves any shared
+// typelts.Cache fully usable: the cache is an append-only memo of
 // schedule-independent entries, so a later identical request produces
-// byte-identical verdicts and witnesses.
+// byte-identical verdicts and witnesses. The request is a batch of one
+// through the VerifyAll engine.
 func VerifyContext(ctx context.Context, req Request) (*Outcome, error) {
-	start := time.Now()
-
-	if err := Admissible(req.Env, req.Type); err != nil {
-		return nil, err
-	}
-
-	obsList, err := ObservablesFor(req.Env, req.Property)
+	outs, err := verifyBatch(ctx, req.Env, req.Type, []Property{req.Property}, req.Options)
 	if err != nil {
 		return nil, err
 	}
-	obs := map[string]bool{}
-	for _, x := range obsList {
-		obs[x] = true
-	}
-	sem := &typelts.Semantics{Env: req.Env, Observable: obs, WitnessOnly: true, Cache: req.Cache}
-
-	// Symmetry detection must run over the exploration's own interner:
-	// pin a compatible cache on the semantics first, so prepBuilder does
-	// not clone a private one behind the group's back.
-	var sym *lts.Symmetry
-	if req.Symmetry == SymmetryOn && len(obs) == 0 && req.Reuse == nil {
-		if !sem.HasCompatibleCache() {
-			sem.Cache = typelts.NewCache(req.Env, true)
-		}
-		sym = lts.DetectSymmetry(sem.Cache, req.Type, append(pinnedChannels(req.Property), req.symPinned...))
-	}
-
-	// Partial-order reduction engages only when the exploration is ours to
-	// reduce (no Reuse) and symmetry has not claimed it: the orbit
-	// construction canonicalises over every concrete successor, so a
-	// detected group wins and POR silently disengages.
-	var por *lts.POR
-	if req.PartialOrder == PartialOrderOn && req.Reuse == nil && sym == nil && porEligible(req.Property.Kind) {
-		por = porFilter(req.Env, req.Property)
-	}
-
-	if req.EarlyExit && req.Reuse == nil {
-		if phi, conjuncts, ok := compileSymbolic(req.Env, req.Property); ok {
-			return verifyOnTheFly(ctx, req, sem, sym, por, phi, conjuncts, start)
-		}
-	}
-
-	m := req.Reuse
-	if m == nil {
-		var err error
-		m, err = lts.ExploreContext(ctx, sem, req.Type, lts.Options{MaxStates: req.MaxStates, Parallelism: req.Parallelism, Progress: req.Progress, Symmetry: sym, PartialOrder: por})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := &Outcome{
-		Property:       req.Property,
-		States:         int(m.Covered()),
-		StatesExplored: m.Len(),
-		LTS:            m,
-		PartialOrder:   por != nil,
-	}
-
-	if req.Property.Kind == EventualOutput {
-		// Fig. 7(3), existential reachability (see EvUsageHolds).
-		u := NewUses(req.Env, m)
-		out.Holds = EvUsageHolds(u, m, req.Property.Channels)
-		out.Duration = time.Since(start)
-		return out, nil
-	}
-
-	phi, err := Compile(req.Env, m, req.Property)
-	if err != nil {
-		return nil, err
-	}
-	res, err := mucalc.CheckContext(ctx, m, phi)
-	if err != nil {
-		return nil, err
-	}
-	out.Holds = res.Holds
-	out.Formula = phi
-	out.ProductStates = res.ProductStates
-	out.AutomatonStates = res.AutomatonStates
-	out.Counterexample = res.Counterexample
-	out.Witness = DecodeWitness(m, res.Witness)
-	if err := finishFail(ctx, req, sem, m, out); err != nil {
-		return nil, err
-	}
-	out.Duration = time.Since(start)
-	return out, nil
+	return outs[0], nil
 }
 
 // finishFail is the tail every FAIL runs through, whichever engine found
@@ -372,7 +229,8 @@ func finishFail(ctx context.Context, req Request, sem *typelts.Semantics, m *lts
 // would force exhaustive exploration) are never started. Verdicts equal
 // the full pipeline's: the symbolic sets agree with the enumerated ones
 // on every label, and conjunction short-circuiting preserves T |= ϕ1∧ϕ2.
-func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sym *lts.Symmetry, por *lts.POR, phi mucalc.Formula, conjuncts []mucalc.Formula, start time.Time) (*Outcome, error) {
+func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sym *lts.Symmetry, por *lts.POR) (*Outcome, error) {
+	phi, conjuncts, _ := compileSymbolic(req.Env, req.Property)
 	inc := lts.NewIncrementalContext(ctx, sem, req.Type, lts.Options{MaxStates: req.MaxStates, Progress: req.Progress, Symmetry: sym, PartialOrder: por})
 	out := &Outcome{
 		Property:     req.Property,
@@ -407,7 +265,6 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 			return nil, err
 		}
 	}
-	out.Duration = time.Since(start)
 	return out, nil
 }
 

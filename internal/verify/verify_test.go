@@ -289,12 +289,12 @@ func miniPhilosophers() (*types.Env, types.Type, []Property) {
 // determinism guarantee.
 func TestVerifyAllParallelismEquivalence(t *testing.T) {
 	env, sys, props := miniPhilosophers()
-	base, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: 1})
+	base, err := VerifyAllWith(env, sys, props, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 8} {
-		got, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: par})
+		got, err := VerifyAllWith(env, sys, props, Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -340,7 +340,7 @@ func TestVerifyAllErrorContract(t *testing.T) {
 		{Kind: NonUsage, Channels: []string{"f0"}, Closed: true},
 	}
 	for _, par := range []int{1, 4} {
-		outcomes, err := VerifyAllWith(env, sys, props, AllOptions{Parallelism: par})
+		outcomes, err := VerifyAllWith(env, sys, props, Options{Parallelism: par})
 		if err == nil {
 			t.Fatalf("parallelism %d: unbound probe channel must fail", par)
 		}

@@ -158,7 +158,7 @@ func TestReplayEvUsageContract(t *testing.T) {
 // errors out like the full pipeline.
 func TestEarlyExitAtMaxStatesFrontier(t *testing.T) {
 	env, sys := philosophers(5, true)
-	full, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, Parallelism: 1})
+	full, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, Options: Options{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +168,12 @@ func TestEarlyExitAtMaxStatesFrontier(t *testing.T) {
 
 	// The full pipeline cannot verify under a bound below the reachable
 	// state count…
-	if _, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, Parallelism: 1, MaxStates: full.States / 2}); err == nil {
+	if _, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, Options: Options{Parallelism: 1, MaxStates: full.States / 2}}); err == nil {
 		t.Fatal("full pipeline must fail under a bound below the state count")
 	}
 	// …but early exit finds the violation inside the same budget: the
 	// witness lives at the frontier of a partial exploration.
-	early, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, EarlyExit: true, MaxStates: full.States / 2})
+	early, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, Options: Options{EarlyExit: true, MaxStates: full.States / 2}})
 	if err != nil {
 		t.Fatalf("early exit within the frontier budget: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestEarlyExitAtMaxStatesFrontier(t *testing.T) {
 	}
 
 	// A bound too tight for even the violating dive errors out.
-	if _, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, EarlyExit: true, MaxStates: 2}); err == nil {
+	if _, err := Verify(Request{Env: env, Type: sys, Property: Property{Kind: DeadlockFree, Closed: true}, Options: Options{EarlyExit: true, MaxStates: 2}}); err == nil {
 		t.Fatal("early exit under an unreachably tight bound must error")
 	} else if !strings.Contains(err.Error(), "state bound") {
 		t.Errorf("want a state-bound error, got: %v", err)
@@ -207,7 +207,7 @@ func TestEarlyExitFallsBackForAlphabetShapedSchemas(t *testing.T) {
 		{Kind: Responsive, From: "f0", Closed: true},
 		{Kind: EventualOutput, Channels: []string{"f0"}, Closed: true},
 	} {
-		o, err := Verify(Request{Env: env, Type: sys, Property: p, EarlyExit: true})
+		o, err := Verify(Request{Env: env, Type: sys, Property: p, Options: Options{EarlyExit: true}})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}

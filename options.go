@@ -57,9 +57,11 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithEarlyExit selects on-the-fly checking where the property schema
-// supports it: exploration stops as soon as a violation is found.
-// Verdicts are identical to the full pipeline's.
+// WithEarlyExit selects on-the-fly checking: exploration stops as soon
+// as a violation is found. Verdicts are identical to the full
+// pipeline's.
+// Which explorations it engages on is decided once per batch by the
+// engine's planner (internal/verify planBatch; DESIGN.md §batch).
 func WithEarlyExit(v bool) Option {
 	return func(o *sessionOptions) error {
 		o.earlyExit = v
@@ -78,9 +80,8 @@ func WithEarlyExit(v bool) Option {
 // representatives actually explored, and every failing property's
 // counterexample is lifted through the recorded permutations back to a
 // concrete run and machine-re-checked by the replay oracle before it is
-// returned. The mode engages only for closed properties (an empty
-// observable set) on systems with a non-trivial symmetry group; it is a
-// sound no-op everywhere else.
+// returned. Which explorations it engages on is decided once per batch by the
+// engine's planner (internal/verify planBatch; DESIGN.md §batch).
 func WithSymmetry(m SymmetryMode) Option {
 	return func(o *sessionOptions) error {
 		if m != SymmetryOff && m != SymmetryOn {
@@ -102,11 +103,9 @@ func WithSymmetry(m SymmetryMode) Option {
 // PartialOrderOff (the default); Outcome.StatesExplored reports the
 // reduced state count, and every failing property's counterexample —
 // already a concrete run, since ample sets only drop edges — is
-// machine-re-checked by the replay oracle before it is returned. The
-// mode engages for the property schemas with alphabet-independent
-// action-set semantics (non-usage, deadlock-free, reactive) and yields
-// to symmetry reduction when both are requested and a symmetry group is
-// detected; it is a sound no-op everywhere else.
+// machine-re-checked by the replay oracle before it is returned.
+// Which explorations it engages on is decided once per batch by the
+// engine's planner (internal/verify planBatch; DESIGN.md §batch).
 func WithPartialOrder(m PartialOrderMode) Option {
 	return func(o *sessionOptions) error {
 		if m != PartialOrderOff && m != PartialOrderOn {

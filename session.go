@@ -116,22 +116,13 @@ func (s *Session) applyClosed(p Property) Property {
 // byte-identical verdicts and witnesses. Bound overflows come back as a
 // *BoundExceededError, inadmissible types as a *TypeError.
 func (s *Session) Verify(ctx context.Context, prop Property) (*Outcome, error) {
-	t, err := s.Check(ctx)
+	t, err := s.admissible(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if err := verify.Admissible(s.env, t); err != nil {
-		return nil, &TypeError{Err: err}
-	}
 	prop = s.applyClosed(prop)
 	s.emit(Event{Kind: EventPropertyStarted, Property: &prop})
-	o, err := verify.VerifyContext(ctx, verify.Request{
-		Env: s.env, Type: t, Property: prop,
-		MaxStates: s.opt.maxStates, Parallelism: s.opt.parallelism,
-		EarlyExit: s.opt.earlyExit, Symmetry: s.opt.symmetry,
-		PartialOrder: s.opt.partialOrder, Cache: s.cache,
-		Progress: s.progressHook(&prop),
-	})
+	o, err := verify.VerifyContext(ctx, verify.Request{Env: s.env, Type: t, Property: prop, Options: s.options(&prop)})
 	s.ws.sweep()
 	if err != nil {
 		return nil, wrapVerifyErr(err, s.opt.maxStates)
@@ -141,35 +132,24 @@ func (s *Session) Verify(ctx context.Context, prop Property) (*Outcome, error) {
 }
 
 // VerifyAll verifies a batch of properties over one batch engine:
-// properties with the same observable set check on one shared LTS,
-// properties served by early exit or partial-order reduction explore on
-// their own, and all explorations run on the workspace cache. The
-// session's parallelism bounds how many explorations and checks run at
-// once; outcomes always come back in input order, byte-identical at
-// every parallelism. Passing the six Fig. 9 properties of a system
-// reproduces one row of the paper's table.
+// properties with the same observable set check on one shared LTS, and
+// all explorations run on the workspace cache (which reducer each
+// exploration uses is planned once per batch; see the internal
+// planBatch). The session's parallelism bounds how many explorations
+// and checks run at once; outcomes always come back in input order,
+// byte-identical at every parallelism. Passing the six Fig. 9
+// properties of a system reproduces one row of the paper's table.
 func (s *Session) VerifyAll(ctx context.Context, props ...Property) ([]*Outcome, error) {
-	t, err := s.Check(ctx)
+	t, err := s.admissible(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if err := verify.Admissible(s.env, t); err != nil {
-		return nil, &TypeError{Err: err}
 	}
 	applied := make([]Property, len(props))
 	for i, p := range props {
 		applied[i] = s.applyClosed(p)
 		s.emit(Event{Kind: EventPropertyStarted, Property: &applied[i]})
 	}
-	outs, err := verify.VerifyAllContext(ctx, s.env, t, applied, verify.AllOptions{
-		MaxStates:    s.opt.maxStates,
-		Parallelism:  s.opt.parallelism,
-		EarlyExit:    s.opt.earlyExit,
-		Symmetry:     s.opt.symmetry,
-		PartialOrder: s.opt.partialOrder,
-		Cache:        s.cache,
-		Progress:     s.progressHook(nil),
-	})
+	outs, err := verify.VerifyAllContext(ctx, s.env, t, applied, s.options(nil))
 	s.ws.sweep()
 	if err != nil {
 		return outs, wrapVerifyErr(err, s.opt.maxStates)
@@ -179,6 +159,33 @@ func (s *Session) VerifyAll(ctx context.Context, props ...Property) ([]*Outcome,
 		s.emit(Event{Kind: EventPropertyVerdict, Property: &o.Property, Holds: o.Holds, Witness: o.Witness, States: o.States})
 	}
 	return outs, nil
+}
+
+// admissible type-checks the session and checks the type against
+// Thm. 4.10's preconditions (failures are a *TypeError).
+func (s *Session) admissible(ctx context.Context) (Type, error) {
+	t, err := s.Check(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := verify.Admissible(s.env, t); err != nil {
+		return nil, &TypeError{Err: err}
+	}
+	return t, nil
+}
+
+// options is the session's configuration as engine options; progress
+// events name prop (nil for a batch).
+func (s *Session) options(prop *Property) verify.Options {
+	return verify.Options{
+		MaxStates:    s.opt.maxStates,
+		Parallelism:  s.opt.parallelism,
+		EarlyExit:    s.opt.earlyExit,
+		Symmetry:     s.opt.symmetry,
+		PartialOrder: s.opt.partialOrder,
+		Cache:        s.cache,
+		Progress:     s.progressHook(prop),
+	}
 }
 
 // Explore builds the session type's labelled transition system under the
