@@ -43,8 +43,11 @@ func outcomeKey(o *verify.Outcome) string {
 
 // checkMixedUnreduced verifies a whole row — a mixed batch, whose one
 // group has members POR cannot serve — with partial order on, and
-// asserts that its eligible outcomes are byte-identical to the
-// reducers-off ones: the group is explored in full for everyone.
+// asserts that every outcome is byte-identical to the reducers-off one:
+// the group is explored in full for everyone. The row's properties POR
+// cannot serve, verified as a batch of their own, form groups with no
+// eligible member, and their outcomes must equal the reducers-off ones
+// too.
 func checkMixedUnreduced(t *testing.T, name string, env *types.Env, sys types.Type, props []verify.Property, opts verify.Options, off []*verify.Outcome) {
 	t.Helper()
 	opts.PartialOrder = verify.PartialOrderOn
@@ -52,9 +55,23 @@ func checkMixedUnreduced(t *testing.T, name string, env *types.Env, sys types.Ty
 	if err != nil {
 		t.Fatalf("%s mixed batch: %v", name, err)
 	}
+	var rest []verify.Property
+	var idx []int
 	for i, p := range props {
-		if porEligibleKind(p.Kind) && outcomeKey(mixed[i]) != outcomeKey(off[i]) {
+		if outcomeKey(mixed[i]) != outcomeKey(off[i]) {
 			t.Errorf("%s %s: mixed-batch outcome %s differs from POR off %s", name, p, outcomeKey(mixed[i]), outcomeKey(off[i]))
+		}
+		if !porEligibleKind(p.Kind) {
+			rest, idx = append(rest, p), append(idx, i)
+		}
+	}
+	ineligible, err := verify.VerifyAllWith(env, sys, rest, opts)
+	if err != nil {
+		t.Fatalf("%s ineligible batch: %v", name, err)
+	}
+	for i, o := range ineligible {
+		if outcomeKey(o) != outcomeKey(off[idx[i]]) {
+			t.Errorf("%s %s: ineligible-batch outcome %s differs from POR off %s", name, o.Property, outcomeKey(o), outcomeKey(off[idx[i]]))
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -170,16 +171,14 @@ type exploration struct {
 	obs     map[string]bool
 	members []int // ascending property indexes
 	early   bool
-	// symmetric marks an orbit exploration. sym is its own permutation
-	// group — an lts.Symmetry's memos are unlocked, so no two
-	// explorations share one: planBatch hands the group it detected to
-	// the first closed exploration, and the others detect their own.
+	// symmetric marks an orbit exploration. It detects its own
+	// permutation group when it runs: an lts.Symmetry's memos are
+	// unlocked, so no two explorations share one.
 	symmetric bool
-	sym       *lts.Symmetry
 	por       *lts.POR
 	lts       *lts.LTS
 	err       error
-	// took is the time of the exploration and of its symmetry detection,
+	// took is the time of the exploration, symmetry detection included,
 	// charged to the Duration of a sole member.
 	took time.Duration
 }
@@ -255,21 +254,11 @@ func planBatch(env *types.Env, t types.Type, props []Property, opts Options) *ba
 		b.of[i] = x
 	}
 
-	// One detection decides for every closed exploration; its group goes
-	// to the first, and the later ones detect their own when they run.
-	detected, symmetric := false, false
+	// One detection decides for every closed exploration.
+	closed := func(x *exploration) bool { return opts.Symmetry == SymmetryOn && len(x.obs) == 0 }
+	symmetric := slices.ContainsFunc(b.explorations, closed) && lts.DetectSymmetry(b.cache, t, b.pinned) != nil
 	for _, x := range b.explorations {
-		if opts.Symmetry == SymmetryOn && len(x.obs) == 0 {
-			if !detected {
-				start := time.Now()
-				x.sym, detected = lts.DetectSymmetry(b.cache, t, b.pinned), true
-				x.took, symmetric = time.Since(start), x.sym != nil
-			}
-			if x.symmetric = symmetric; symmetric {
-				continue
-			}
-		}
-		if opts.PartialOrder == PartialOrderOn {
+		if x.symmetric = symmetric && closed(x); !x.symmetric && opts.PartialOrder == PartialOrderOn {
 			x.por = porFilterAll(env, props, x.members)
 		}
 	}
@@ -311,13 +300,13 @@ func (b *batch) semantics(obs map[string]bool) *typelts.Semantics {
 	return &typelts.Semantics{Env: b.env, Observable: obs, WitnessOnly: true, Cache: b.cache}
 }
 
-// symmetry returns x's own permutation group, detecting it now unless
-// planBatch already did.
+// symmetry detects x's own permutation group, or returns nil when x is
+// not an orbit exploration.
 func (b *batch) symmetry(x *exploration) *lts.Symmetry {
-	if x.symmetric && x.sym == nil {
-		x.sym = lts.DetectSymmetry(b.cache, b.t, b.pinned)
+	if !x.symmetric {
+		return nil
 	}
-	return x.sym
+	return lts.DetectSymmetry(b.cache, b.t, b.pinned)
 }
 
 // request is property i's verification request under the batch options.
@@ -332,7 +321,7 @@ func (b *batch) explore(ctx context.Context, x *exploration) {
 		MaxStates: b.opts.MaxStates, Parallelism: b.width, Progress: b.opts.Progress,
 		Symmetry: b.symmetry(x), PartialOrder: x.por,
 	})
-	x.took += time.Since(start)
+	x.took = time.Since(start)
 }
 
 // verifyEarly verifies an early-exit exploration's one property.
@@ -344,7 +333,7 @@ func (b *batch) verifyEarly(ctx context.Context, x *exploration) {
 		b.fail(i, err)
 		return
 	}
-	o.Duration = x.took + time.Since(start)
+	o.Duration = time.Since(start)
 	b.results[i] = o
 }
 

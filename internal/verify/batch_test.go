@@ -28,7 +28,8 @@ type engineRow struct {
 
 // engineRows covers every plan the engine can pick: the shared group
 // LTS; POR on one union-filtered exploration, on one exploration per
-// open group, and disengaged in a mixed group; early exit's own
+// open group, and disengaged in a mixed group and in a group with no
+// eligible member; early exit's own
 // explorations with the fallback schemas joining the shared group;
 // symmetry (alone, winning over POR, and under early exit); and a
 // batch with several open-property groups.
@@ -48,12 +49,16 @@ func engineRows() []engineRow {
 	return []engineRow{
 		{name: "shared", env: philEnv, sys: phil, props: philProps, single: true},
 		{name: "por-union", env: unionEnv, sys: unionSys, props: porUnionProps(), opts: Options{PartialOrder: PartialOrderOn}, check: checkPORUnion},
-		{name: "por-own", env: pairEnv, sys: pairs, props: porOwnProps(), opts: Options{PartialOrder: PartialOrderOn}, single: true, check: checkPOREngaged},
-		{name: "por-mixed", env: pairEnv, sys: pairs, props: symProps(), opts: Options{PartialOrder: PartialOrderOn}, check: checkPORDisengaged},
+		{name: "por-own", env: pairEnv, sys: pairs, props: porOwnProps(), opts: Options{PartialOrder: PartialOrderOn}, single: true, check: checkPORPlan},
+		{name: "por-mixed", env: pairEnv, sys: pairs, props: symProps(), opts: Options{PartialOrder: PartialOrderOn}, check: checkPORPlan},
+		{name: "por-groups", env: pairEnv, sys: pairs, props: porGroupProps(), opts: Options{PartialOrder: PartialOrderOn}, check: checkPORPlan},
 		{name: "early-own+fallback", env: philEnv, sys: phil, props: philProps, opts: Options{EarlyExit: true}, single: true},
-		{name: "symmetry", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn}},
-		{name: "symmetry-over-por", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn, PartialOrder: PartialOrderOn}},
-		{name: "early+symmetry", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn, EarlyExit: true}, check: checkEarlySymmetric},
+		{name: "symmetry", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn}, check: checkOrbits(orbits, orbits, orbits, orbits)},
+		{name: "symmetry-over-por", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn, PartialOrder: PartialOrderOn}, check: checkOrbits(orbits, orbits, orbits, orbits)},
+		{name: "early+symmetry", env: symEnv, sys: symSys, props: symProps(), opts: Options{Symmetry: SymmetryOn, EarlyExit: true}, check: func(t *testing.T, outs, ref []*Outcome) {
+			checkEarlySymmetric(t, outs, ref)
+			checkOrbits(orbits, [2]int{58, 22}, [2]int{39, 16}, orbits)(t, outs, ref)
+		}},
 		{name: "open-groups", env: philEnv, sys: phil, props: open, single: true},
 	}
 }
@@ -79,6 +84,19 @@ func porOwnProps() []Property {
 	}
 }
 
+// porGroupProps are open properties in three observable-set groups: one
+// POR serves ({z1}), one with no eligible member ({y2, z2}) and a mixed
+// one ({y3}).
+func porGroupProps() []Property {
+	return []Property{
+		{Kind: NonUsage, Channels: []string{"z1"}},
+		{Kind: Forwarding, From: "z2", To: "y2"},
+		{Kind: EventualOutput, Channels: []string{"y3"}},
+		{Kind: Reactive, From: "z1"},
+		{Kind: DeadlockFree, Channels: []string{"y3"}},
+	}
+}
+
 // checkPORUnion: every outcome comes from one reduced exploration that
 // is smaller than the full space.
 func checkPORUnion(t *testing.T, outs, ref []*Outcome) {
@@ -92,22 +110,42 @@ func checkPORUnion(t *testing.T, outs, ref []*Outcome) {
 	}
 }
 
-// checkPOREngaged: every outcome is reduced.
-func checkPOREngaged(t *testing.T, outs, ref []*Outcome) {
+// checkPORPlan: POR engages exactly on the explorations whose every
+// member is POR-eligible, and reduces them. Every other outcome — of a
+// mixed group or of a group with no eligible member — is the
+// reducers-off outcome, byte for byte.
+func checkPORPlan(t *testing.T, outs, ref []*Outcome) {
+	served := map[*lts.LTS]bool{}
+	for _, o := range outs {
+		eligible, seen := served[o.LTS]
+		served[o.LTS] = (eligible || !seen) && porEligible(o.Property.Kind)
+	}
 	for i, o := range outs {
-		if !o.PartialOrder || o.StatesExplored >= ref[i].States {
+		if !served[o.LTS] {
+			if got, want := renderOutcome(o), renderOutcome(ref[i]); got != want {
+				t.Errorf("%s: outcome outside a POR-served group differs from reducers off:\n%s\nvs\n%s", o.Property, got, want)
+			}
+		} else if !o.PartialOrder || o.StatesExplored >= ref[i].States {
 			t.Errorf("%s: por=%v explored %d of %d states, want a reduction", o.Property, o.PartialOrder, o.StatesExplored, ref[i].States)
 		}
 	}
 }
 
-// checkPORDisengaged: a group with a member POR cannot serve explores in
-// full, so every outcome — the eligible ones included — is the
-// reducers-off outcome, byte for byte.
-func checkPORDisengaged(t *testing.T, outs, ref []*Outcome) {
-	for i, o := range outs {
-		if got, want := renderOutcome(o), renderOutcome(ref[i]); got != want {
-			t.Errorf("%s: mixed-group outcome differs from reducers off:\n%s\nvs\n%s", o.Property, got, want)
+// orbits are the (States, StatesExplored) of a whole orbit exploration
+// of symPairs(4): 3^4 = 81 concrete states, and with z1 pinned the
+// other three pairs are interchangeable, leaving 3·C(5,3) = 30 orbit
+// representatives.
+var orbits = [2]int{81, 30}
+
+// checkOrbits pins each outcome's (States, StatesExplored) on its orbit
+// LTS. An early-exit search counts only what it discovered before the
+// verdict.
+func checkOrbits(counts ...[2]int) func(t *testing.T, outs, ref []*Outcome) {
+	return func(t *testing.T, outs, _ []*Outcome) {
+		for i, o := range outs {
+			if got := [2]int{o.States, o.StatesExplored}; o.LTS.Sym == nil || got != counts[i] {
+				t.Errorf("%s: symmetric=%v (States, StatesExplored)=%v, want an orbit LTS with %v", o.Property, o.LTS.Sym != nil, got, counts[i])
+			}
 		}
 	}
 }

@@ -193,8 +193,8 @@ func TestPartialOrderReuseIgnored(t *testing.T) {
 // its own filter — outcomes must equal the single-request path's at
 // every batch parallelism. In a mixed batch, where the eligible
 // properties share their group with one POR cannot serve, the group is
-// explored in full: the eligible outcomes are byte-identical to the
-// same batch with POR off.
+// explored in full: every outcome is byte-identical to the same batch
+// with POR off.
 func TestVerifyAllPartialOrderMatchesSingle(t *testing.T) {
 	env, sys := symPairs(3)
 	props := porOwnProps()
@@ -235,9 +235,6 @@ func TestVerifyAllPartialOrderMatchesSingle(t *testing.T) {
 			t.Fatalf("mixed par %d: %v", par, err)
 		}
 		for i, p := range mixed {
-			if !porEligible(p.Kind) {
-				continue
-			}
 			if got, want := renderOutcome(on[i]), renderOutcome(off[i]); got != want {
 				t.Errorf("mixed par %d %s: outcome differs from POR off:\n%s\nvs\n%s", par, p, got, want)
 			}

@@ -230,7 +230,10 @@ func finishFail(ctx context.Context, req Request, sem *typelts.Semantics, m *lts
 // the full pipeline's: the symbolic sets agree with the enumerated ones
 // on every label, and conjunction short-circuiting preserves T |= ϕ1∧ϕ2.
 func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sym *lts.Symmetry, por *lts.POR) (*Outcome, error) {
-	phi, conjuncts, _ := compileSymbolic(req.Env, req.Property)
+	phi, conjuncts, ok := compileSymbolic(req.Env, req.Property)
+	if !ok {
+		return nil, fmt.Errorf("verify: %s has no on-the-fly formula", req.Property.Kind)
+	}
 	inc := lts.NewIncrementalContext(ctx, sem, req.Type, lts.Options{MaxStates: req.MaxStates, Progress: req.Progress, Symmetry: sym, PartialOrder: por})
 	out := &Outcome{
 		Property:     req.Property,
