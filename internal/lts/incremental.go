@@ -10,7 +10,7 @@ package lts
 // on the philosophers systems.
 //
 // Each state's expansion runs through exactly the same builder machinery
-// as the serial engine (expandInto, completeRun, internState), so the
+// as the serial engine (expandState, expand, completeRun), so the
 // edges of any given state — and hence the witness the checker extracts —
 // are identical to what the full exploration would produce for that
 // state. Only the *numbering* of states can differ from Explore's
@@ -117,7 +117,8 @@ func (x *Incremental) Succ(s int) ([]Edge, error) {
 	from := int32(len(x.b.l.edges))
 	x.b.beginState()
 	x.b.porCur = int32(s)
-	x.b.expandInto(from, x.b.stateComps[s])
+	x.b.props = expandState(x.b.sem, x.b.stateComps[s], x.b.props[:0])
+	x.b.expand(from, x.b.stateComps[s], x.b.props)
 	x.b.completeRun(s, from)
 	x.grow() // expansion may have discovered new states
 	hi := int32(len(x.b.l.edges))

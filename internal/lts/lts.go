@@ -252,8 +252,11 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 	}
 	root := sem.InternLeaves(init)
 	b.orderComps(root)
+	size := int64(1)
 	if b.sym != nil {
-		canon, perm := b.sym.canonicalise(root)
+		var canon []types.ID
+		var perm int32
+		canon, perm, size = b.sym.canonicalise(root)
 		b.l.Sym.RootPerm = perm
 		if perm != 0 {
 			// The canonical root is a different state; its representative
@@ -263,7 +266,7 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 			init = nil
 		}
 	}
-	b.internState(root, init)
+	b.internState(root, init, size)
 	return b
 }
 
@@ -318,6 +321,10 @@ type builder struct {
 	por         *porState
 	porCur      int32
 	porExpanded func(int32) bool
+
+	// props is the proposal buffer the serial and incremental engines
+	// expand each state into.
+	props []proposal
 
 	// Per-state edge dedup: linear scan while the out-degree is small,
 	// switching to a map once it crosses dedupThreshold (high-out-degree
@@ -376,8 +383,9 @@ func (b *builder) orderComps(ids []types.ID) {
 }
 
 // internState registers the state with the given rank-sorted component
-// multiset, materialising a representative type for new states.
-func (b *builder) internState(comps []types.ID, rep types.Type) int32 {
+// multiset, materialising a representative type for new states; size is
+// its orbit size under symmetry (canonicalise).
+func (b *builder) internState(comps []types.ID, rep types.Type, size int64) int32 {
 	// InternPar sorts by ID value in place; give it a scratch copy so
 	// the rank order of comps survives.
 	b.scratch = append(b.scratch[:0], comps...)
@@ -393,7 +401,7 @@ func (b *builder) internState(comps []types.ID, rep types.Type) int32 {
 	b.l.States = append(b.l.States, rep)
 	b.stateComps = append(b.stateComps, comps)
 	if b.sym != nil {
-		b.l.Sym.OrbitSizes = append(b.l.Sym.OrbitSizes, b.sym.orbitSize(comps))
+		b.l.Sym.OrbitSizes = append(b.l.Sym.OrbitSizes, size)
 	}
 	return s
 }
@@ -456,12 +464,6 @@ func (b *builder) appendEdge(e Edge, perm int32) {
 	}
 }
 
-// applyStep splices a successor multiset together (dropping the acting
-// positions i and j) and registers the resulting edge.
-func (b *builder) applyStep(from int32, comps []types.ID, i, j int, st typelts.CompStep) {
-	b.register(from, spliceSucc(comps, i, j, st.Next), st.Key, st.Label)
-}
-
 // register is the shared successor-registration path of all three
 // engines (serial loop, parallel merge, incremental expansion): order
 // the multiset by builder rank, canonicalise it to its orbit
@@ -471,19 +473,21 @@ func (b *builder) applyStep(from int32, comps []types.ID, i, j int, st typelts.C
 // indices, permutation table indices) is assigned here, on the
 // single-threaded side, which is what keeps the parallel engine
 // byte-deterministic with symmetry on.
-func (b *builder) register(from int32, succ []types.ID, key typelts.LabelKey, lab typelts.Label) {
+func (b *builder) register(from int32, p proposal) {
+	succ := p.succ
 	b.orderComps(succ)
 	var perm int32
+	size := int64(1)
 	if b.sym != nil {
 		var canon []types.ID
-		canon, perm = b.sym.canonicalise(succ)
+		canon, perm, size = b.sym.canonicalise(succ)
 		if perm != 0 {
 			succ = canon
 			b.orderComps(succ)
 		}
 	}
-	dst := b.internState(succ, nil)
-	lid := b.internLabel(key, lab)
+	dst := b.internState(succ, nil, size)
+	lid := b.internLabel(p.key, p.lab)
 	b.addEdge(from, lid, dst, perm)
 }
 
@@ -521,39 +525,22 @@ func (b *builder) finishState(next int, from int32) {
 	b.l.start = append(b.l.start, int32(len(b.l.edges)))
 }
 
-// expandInto splices all transitions of the state with component multiset
-// comps into the edge array, starting at offset from: interleaving moves
-// of each component (Y-limited) first, then pairwise synchronisations —
+// expand settles one state from its proposals (expandState), starting
+// at edge offset from: under partial-order reduction only an ample
+// subset is registered, otherwise every proposal, in proposal order —
 // the canonical per-state edge order shared by the serial, parallel and
 // incremental engines.
-func (b *builder) expandInto(from int32, comps []types.ID) {
+func (b *builder) expand(from int32, comps []types.ID, props []proposal) {
 	if b.por != nil {
-		// POR needs the whole proposal list (participants included)
-		// before registering anything, so it can select an ample subset.
-		b.registerPOR(from, comps, expandState(b.sem, comps))
-		return
-	}
-	sem := b.sem
-	// Interleaving: each component may act on its own (Y-limited).
-	for i := range comps {
-		for _, st := range sem.ComponentSteps(comps[i]) {
-			if !sem.KeepLabel(st.Label) {
-				continue
+		if sel := b.por.ample(comps, props, b.fresh); sel != nil {
+			for _, k := range sel {
+				b.register(from, props[k])
 			}
-			b.applyStep(from, comps, i, -1, st)
+			return
 		}
 	}
-	// Synchronisation: an output of component i meets an input of
-	// component j (i ≠ j); τ labels always survive the Y-limitation.
-	for i := range comps {
-		for j := range comps {
-			if i == j {
-				continue
-			}
-			for _, st := range sem.SyncSteps(comps[i], comps[j]) {
-				b.applyStep(from, comps, i, j, st)
-			}
-		}
+	for _, p := range props {
+		b.register(from, p)
 	}
 }
 
@@ -596,7 +583,8 @@ func (b *builder) exploreSerial() error {
 		from := b.l.start[next]
 		b.beginState()
 		b.porCur = int32(next)
-		b.expandInto(from, b.stateComps[next])
+		b.props = expandState(b.sem, b.stateComps[next], b.props[:0])
+		b.expand(from, b.stateComps[next], b.props)
 		b.finishState(next, from)
 	}
 	b.report(len(b.l.States))

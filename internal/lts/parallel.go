@@ -33,10 +33,10 @@ import (
 	"effpi/internal/types"
 )
 
-// proposal is one candidate edge produced by a worker: the successor
-// component multiset (before interning) plus the transition label and
-// its compact identity. The merge turns proposals into states and CSR
-// edges.
+// proposal is one candidate edge of a state (expandState): the
+// successor component multiset (before interning) plus the transition
+// label and its compact identity. builder.expand turns proposals into
+// states and CSR edges.
 type proposal struct {
 	succ []types.ID
 	key  typelts.LabelKey
@@ -94,23 +94,13 @@ func (b *builder) exploreParallel(par int) error {
 			}
 			from := b.l.start[next]
 			b.beginState()
-			if b.por != nil {
-				// Ample selection runs here, on the single-threaded
-				// merge side, in deterministic (parent, edge-order)
-				// order — exactly where the serial engine runs it — so
-				// the reduced LTS stays byte-identical at any worker
-				// count.
-				b.porCur = int32(next)
-				b.registerPOR(from, b.stateComps[next], props[i])
-			} else {
-				for _, p := range props[i] {
-					// register performs the same rank-order →
-					// canonicalise → intern → splice sequence applyStep
-					// runs on the serial path, so the two engines build
-					// identical states and edges (symmetric or not).
-					b.register(from, p.succ, p.key, p.lab)
-				}
-			}
+			// Registration — and the ample selection under POR — runs
+			// here, on the single-threaded merge side, in deterministic
+			// (parent, edge-order) order, through the same expand the
+			// serial engine runs, so the LTS is byte-identical at any
+			// worker count.
+			b.porCur = int32(next)
+			b.expand(from, b.stateComps[next], props[i])
 			b.finishState(next, from)
 			props[i] = nil
 		}
@@ -134,7 +124,7 @@ func (b *builder) expandLevel(lo, n int, forks []*typelts.Semantics) [][]proposa
 			if i%cancelStride == 0 && b.ctx.Err() != nil {
 				return props
 			}
-			props[i] = expandState(forks[0], b.stateComps[lo+i])
+			props[i] = expandState(forks[0], b.stateComps[lo+i], nil)
 		}
 		return props
 	}
@@ -162,7 +152,7 @@ func (b *builder) expandLevel(lo, n int, forks []*typelts.Semantics) [][]proposa
 					default:
 					}
 				}
-				props[i] = expandState(ws, b.stateComps[lo+i])
+				props[i] = expandState(ws, b.stateComps[lo+i], nil)
 			}
 		}()
 	}
@@ -170,11 +160,12 @@ func (b *builder) expandLevel(lo, n int, forks []*typelts.Semantics) [][]proposa
 	return props
 }
 
-// expandState computes the edge proposals of one state, in the exact
-// order the serial engine would splice them: interleaving steps of each
-// component (Y-limited), then pairwise synchronisations.
-func expandState(sem *typelts.Semantics, comps []types.ID) []proposal {
-	var out []proposal
+// expandState appends the edge proposals of one state to out, in the
+// canonical per-state edge order: interleaving steps of each component
+// (Y-limited), then pairwise synchronisations — an output of component
+// i meeting an input of component j ≠ i (τ labels always survive the
+// Y-limitation).
+func expandState(sem *typelts.Semantics, comps []types.ID, out []proposal) []proposal {
 	for i := range comps {
 		for _, st := range sem.ComponentSteps(comps[i]) {
 			if !sem.KeepLabel(st.Label) {

@@ -334,7 +334,7 @@ func TestAddEdgeDedupHighDegree(t *testing.T) {
 	sem.Cache = typelts.NewCache(sem.Env, sem.WitnessOnly)
 	b := newBuilder(sem, DefaultMaxStates)
 	// Seed two real states so dst indices are valid.
-	b.internState(sem.InternLeaves(t0), t0)
+	b.internState(sem.InternLeaves(t0), t0, 1)
 	b.beginState()
 	from := int32(0)
 	total := 3 * dedupThreshold

@@ -8,7 +8,7 @@ package lts
 //
 // The independence relation comes straight from the component-multiset
 // semantics: a transition's participants are the acting positions of
-// applyStep (one position for an interleaving step, two for a
+// a proposal (one position for an interleaving step, two for a
 // synchronisation), successors are multiset surgery on exactly those
 // positions, and solo/pairwise enabledness is a pure function of the
 // participating component IDs. Two transitions with disjoint participant
@@ -132,33 +132,19 @@ func (p *porState) syncable(x, y types.ID) bool {
 	return v > 0
 }
 
-// registerPOR registers the state's proposals through the ample filter:
-// a valid ample subset whose successors are all fresh (C3) is registered
-// alone; otherwise every proposal is registered, exactly as without POR.
-func (b *builder) registerPOR(from int32, comps []types.ID, props []proposal) {
-	// Cycle proviso (C3): an ample set is only usable when none of its
-	// edges closes back onto a state whose ample decision was already
-	// made (or onto this very state) — otherwise a cycle of ample-only
-	// edges could defer the dropped transitions forever. Feeding the
-	// check into seed selection lets a different seed succeed where the
-	// first choice would close a cycle. Soundness: every cycle of the
-	// reduced graph contains a fully expanded state — consider the last
-	// state of a cycle to make its decision; its cycle successor decided
-	// earlier, so the check fired and the state expanded fully.
-	fresh := func(succ []types.ID) bool {
-		num, ok := b.peekSeen(succ)
-		return !ok || (num != b.porCur && !b.porExpanded(num))
-	}
-	sel := b.por.ample(comps, props, fresh)
-	if sel == nil {
-		for i := range props {
-			b.register(from, props[i].succ, props[i].key, props[i].lab)
-		}
-		return
-	}
-	for _, k := range sel {
-		b.register(from, props[k].succ, props[k].key, props[k].lab)
-	}
+// fresh is the cycle proviso (C3) the ample selection filters
+// candidates with: an ample set is only usable when none of its edges
+// closes back onto a state whose ample decision was already made (or
+// onto this very state) — otherwise a cycle of ample-only edges could
+// defer the dropped transitions forever. Feeding the check into seed
+// selection lets a different seed succeed where the first choice would
+// close a cycle. Soundness: every cycle of the reduced graph contains a
+// fully expanded state — consider the last state of a cycle to make its
+// decision; its cycle successor decided earlier, so the check fired and
+// the state expanded fully.
+func (b *builder) fresh(succ []types.ID) bool {
+	num, ok := b.peekSeen(succ)
+	return !ok || (num != b.porCur && !b.porExpanded(num))
 }
 
 // peekSeen returns the state number of the successor multiset if it is

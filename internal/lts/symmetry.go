@@ -831,15 +831,23 @@ func (s *Symmetry) equalContents(a, b int32) bool {
 // the group is a direct product on disjoint channels — so the pass
 // first decides the full permutation, then builds the representative.
 // It returns the canonical multiset (freshly allocated when it differs
-// from the input) and the interned permutation π with
-// canonical = π(input); (input, 0) when the state is already canonical
-// or cannot be placed.
-func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32) {
+// from the input), the interned permutation π with canonical = π(input)
+// — (input, 0) when the state is already canonical or cannot be placed —
+// and |orbit(input)|, the number of distinct concrete states the
+// canonical state represents. The orbit size is the product over
+// classes of the multinomial counting the distinct assignments of the
+// class's content multisets to its bundles (the equal runs of the
+// sorted order), times n/|stabiliser| for each ring of length n: the
+// rotations tying for the minimum are a coset of the stabiliser, a
+// subgroup of C_n, so the division is exact (orbit–stabiliser). It
+// saturates at MaxInt64, and is 1 for a state that cannot be placed.
+func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32, int64) {
 	if !s.fillContents(comps) {
-		return comps, 0
+		return comps, 0, 1
 	}
 	perm := s.permBuf
 	identity := true
+	size := int64(1)
 	ord := s.ordBuf[:0]
 	for _, cls := range s.classes {
 		k := len(cls)
@@ -853,6 +861,16 @@ func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32) {
 				o[j], o[j-1] = o[j-1], o[j]
 			}
 		}
+		remaining := k
+		for lo := 0; lo < k; {
+			hi := lo + 1
+			for hi < k && s.equalContents(cls[o[lo]], cls[o[hi]]) {
+				hi++
+			}
+			size = satMul(size, binomial(remaining, hi-lo))
+			remaining -= hi - lo
+			lo = hi
+		}
 		for j := 0; j < k; j++ {
 			if o[j] != int32(j) {
 				identity = false
@@ -861,7 +879,8 @@ func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32) {
 		}
 	}
 	for slot := s.firstRing; slot < int32(len(s.bundles)); slot++ {
-		rot := s.bestRotation(slot)
+		rot, ties := s.bestRotation(slot)
+		size = satMul(size, int64(len(s.bundles[slot]))/ties)
 		perm[slot] = rot
 		if rot != 0 {
 			identity = false
@@ -869,7 +888,7 @@ func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32) {
 	}
 	s.ordBuf = ord
 	if identity {
-		return comps, 0
+		return comps, 0, size
 	}
 	out := make([]types.ID, 0, len(comps))
 	out = append(out, s.fixed...)
@@ -888,7 +907,7 @@ func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32) {
 			out = append(out, s.reify(abst, slot, perm[slot]))
 		}
 	}
-	return out, s.internPerm(perm)
+	return out, s.internPerm(perm), size
 }
 
 // bestRotation returns the rotation r minimising the ring slot's sorted
@@ -900,19 +919,22 @@ func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32) {
 // representative canonical. Ranks are first-encounter and assigned here
 // on the single-threaded registration side (rotations ascending,
 // contents in sorted order), so the choice is deterministic at any
-// worker count. O(n²·|contents|) per state with n the ring length.
-func (s *Symmetry) bestRotation(slot int32) int32 {
+// worker count. O(n²·|contents|) per state with n the ring length. It
+// also returns the number of rotations tying for the minimum.
+func (s *Symmetry) bestRotation(slot int32) (best int32, ties int64) {
 	n := int32(len(s.bundles[slot]))
-	best := int32(0)
+	ties = 1
 	s.rotA = s.buildRotation(slot, 0, s.rotA[:0])
 	for r := int32(1); r < n; r++ {
 		s.rotB = s.buildRotation(slot, r, s.rotB[:0])
 		if s.lessVec(s.rotB, s.rotA) {
-			best = r
+			best, ties = r, 1
 			s.rotA, s.rotB = s.rotB, s.rotA
+		} else if s.equalVec(s.rotB, s.rotA) {
+			ties++
 		}
 	}
-	return best
+	return best, ties
 }
 
 // buildRotation appends the ring slot's contents reified at rotation
@@ -954,58 +976,6 @@ func (s *Symmetry) equalVec(a, b []types.ID) bool {
 		}
 	}
 	return true
-}
-
-// orbitSize returns |orbit(state)| — the number of distinct concrete
-// states the canonical state represents: the product over classes of
-// the multinomials counting distinct assignments of the class's content
-// multisets to its bundles, times n/|stabiliser| for each ring of
-// length n (the rotations fixing a ring's content multiset form a
-// subgroup of C_n, so the division is exact — orbit–stabiliser).
-// Saturates at MaxInt64; returns 1 for states the canonicaliser could
-// not place.
-func (s *Symmetry) orbitSize(comps []types.ID) int64 {
-	if !s.fillContents(comps) {
-		return 1
-	}
-	ord := s.ordBuf
-	orbit := int64(1)
-	for _, cls := range s.classes {
-		k := len(cls)
-		ord = ord[:0]
-		for j := 0; j < k; j++ {
-			ord = append(ord, int32(j))
-		}
-		for i := 1; i < k; i++ {
-			for j := i; j > 0 && s.lessContents(cls[ord[j]], cls[ord[j-1]]); j-- {
-				ord[j], ord[j-1] = ord[j-1], ord[j]
-			}
-		}
-		remaining := k
-		for lo := 0; lo < k; {
-			hi := lo + 1
-			for hi < k && s.equalContents(cls[ord[lo]], cls[ord[hi]]) {
-				hi++
-			}
-			orbit = satMul(orbit, binomial(remaining, hi-lo))
-			remaining -= hi - lo
-			lo = hi
-		}
-	}
-	s.ordBuf = ord
-	for slot := s.firstRing; slot < int32(len(s.bundles)); slot++ {
-		n := int32(len(s.bundles[slot]))
-		stab := int64(1)
-		s.rotA = s.buildRotation(slot, 0, s.rotA[:0])
-		for r := int32(1); r < n; r++ {
-			s.rotB = s.buildRotation(slot, r, s.rotB[:0])
-			if s.equalVec(s.rotA, s.rotB) {
-				stab++
-			}
-		}
-		orbit = satMul(orbit, int64(n)/stab)
-	}
-	return orbit
 }
 
 // internPerm interns a permutation vector, returning its dense table

@@ -96,6 +96,10 @@ func printType(t types.Type, b *strings.Builder) {
 	}
 }
 
+// strEscaper writes exactly the escapes the lexer reads back; every
+// other byte of a string literal is copied verbatim in both directions.
+var strEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
 // PrintTerm renders a term in the concrete syntax accepted by ParseTerm.
 func PrintTerm(t term.Term) string {
 	var b strings.Builder
@@ -116,7 +120,9 @@ func printTerm(t term.Term, b *strings.Builder) {
 	case term.IntLit:
 		fmt.Fprintf(b, "%d", t.Val)
 	case term.StrLit:
-		fmt.Fprintf(b, "%q", t.Val)
+		b.WriteByte('"')
+		strEscaper.WriteString(b, t.Val)
+		b.WriteByte('"')
 	case term.UnitVal:
 		b.WriteString("()")
 	case term.Err:

@@ -51,25 +51,27 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// typeSpotChecks are type sources with their expected parses.
+var typeSpotChecks = []struct {
+	src  string
+	want types.Type
+}{
+	{"Bool", types.Bool{}},
+	{"Chan[Int]", types.ChanIO{Elem: types.Int{}}},
+	{"IChan[OChan[Str]]", types.ChanI{Elem: types.ChanO{Elem: types.Str{}}}},
+	{"Int | Bool", types.Union{L: types.Int{}, R: types.Bool{}}},
+	{"(x: Chan[Str]) -> Out[x, Str, Nil]",
+		types.Pi{Var: "x", Dom: types.ChanIO{Elem: types.Str{}},
+			Cod: types.Out{Ch: types.Var{Name: "x"}, Payload: types.Str{}, Cont: types.Thunk(types.Nil{})}}},
+	{"() -> Nil", types.Thunk(types.Nil{})},
+	{"rec t. In[x, (v: Int) -> t]",
+		types.Rec{Var: "t", Body: types.In{Ch: types.Var{Name: "x"},
+			Cont: types.Pi{Var: "v", Dom: types.Int{}, Cod: types.RecVar{Name: "t"}}}}},
+	{"Par[Nil, Nil, Nil]", types.ParOf(types.Nil{}, types.Nil{}, types.Nil{})},
+}
+
 func TestParseTypeSpotChecks(t *testing.T) {
-	cases := []struct {
-		src  string
-		want types.Type
-	}{
-		{"Bool", types.Bool{}},
-		{"Chan[Int]", types.ChanIO{Elem: types.Int{}}},
-		{"IChan[OChan[Str]]", types.ChanI{Elem: types.ChanO{Elem: types.Str{}}}},
-		{"Int | Bool", types.Union{L: types.Int{}, R: types.Bool{}}},
-		{"(x: Chan[Str]) -> Out[x, Str, Nil]",
-			types.Pi{Var: "x", Dom: types.ChanIO{Elem: types.Str{}},
-				Cod: types.Out{Ch: types.Var{Name: "x"}, Payload: types.Str{}, Cont: types.Thunk(types.Nil{})}}},
-		{"() -> Nil", types.Thunk(types.Nil{})},
-		{"rec t. In[x, (v: Int) -> t]",
-			types.Rec{Var: "t", Body: types.In{Ch: types.Var{Name: "x"},
-				Cont: types.Pi{Var: "v", Dom: types.Int{}, Cod: types.RecVar{Name: "t"}}}}},
-		{"Par[Nil, Nil, Nil]", types.ParOf(types.Nil{}, types.Nil{}, types.Nil{})},
-	}
-	for _, c := range cases {
+	for _, c := range typeSpotChecks {
 		got, err := ParseType(c.src)
 		if err != nil {
 			t.Errorf("ParseType(%q): %v", c.src, err)
@@ -81,29 +83,31 @@ func TestParseTypeSpotChecks(t *testing.T) {
 	}
 }
 
+// termSpotChecks are term sources with their expected parses.
+var termSpotChecks = []struct {
+	src  string
+	want term.Term
+}{
+	{"42", term.IntLit{Val: 42}},
+	{"x y z", term.App{Fn: term.App{Fn: term.Var{Name: "x"}, Arg: term.Var{Name: "y"}}, Arg: term.Var{Name: "z"}}},
+	{"!true", term.Not{T: term.BoolLit{Val: true}}},
+	{"1 + 2 * 3", term.BinOp{Op: "+", L: term.IntLit{Val: 1},
+		R: term.BinOp{Op: "*", L: term.IntLit{Val: 2}, R: term.IntLit{Val: 3}}}},
+	{"chan[Int]()", term.NewChan{Elem: types.Int{}}},
+	{"end || end", term.Par{L: term.End{}, R: term.End{}}},
+	{`send(c, "m", fun (u: Unit) => end)`,
+		term.Send{Ch: term.Var{Name: "c"}, Val: term.StrLit{Val: "m"},
+			Cont: term.Lam{Var: "u", Ann: types.Unit{}, Body: term.End{}}}},
+	{"let x: Int = 1 in x",
+		term.Let{Var: "x", Ann: types.Int{}, Bound: term.IntLit{Val: 1}, Body: term.Var{Name: "x"}}},
+	{"if x > 0 then x else 0 - x",
+		term.If{Cond: term.BinOp{Op: ">", L: term.Var{Name: "x"}, R: term.IntLit{Val: 0}},
+			Then: term.Var{Name: "x"},
+			Else: term.BinOp{Op: "-", L: term.IntLit{Val: 0}, R: term.Var{Name: "x"}}}},
+}
+
 func TestParseTermSpotChecks(t *testing.T) {
-	cases := []struct {
-		src  string
-		want term.Term
-	}{
-		{"42", term.IntLit{Val: 42}},
-		{"x y z", term.App{Fn: term.App{Fn: term.Var{Name: "x"}, Arg: term.Var{Name: "y"}}, Arg: term.Var{Name: "z"}}},
-		{"!true", term.Not{T: term.BoolLit{Val: true}}},
-		{"1 + 2 * 3", term.BinOp{Op: "+", L: term.IntLit{Val: 1},
-			R: term.BinOp{Op: "*", L: term.IntLit{Val: 2}, R: term.IntLit{Val: 3}}}},
-		{"chan[Int]()", term.NewChan{Elem: types.Int{}}},
-		{"end || end", term.Par{L: term.End{}, R: term.End{}}},
-		{`send(c, "m", fun (u: Unit) => end)`,
-			term.Send{Ch: term.Var{Name: "c"}, Val: term.StrLit{Val: "m"},
-				Cont: term.Lam{Var: "u", Ann: types.Unit{}, Body: term.End{}}}},
-		{"let x: Int = 1 in x",
-			term.Let{Var: "x", Ann: types.Int{}, Bound: term.IntLit{Val: 1}, Body: term.Var{Name: "x"}}},
-		{"if x > 0 then x else 0 - x",
-			term.If{Cond: term.BinOp{Op: ">", L: term.Var{Name: "x"}, R: term.IntLit{Val: 0}},
-				Then: term.Var{Name: "x"},
-				Else: term.BinOp{Op: "-", L: term.IntLit{Val: 0}, R: term.Var{Name: "x"}}}},
-	}
-	for _, c := range cases {
+	for _, c := range termSpotChecks {
 		got, err := ParseTerm(c.src)
 		if err != nil {
 			t.Errorf("ParseTerm(%q): %v", c.src, err)

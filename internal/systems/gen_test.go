@@ -158,9 +158,9 @@ func rawWitness(o *verify.Outcome) interface{} {
 }
 
 // TestRandomEarlyExitAgreesWithFull: on-the-fly (early-exit) checking of
-// the symbolically compilable schemas must reach the same verdict as the
-// full explore-then-check pipeline on every generated system, never
-// explore more states, and its witnesses must replay too.
+// the schemas that compile with no alphabet must reach the same verdict
+// as the full explore-then-check pipeline on every generated system,
+// never explore more states, and its witnesses must replay too.
 func TestRandomEarlyExitAgreesWithFull(t *testing.T) {
 	n := genSeedCount(t)
 	for seed := 0; seed < n; seed++ {

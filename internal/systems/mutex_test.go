@@ -38,9 +38,16 @@ func TestRaceDeliversEitherChannel(t *testing.T) {
 	// After either delivery, the winner is used: outputs on y and z
 	// appear in the alphabet (the loser's send stays pending — the race
 	// leaves one sender unserved, which is exactly the non-confluence).
-	u := verify.NewUses(s.Env, m)
-	if len(u.OutputUses("y")) == 0 || len(u.OutputUses("z")) == 0 {
-		t.Error("the received channel must be used in the continuation")
+	// Uo(c) is non-empty over the alphabet exactly when the compiled
+	// non-usage formula □(−Uo(c))⊤ does not simplify to ⊤.
+	for _, c := range []string{"y", "z"} {
+		phi, err := verify.Compile(s.Env, m, verify.Property{Kind: verify.NonUsage, Channels: []string{c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, vacuous := mucalc.Simplify(phi).(mucalc.True); vacuous {
+			t.Errorf("the received channel %s must be used in the continuation", c)
+		}
 	}
 }
 

@@ -16,7 +16,10 @@ import (
 // FAIL's witness — a concrete run of the reduced edge-subset — must
 // replay on the concrete semantics.
 
-func porEligibleKind(k verify.Kind) bool {
+// hasPORFilter reports whether properties of kind k have a
+// partial-order filter: the kinds whose formula compiles with no
+// alphabet.
+func hasPORFilter(k verify.Kind) bool {
 	return k == verify.NonUsage || k == verify.DeadlockFree || k == verify.Reactive
 }
 
@@ -27,7 +30,7 @@ func porBatch(props []verify.Property) ([]verify.Property, []int) {
 	var eligible []verify.Property
 	var idx []int
 	for i, p := range props {
-		if porEligibleKind(p.Kind) {
+		if hasPORFilter(p.Kind) {
 			eligible = append(eligible, p)
 			idx = append(idx, i)
 		}
@@ -61,7 +64,7 @@ func checkMixedUnreduced(t *testing.T, name string, env *types.Env, sys types.Ty
 		if outcomeKey(mixed[i]) != outcomeKey(off[i]) {
 			t.Errorf("%s %s: mixed-batch outcome %s differs from POR off %s", name, p, outcomeKey(mixed[i]), outcomeKey(off[i]))
 		}
-		if !porEligibleKind(p.Kind) {
+		if !hasPORFilter(p.Kind) {
 			rest, idx = append(rest, p), append(idx, i)
 		}
 	}

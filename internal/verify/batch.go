@@ -40,7 +40,7 @@ type Options struct {
 	// (PartialOrderMode).
 	PartialOrder PartialOrderMode
 	// EarlyExit selects on-the-fly checking: the property's formula is
-	// compiled symbolically and the nested DFS drives an lts.Incremental
+	// compiled with no alphabet and the nested DFS drives an lts.Incremental
 	// that materialises states only as the search reaches them, so a
 	// violation found early leaves the rest of the state space
 	// unexplored. Verdicts are identical to the full pipeline's; the
@@ -193,9 +193,9 @@ type task struct {
 // planBatch is the one place the reducer options are interpreted. It
 // splits the batch into explorations and fixes each one's reducer:
 //
-//   - Under EarlyExit, a property whose schema compiles symbolically
-//     (porEligible: NonUsage, DeadlockFree, Reactive) is an exploration
-//     of its own, searched on the fly. This is the only per-property
+//   - Under EarlyExit, a property whose formula compiles with no
+//     alphabet (NonUsage, DeadlockFree, Reactive) is an exploration of
+//     its own, searched on the fly. This is the only per-property
 //     exploration.
 //   - Every other property joins the group of its observable set, and
 //     each group is explored once for all its members.
@@ -203,7 +203,7 @@ type task struct {
 //     is closed (empty observable set) and lts.DetectSymmetry finds a
 //     group, pinning every channel any property of the batch observes.
 //   - Otherwise it runs ample-reduced under PartialOrder when every member
-//     is porEligible. The visible labels are the union of the members'
+//     has a porFilter. The visible labels are the union of the members'
 //     (porFilterAll): a reduction that preserves every label in V ⊇ V_p
 //     preserves each property p (Peled, "All from one, one for all").
 //   - Otherwise it explores the full state space.
@@ -235,7 +235,12 @@ func planBatch(env *types.Env, t types.Type, props []Property, opts Options) *ba
 			b.fail(i, err)
 			continue
 		}
-		early := opts.EarlyExit && porEligible(p.Kind)
+		// On the fly exactly when p's formula compiles with no alphabet.
+		early := false
+		if opts.EarlyExit {
+			_, err := compile(env, nil, p)
+			early = err == nil
+		}
 		sorted := append([]string{}, obs...)
 		sort.Strings(sorted)
 		key := strings.Join(sorted, ",")

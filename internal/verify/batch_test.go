@@ -118,7 +118,7 @@ func checkPORPlan(t *testing.T, outs, ref []*Outcome) {
 	served := map[*lts.LTS]bool{}
 	for _, o := range outs {
 		eligible, seen := served[o.LTS]
-		served[o.LTS] = (eligible || !seen) && porEligible(o.Property.Kind)
+		served[o.LTS] = (eligible || !seen) && compilesOnTheFly(o.Property)
 	}
 	for i, o := range outs {
 		if !served[o.LTS] {
@@ -155,7 +155,7 @@ func checkOrbits(counts ...[2]int) func(t *testing.T, outs, ref []*Outcome) {
 func checkEarlySymmetric(t *testing.T, outs, _ []*Outcome) {
 	seen := map[*lts.LTS]bool{}
 	for _, o := range outs {
-		if !porEligible(o.Property.Kind) {
+		if !compilesOnTheFly(o.Property) {
 			continue
 		}
 		if !o.EarlyExit || o.LTS.Sym == nil || seen[o.LTS] {

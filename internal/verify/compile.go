@@ -11,62 +11,122 @@ import (
 
 // Compile builds the right-hand-column formula of Fig. 7 for the
 // requested property, instantiated with the action sets of Def. 4.8
-// computed over the alphabet of m.
+// restricted to the alphabet of m.
 func Compile(env *types.Env, m *lts.LTS, p Property) (mucalc.Formula, error) {
-	u := NewUses(env, m)
+	return compile(env, m.Alphabet(), p)
+}
+
+// compile builds p's Fig. 7 formula from the action sets of uses.go,
+// each restricted to the alphabet when one is known. With a nil
+// alphabet the sets stay predicates, which is what lets the on-the-fly
+// engine compile before it explores; only NonUsage, DeadlockFree and
+// Reactive compile that way. Forwarding and Responsive shape their
+// formula around the payload variables received in the alphabet, and
+// EventualOutput is not LTL, so those report an error.
+//
+// A schema that forbids imprecise synchronisation puts that conjunct,
+// □(−Aτ)⊤, on the left of its top-level ∧ and its main obligation on
+// the right (see conjuncts).
+func compile(env *types.Env, alphabet []typelts.Label, p Property) (mucalc.Formula, error) {
+	u := &Uses{env: env, alphabet: alphabet}
 	switch p.Kind {
 	case NonUsage:
-		return compileNonUsage(u, p.Channels)
+		// Fig. 7(1): □(¬(∨i (UoΓ,T(xi))⊤)) — no position fires a
+		// potential output use of any probed channel.
+		return mucalc.Box(mucalc.NegProp{Set: u.set(outputUses(env, p.Channels))}), nil
 	case DeadlockFree:
-		return compileDeadlockFree(u, p.Channels)
+		// Fig. 7(2): □(−Aτ)⊤ ∧ □((τ)⊤ ∨ ∨i ({xi(U′), xi⟨U′⟩})⊤), plus the
+		// ✔ disjunct: proper termination is not a deadlock (DESIGN.md).
+		return mucalc.And{L: u.noImprecision(), R: mucalc.Box(mucalc.Or{
+			L: mucalc.Prop{Set: mucalc.TauActions()},
+			R: mucalc.Or{L: mucalc.Prop{Set: u.set(exactIO(p.Channels))}, R: mucalc.Prop{Set: mucalc.DoneActions()}},
+		})}, nil
 	case EventualOutput:
 		return nil, fmt.Errorf("verify: ev-usage is checked by reachability (EvUsageHolds), not LTL")
 	case Forwarding:
-		return compileForwarding(u, p.From, p.To)
+		// Fig. 7(4): every z received on x is forwarded as y⟨z⟩.
+		return u.obligation(p, func(z string) mucalc.ActionSet { return outputsCarrying(p.To, z) })
 	case Reactive:
-		return compileReactive(u, p.From)
+		// Fig. 7(5), read through its stated intent — "t runs forever,
+		// and is always eventually able to receive inputs from x":
+		// □(−Aτ)⊤ ∧ □♢({x(U′) | any U′})⊤. Every run performs inputs on x
+		// infinitely often, with no imprecise synchronisation. (The
+		// literal right-column disjunction □((τ)⊤ ∨ …) is vacuous on closed
+		// compositions, whose positions are all τ; the □♢ form is the
+		// linear-time counterpart of the left column's □((τ)⊤ U (x(w))⊤).)
+		return mucalc.And{L: u.noImprecision(), R: mucalc.Box(mucalc.Diamond(mucalc.Prop{Set: u.set(exactInputs(p.From))}))}, nil
 	case Responsive:
-		return compileResponsive(u, p.From)
+		// Fig. 7(6): every channel z received on x is used to send a
+		// response, {z⟨U′⟩ | any U′}.
+		return u.obligation(p, func(z string) mucalc.ActionSet { return exactOutputs(z) })
 	default:
 		return nil, fmt.Errorf("verify: unknown property kind %d", p.Kind)
 	}
 }
 
-// compileNonUsage implements Fig. 7(1):
-//
-//	T ↑Γ {xi} |= □(¬(∨i (UoΓ,T(xi))⊤))
-//
-// i.e. no position fires a potential output use of any probed channel.
-func compileNonUsage(u *Uses, channels []string) (mucalc.Formula, error) {
-	var all []typelts.Label
-	for _, x := range channels {
-		all = append(all, u.OutputUses(x)...)
-	}
-	set := mucalc.LabelSet("Uo("+joinNames(channels)+")", all...)
-	return mucalc.Box(mucalc.NegProp{Set: set}), nil
+// noImprecision is □(−Aτ)⊤: no run contains an imprecise synchronisation.
+func (u *Uses) noImprecision() mucalc.Formula {
+	return mucalc.Box(mucalc.NegProp{Set: u.set(impreciseTaus(u.env))})
 }
 
-// compileDeadlockFree implements Fig. 7(2):
+// obligation builds the schema shared by Fig. 7(4) and 7(6), which
+// differ only in the set discharging the obligation of a received z:
 //
-//	T ↑Γ {xi} |= □(−Aτ)⊤ ∧ □((τ)⊤ ∨ ∨i ({xi(U′), xi⟨U′⟩})⊤)
+//	T ↑Γ {x,…} |= □( ({S(z) | S(z) ∈ Ui(x)})⊤ ⇒ ((−(Aτ ∪ Ui(x)))⊤ U (discharge(z))⊤) )
 //
-// plus the ✔ disjunct: proper termination is not a deadlock (DESIGN.md).
-func compileDeadlockFree(u *Uses, channels []string) (mucalc.Formula, error) {
-	atau := mucalc.LabelSet("Aτ", u.ImpreciseTaus()...)
-	var io []typelts.Label
-	for _, x := range channels {
-		io = append(io, u.ExactInputs(x)...)
-		io = append(io, u.ExactOutputs(x)...)
+// for every variable z received on x = p.From (a conjunction over the z
+// occurring in the alphabet). The paper's caption reads (α)⊤ ⇒ ϕ as
+// (α)⊤ ⇒ (α)ϕ: the until obligation starts after the input position.
+func (u *Uses) obligation(p Property, discharge func(z string) mucalc.ActionSet) (mucalc.Formula, error) {
+	if u.alphabet == nil {
+		return nil, fmt.Errorf("verify: %s is shaped by the explored alphabet and has no on-the-fly formula", p.Kind)
 	}
-	ioSet := mucalc.LabelSet("io("+joinNames(channels)+")", io...)
-	progress := mucalc.Or{
-		L: mucalc.Prop{Set: mucalc.TauActions()},
-		R: mucalc.Or{L: mucalc.Prop{Set: ioSet}, R: mucalc.Prop{Set: mucalc.DoneActions()}},
+	// Ui(x) is restricted once, since its predicate runs a subtype check
+	// per label; the trigger and block sets are built from its members.
+	x := p.From
+	ui := u.members(inputUses(u.env, x))
+	seen := map[string]bool{}
+	var zs []string
+	for _, l := range ui {
+		_, payload, _ := received(l)
+		if v, ok := payload.(types.Var); ok && !seen[v.Name] {
+			seen[v.Name] = true
+			zs = append(zs, v.Name)
+		}
 	}
-	return mucalc.And{
-		L: mucalc.Box(mucalc.NegProp{Set: atau}),
-		R: mucalc.Box(progress),
-	}, nil
+	if len(zs) == 0 {
+		// Nothing is ever received on x as a trackable variable: the
+		// obligation is vacuous only if x has no input uses at all;
+		// inputs of unknown payloads cannot be proven discharged.
+		if len(ui) == 0 {
+			return mucalc.True{}, nil
+		}
+		return mucalc.False{}, nil
+	}
+	block := mucalc.LabelSet("Aτ∪Ui("+x+")", append(u.members(impreciseTaus(u.env)), ui...)...)
+	var phi mucalc.Formula
+	for _, z := range zs {
+		// in(x,z): the input uses of x receiving exactly the variable z.
+		var trigger []typelts.Label
+		for _, l := range ui {
+			if _, payload, _ := received(l); isVarNamed(payload, z) {
+				trigger = append(trigger, l)
+			}
+		}
+		clause := mucalc.Box(mucalc.Implies(
+			mucalc.Prop{Set: mucalc.LabelSet(fmt.Sprintf("in(%s,%s)", x, z), trigger...)},
+			mucalc.Next{F: mucalc.Until{
+				L: mucalc.NegProp{Set: block},
+				R: mucalc.Prop{Set: u.set(discharge(z))},
+			}},
+		))
+		if phi == nil {
+			phi = clause
+		} else {
+			phi = mucalc.And{L: phi, R: clause}
+		}
+	}
+	return phi, nil
 }
 
 // EvUsageHolds implements Fig. 7(3) in the existential (branching-time)
@@ -76,12 +136,8 @@ func compileDeadlockFree(u *Uses, channels []string) (mucalc.Formula, error) {
 // transitions. (The universal LTL reading is rarely wanted: any system
 // with an unfair scheduler run that starves xi would fail it.)
 func EvUsageHolds(u *Uses, m *lts.LTS, channels []string) bool {
-	atau := mucalc.LabelSet("Aτ", u.ImpreciseTaus()...)
-	var outs []typelts.Label
-	for _, x := range channels {
-		outs = append(outs, u.ExactOutputs(x)...)
-	}
-	target := mucalc.LabelSet("out("+joinNames(channels)+")", outs...)
+	atau := u.set(impreciseTaus(u.env))
+	target := u.set(exactOutputs(channels...))
 
 	// Evaluate both set predicates once per distinct label of the dense
 	// alphabet, then walk the flat edge array with plain bool lookups.
@@ -112,114 +168,4 @@ func EvUsageHolds(u *Uses, m *lts.LTS, channels []string) bool {
 		}
 	}
 	return false
-}
-
-// compileForwarding implements Fig. 7(4):
-//
-//	T ↑Γ {x,y} |= □( ({S(z) | S(z) ∈ Ui(x)})⊤ ⇒ ((−(Aτ ∪ Ui(x)))⊤ U (y⟨z⟩)⊤) )
-//
-// for every variable z received on x (a conjunction over the z occurring
-// in the alphabet). The paper's caption reads (α)⊤ ⇒ ϕ as
-// (α)⊤ ⇒ (α)ϕ: the until obligation starts after the input position.
-func compileForwarding(u *Uses, x, y string) (mucalc.Formula, error) {
-	ui := u.InputUses(x)
-	zs := PayloadVars(ui)
-	if len(zs) == 0 {
-		// Nothing is ever received on x as a trackable variable: the
-		// forwarding obligation is vacuous only if x has no input uses at
-		// all; inputs of unknown payloads cannot be proven forwarded.
-		if len(ui) == 0 {
-			return mucalc.True{}, nil
-		}
-		return mucalc.False{}, nil
-	}
-	blockName := "Aτ∪Ui(" + x + ")"
-	block := mucalc.LabelSet(blockName, append(u.ImpreciseTaus(), ui...)...)
-	var phi mucalc.Formula = mucalc.True{}
-	for _, z := range zs {
-		trigger := mucalc.LabelSet(fmt.Sprintf("in(%s,%s)", x, z), InputsCarrying(ui, z)...)
-		oblige := mucalc.LabelSet(fmt.Sprintf("%s⟨%s⟩", y, z), u.OutputsWithPayloadVar(y, z)...)
-		clause := mucalc.Box(mucalc.Implies(
-			mucalc.Prop{Set: trigger},
-			mucalc.Next{F: mucalc.Until{
-				L: mucalc.NegProp{Set: block},
-				R: mucalc.Prop{Set: oblige},
-			}},
-		))
-		phi = conj(phi, clause)
-	}
-	return phi, nil
-}
-
-// compileReactive implements Fig. 7(5), reading the schema through its
-// stated intent — "t runs forever, and is always eventually able to
-// receive inputs from x":
-//
-//	T ↑Γ {x} |= □(−Aτ)⊤ ∧ □♢({x(U′) | any U′})⊤
-//
-// Every run performs inputs on x infinitely often, with no imprecise
-// synchronisation. (The literal right-column disjunction □((τ)⊤ ∨ …) is
-// vacuous on closed compositions, whose positions are all τ; the □♢ form
-// is the linear-time counterpart of the left column's □((τ)⊤ U (x(w))⊤).)
-func compileReactive(u *Uses, x string) (mucalc.Formula, error) {
-	atau := mucalc.LabelSet("Aτ", u.ImpreciseTaus()...)
-	inSet := mucalc.LabelSet("in("+x+")", u.ExactInputs(x)...)
-	return mucalc.And{
-		L: mucalc.Box(mucalc.NegProp{Set: atau}),
-		R: mucalc.Box(mucalc.Diamond(mucalc.Prop{Set: inSet})),
-	}, nil
-}
-
-// compileResponsive implements Fig. 7(6):
-//
-//	T ↑Γ {x} |= □( ({S(z) | S(z) ∈ Ui(x)})⊤ ⇒ ((−(Aτ ∪ Ui(x)))⊤ U ({z⟨U′⟩ | any U′})⊤) )
-//
-// Whenever a channel z is received from x, z is eventually used to send
-// a response, before x is read again.
-func compileResponsive(u *Uses, x string) (mucalc.Formula, error) {
-	ui := u.InputUses(x)
-	zs := PayloadVars(ui)
-	if len(zs) == 0 {
-		if len(ui) == 0 {
-			return mucalc.True{}, nil
-		}
-		return mucalc.False{}, nil
-	}
-	blockName := "Aτ∪Ui(" + x + ")"
-	block := mucalc.LabelSet(blockName, append(u.ImpreciseTaus(), ui...)...)
-	var phi mucalc.Formula = mucalc.True{}
-	for _, z := range zs {
-		trigger := mucalc.LabelSet(fmt.Sprintf("in(%s,%s)", x, z), InputsCarrying(ui, z)...)
-		oblige := mucalc.LabelSet("out("+z+")", u.ExactOutputs(z)...)
-		clause := mucalc.Box(mucalc.Implies(
-			mucalc.Prop{Set: trigger},
-			mucalc.Next{F: mucalc.Until{
-				L: mucalc.NegProp{Set: block},
-				R: mucalc.Prop{Set: oblige},
-			}},
-		))
-		phi = conj(phi, clause)
-	}
-	return phi, nil
-}
-
-func conj(a, b mucalc.Formula) mucalc.Formula {
-	if _, ok := a.(mucalc.True); ok {
-		return b
-	}
-	if _, ok := b.(mucalc.True); ok {
-		return a
-	}
-	return mucalc.And{L: a, R: b}
-}
-
-func joinNames(ns []string) string {
-	out := ""
-	for i, n := range ns {
-		if i > 0 {
-			out += ","
-		}
-		out += n
-	}
-	return out
 }

@@ -2,22 +2,21 @@ package verify
 
 // Exploration-time partial-order reduction (Options.PartialOrder): the
 // verifier hands lts.Explore an ample-set filter (lts.POR) whose
-// visibility predicate is derived from the properties' own action sets —
-// the same Fig. 7 machinery the symbolic compiler uses — so the
-// exploration registers, per state, only a persistent subset of the
-// enabled synchronisations. Ample sets only ever *drop* edges: every
-// state and edge of the reduced LTS is a state and edge of the full
-// one, so a FAIL witness found on the reduced space is already a
-// concrete run and the replay oracle re-validates it directly, with no
+// visibility predicate is built from the properties' own action sets
+// (uses.go), so the exploration registers, per state, only a persistent
+// subset of the enabled synchronisations. Ample sets only ever *drop*
+// edges: every state and edge of the reduced LTS is a state and edge of
+// the full one, so a FAIL witness found on the reduced space is already
+// a concrete run and the replay oracle re-validates it directly, with no
 // lifting stage (unlike symmetry reduction, which checks on orbit
 // representatives).
 //
-// Eligibility mirrors the symbolic compiler: NonUsage, DeadlockFree and
-// Reactive have alphabet-independent action-set semantics from which a
-// sound visible-label set can be computed before exploration. The other
-// schemas (Forwarding, Responsive — shaped by the payload variables
-// found in the explored alphabet — and EventualOutput, which is not
-// LTL) need the full exploration. Reactive carries an eventuality
+// A property has a filter exactly when its formula compiles with no
+// alphabet: NonUsage, DeadlockFree and Reactive, whose action sets give
+// a sound visible-label set before exploration. The other schemas
+// (Forwarding, Responsive — shaped by the payload variables found in
+// the explored alphabet — and EventualOutput, which is not LTL) need
+// the full exploration. Reactive carries an eventuality
 // (Box(Diamond ...)), so its filter uses the strong cycle proviso
 // (lts.POR.Liveness); the two safety schemas run with the weak queue
 // proviso. Which explorations the reduction engages on is planBatch's
@@ -71,21 +70,9 @@ func ParsePartialOrder(name string) (PartialOrderMode, error) {
 	return PartialOrderOff, fmt.Errorf("verify: unknown partial-order mode %q (valid values: %s)", name, validModeNames(partialOrderNames))
 }
 
-// porEligible reports whether the schema's action-set semantics support
-// a pre-exploration visible-label set — the same three schemas the
-// symbolic compiler handles, so it also decides which properties the
-// early-exit engine serves.
-func porEligible(k Kind) bool {
-	switch k {
-	case NonUsage, DeadlockFree, Reactive:
-		return true
-	default:
-		return false
-	}
-}
-
-// porFilter builds the ample-set filter for an eligible property, or
-// nil for the rest. The visible set contains exactly the labels whose
+// porFilter builds the ample-set filter of a property whose formula
+// compiles with no alphabet (NonUsage, DeadlockFree, Reactive), or nil
+// for the rest. The visible set contains exactly the labels whose
 // presence or position a run of the property's formula can distinguish
 // — every other label is stuttering the next-free formula cannot see:
 //
@@ -103,11 +90,10 @@ func porEligible(k Kind) bool {
 func porFilter(env *types.Env, p Property) *lts.POR {
 	switch p.Kind {
 	case NonUsage:
-		uses := outputUsesSet(env, p.Channels)
-		return &lts.POR{Visible: uses.Contains}
+		return &lts.POR{Visible: outputUses(env, p.Channels).Contains}
 	case DeadlockFree:
-		imprecise := impreciseTauSet(env)
-		allowed := exactIOSet(p.Channels)
+		imprecise := impreciseTaus(env)
+		allowed := exactIO(p.Channels)
 		return &lts.POR{Visible: func(l typelts.Label) bool {
 			if imprecise.Contains(l) {
 				return true
@@ -118,8 +104,8 @@ func porFilter(env *types.Env, p Property) *lts.POR {
 			return !(typelts.IsTau(l) || allowed.Contains(l))
 		}}
 	case Reactive:
-		imprecise := impreciseTauSet(env)
-		inputs := exactInputSet(p.From)
+		imprecise := impreciseTaus(env)
+		inputs := exactInputs(p.From)
 		return &lts.POR{
 			Visible: func(l typelts.Label) bool {
 				return imprecise.Contains(l) || inputs.Contains(l)
@@ -132,16 +118,17 @@ func porFilter(env *types.Env, p Property) *lts.POR {
 }
 
 // porFilterAll is the ample-set filter of an exploration shared by the
-// properties at idx, or nil unless every one is porEligible: a label is
+// properties at idx, or nil unless every one has a filter: a label is
 // visible when any member's filter sees it, and the strong cycle proviso
 // applies when any member needs it.
 func porFilterAll(env *types.Env, props []Property, idx []int) *lts.POR {
 	filters := make([]*lts.POR, 0, len(idx))
 	for _, i := range idx {
-		if !porEligible(props[i].Kind) {
+		f := porFilter(env, props[i])
+		if f == nil {
 			return nil
 		}
-		filters = append(filters, porFilter(env, props[i]))
+		filters = append(filters, f)
 	}
 	union := &lts.POR{Visible: func(l typelts.Label) bool {
 		for _, f := range filters {

@@ -56,8 +56,8 @@ func TestPartialOrderVerdictsMatchOff(t *testing.T) {
 			if por.Holds != base.Holds {
 				t.Errorf("%s par %d: reduced verdict %v, reference %v", p, par, por.Holds, base.Holds)
 			}
-			if por.PartialOrder != porEligible(p.Kind) {
-				t.Errorf("%s par %d: PartialOrder flag %v, eligibility %v", p, par, por.PartialOrder, porEligible(p.Kind))
+			if por.PartialOrder != compilesOnTheFly(p) {
+				t.Errorf("%s par %d: PartialOrder flag %v, eligibility %v", p, par, por.PartialOrder, compilesOnTheFly(p))
 			}
 			if por.StatesExplored > base.States {
 				t.Errorf("%s par %d: explored %d states, full space has %d", p, par, por.StatesExplored, base.States)
@@ -136,7 +136,7 @@ func TestPartialOrderSymmetryPrecedence(t *testing.T) {
 func TestPartialOrderEarlyExit(t *testing.T) {
 	env, sys := symPairs(3)
 	for _, p := range symProps() {
-		if !porEligible(p.Kind) {
+		if !compilesOnTheFly(p) {
 			continue
 		}
 		base, err := Verify(Request{Env: env, Type: sys, Property: p})

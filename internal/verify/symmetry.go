@@ -153,8 +153,8 @@ func resolveOrbitSteps(m *lts.LTS, states []int, labels []int32) ([]orbitStep, e
 
 // liftSymmetric rewrites a FAIL outcome found on an orbit LTS into
 // concrete terms: a concrete lasso, the concrete fragment it runs over
-// (Outcome.WitnessLTS), and — for enumerated-alphabet formulas — the
-// property recompiled over that fragment, so Replay can re-validate the
+// (Outcome.WitnessLTS), and — for a formula compiled over an alphabet —
+// the property recompiled over that fragment, so Replay can re-validate the
 // verdict on concrete semantics.
 //
 // The lift walks a fresh symmetry-free incremental exploration of the
@@ -265,11 +265,11 @@ func liftSymmetric(ctx context.Context, req Request, sem *typelts.Semantics, m *
 
 // finishLift installs the lifted lasso on the outcome: the concrete
 // fragment snapshot becomes WitnessLTS, the witness and counterexample
-// are re-decoded against it, and enumerated-alphabet formulas are
-// recompiled over the fragment (whose alphabet contains every lifted
-// label) so the replay oracle's ¬ϕ automaton reads the concrete labels.
-// Symbolic (early-exit) formulas evaluate labels directly and need no
-// recompilation.
+// are re-decoded against it, and a formula compiled over an alphabet is
+// recompiled over the fragment's (which contains every lifted label) so
+// the replay oracle's ¬ϕ automaton reads the concrete labels. An
+// early-exit formula, compiled with no alphabet, evaluates its predicate
+// sets on any label and needs no recompilation.
 func finishLift(req Request, inc *lts.Incremental, w *mucalc.Witness, out *Outcome) error {
 	wl := inc.Snapshot()
 	out.WitnessLTS = wl

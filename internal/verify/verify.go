@@ -220,19 +220,21 @@ func finishFail(ctx context.Context, req Request, sem *typelts.Semantics, m *lts
 	return nil
 }
 
-// verifyOnTheFly runs the early-exit pipeline: the nested DFS of
-// mucalc.CheckModel drives an incremental exploration, materialising
-// states only as the search reaches them. The formula's top-level
+// verifyOnTheFly runs the early-exit pipeline on the property's formula
+// compiled with no alphabet: the nested DFS of mucalc.CheckModel drives
+// an incremental exploration, materialising states only as the search
+// reaches them. The formula's top-level
 // conjuncts are checked one at a time over the shared exploration,
 // short-circuiting on the first violation — a run violating one conjunct
 // violates the conjunction, so the remaining conjuncts (whose PASS proofs
 // would force exhaustive exploration) are never started. Verdicts equal
-// the full pipeline's: the symbolic sets agree with the enumerated ones
-// on every label, and conjunction short-circuiting preserves T |= ϕ1∧ϕ2.
+// the full pipeline's: a predicate action set holds the same labels as
+// its restriction to any alphabet, and conjunction short-circuiting
+// preserves T |= ϕ1∧ϕ2.
 func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sym *lts.Symmetry, por *lts.POR) (*Outcome, error) {
-	phi, conjuncts, ok := compileSymbolic(req.Env, req.Property)
-	if !ok {
-		return nil, fmt.Errorf("verify: %s has no on-the-fly formula", req.Property.Kind)
+	phi, err := compile(req.Env, nil, req.Property)
+	if err != nil {
+		return nil, err
 	}
 	inc := lts.NewIncrementalContext(ctx, sem, req.Type, lts.Options{MaxStates: req.MaxStates, Progress: req.Progress, Symmetry: sym, PartialOrder: por})
 	out := &Outcome{
@@ -243,7 +245,7 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 		PartialOrder: por != nil,
 	}
 	var failed mucalc.Result
-	for _, c := range conjuncts {
+	for _, c := range conjuncts(phi) {
 		res, err := mucalc.CheckModelContext(ctx, inc, c)
 		if err != nil {
 			return nil, err
@@ -269,6 +271,19 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 		}
 	}
 	return out, nil
+}
+
+// conjuncts orders phi's top-level conjuncts for the on-the-fly engine.
+// Order matters for the early-exit payoff: a conjunct that holds forces
+// exhaustive exploration (proving □(−Aτ)⊤ means seeing every state), so
+// the schema's main obligation on the right — the part that fails on
+// broken systems, whose violations a shallow dive finds — comes first,
+// and the Aτ conjunct on the left last.
+func conjuncts(phi mucalc.Formula) []mucalc.Formula {
+	if a, ok := phi.(mucalc.And); ok {
+		return []mucalc.Formula{a.R, a.L}
+	}
+	return []mucalc.Formula{phi}
 }
 
 // ObservablesFor computes the Y-limitation set for a property: the

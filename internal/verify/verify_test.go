@@ -107,8 +107,7 @@ func TestNonUsageImprecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := NewUses(env, m)
-	if len(u.OutputUses("x")) == 0 {
+	if NewUses(env, m).set(outputUses(env, []string{"x"})).Empty() {
 		t.Error("Uo(x) must include the imprecise output on cio[int]")
 	}
 }
