@@ -75,8 +75,10 @@
 // Constructs outside the extractable fragment produce positioned
 // GoDiagnostics — τ-widened over-approximations where sound, refusals
 // where not, never a silently wrong term; "effpi lint" and
-// cmd/effpilint surface them standalone. See DESIGN.md §Go-source
-// frontend.
+// cmd/effpilint surface them standalone. Dependencies are typechecked
+// once per process: the first extraction pays the standard-library and
+// module typecheck (~0.7 s), later ones take milliseconds and still see
+// every edit to a dependency. See DESIGN.md §Go-source frontend.
 //
 // Partial-order reduction: WithPartialOrder(PartialOrderOn) — "-por on"
 // in effpi verify, "-por" in mcbench, "partial_order": "on" in effpid

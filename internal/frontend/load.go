@@ -37,7 +37,7 @@ func ExtractPackages(baseDir string, patterns ...string) (*Result, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := newModImporter(fset, root, modPath)
+	imp := newModImporter(root, modPath)
 	res := &Result{}
 	for _, dir := range dirs {
 		lp, err := loadDir(fset, imp, dir, modPath, root)
@@ -69,7 +69,7 @@ func ExtractSource(filename, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	imp := newModImporter(fset, root, modPath)
+	imp := newModImporter(root, modPath)
 	lp, err := checkFiles(fset, imp, []*ast.File{f}, filename, modPath+"/internal/frontend/gosource")
 	if err != nil {
 		return nil, err
@@ -144,18 +144,8 @@ func expandPatterns(base string, patterns []string) ([]string, error) {
 }
 
 func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
-			!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
-			return true
-		}
-	}
-	return false
+	files, err := readGoDir(dir)
+	return err == nil && len(files) > 0
 }
 
 // loadDir parses and typechecks one target directory; returns nil when
@@ -201,6 +191,10 @@ func importPathFor(dir, root, modPath string) string {
 	return modPath + "/" + filepath.ToSlash(rel)
 }
 
+// checkFiles typechecks one target package with full gotypes.Info.
+// Targets are never cached: their files live in the extraction's own
+// FileSet, which every Diagnostic and SourceMap position is read from,
+// and only their dependencies come from the process-wide cache.
 func checkFiles(fset *token.FileSet, imp *modImporter, files []*ast.File, dir, pkgPath string) (*loadedPackage, error) {
 	info := &gotypes.Info{
 		Types: map[ast.Expr]gotypes.TypeAndValue{},
