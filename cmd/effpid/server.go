@@ -510,6 +510,18 @@ func (s *server) decodeVerifyRequest(w http.ResponseWriter, r *http.Request) (*v
 		s.writeError(w, http.StatusBadRequest, "bad-request", errors.New("exactly one of \"source\", \"system\" and \"go_source\" must be set"))
 		return nil, 0, false
 	}
+	// Zero means "server default" for each of these; a negative value
+	// would slip past the cap below and then reach the exploration as
+	// "unset", so it is rejected outright.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"max_states", req.MaxStates}, {"parallelism", req.Parallelism}, {"timeout_ms", req.TimeoutMS}} {
+		if f.v < 0 {
+			s.writeError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("%s must not be negative, got %d", f.name, f.v))
+			return nil, 0, false
+		}
+	}
 	if s.maxStatesCap > 0 && req.MaxStates > s.maxStatesCap {
 		s.writeError(w, http.StatusBadRequest, "bad-request",
 			fmt.Errorf("max_states %d exceeds the server's cap of %d", req.MaxStates, s.maxStatesCap))

@@ -164,25 +164,47 @@ func (b *builder) expandLevel(lo, n int, forks []*typelts.Semantics) [][]proposa
 // canonical per-state edge order: interleaving steps of each component
 // (Y-limited), then pairwise synchronisations — an output of component
 // i meeting an input of component j ≠ i (τ labels always survive the
-// Y-limitation).
+// Y-limitation). The pairs are visited in ascending (i, j) order, but
+// only those whose port summaries can meet (syncSteps) cost a SyncSteps
+// lookup: the component entries the interleaving loop fetches carry the
+// summaries, and the filter never drops a pair with a step, so the
+// proposal list is exactly the one of an unfiltered k(k−1) sweep.
 func expandState(sem *typelts.Semantics, comps []types.ID, out []proposal) []proposal {
+	var buf [32]*typelts.Component // on the stack for up to 32 components
+	entries := buf[:0]
 	for i := range comps {
-		for _, st := range sem.ComponentSteps(comps[i]) {
+		c := sem.Component(comps[i])
+		entries = append(entries, c)
+		for _, st := range c.Steps {
 			if !sem.KeepLabel(st.Label) {
 				continue
 			}
 			out = append(out, proposal{succ: spliceSucc(comps, i, -1, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: -1})
 		}
 	}
-	for i := range comps {
-		for j := range comps {
+	for i, ci := range entries {
+		if !ci.Ports.HasOut {
+			continue
+		}
+		for j, cj := range entries {
 			if i == j {
 				continue
 			}
-			for _, st := range sem.SyncSteps(comps[i], comps[j]) {
+			for _, st := range syncSteps(sem, ci, cj) {
 				out = append(out, proposal{succ: spliceSucc(comps, i, j, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: int32(j)})
 			}
 		}
 	}
 	return out
+}
+
+// syncSteps returns the synchronisations of an output of component x
+// with an input of component y. It is the one "may synchronise" test of
+// exploration and partial-order reduction: a pair whose port summaries
+// cannot meet (typelts.MaySync) has no step and skips the memo lookup.
+func syncSteps(sem *typelts.Semantics, x, y *typelts.Component) []typelts.CompStep {
+	if !typelts.MaySync(&x.Ports, &y.Ports) {
+		return nil
+	}
+	return sem.SyncSteps(x.ID, y.ID)
 }

@@ -115,7 +115,8 @@ func (p *porState) visible(l typelts.Label) bool {
 }
 
 // syncable reports whether components x and y can synchronise in either
-// direction, memoised per unordered pair.
+// direction, memoised per unordered pair. It asks syncSteps, so the port
+// summaries decide first and the answer stays exact.
 func (p *porState) syncable(x, y types.ID) bool {
 	k := [2]types.ID{x, y}
 	if k[0] > k[1] {
@@ -125,7 +126,8 @@ func (p *porState) syncable(x, y types.ID) bool {
 		return v > 0
 	}
 	v := int8(-1)
-	if len(p.sem.SyncSteps(x, y)) > 0 || len(p.sem.SyncSteps(y, x)) > 0 {
+	cx, cy := p.sem.Component(x), p.sem.Component(y)
+	if len(syncSteps(p.sem, cx, cy)) > 0 || len(syncSteps(p.sem, cy, cx)) > 0 {
 		v = 1
 	}
 	p.canSync[k] = v

@@ -2,6 +2,7 @@ package typelts
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"effpi/internal/types"
@@ -10,8 +11,12 @@ import (
 // Cache memoises the expensive ingredients of the transition semantics
 // across states and across whole explorations: raw (un-Y-limited)
 // transition step lists per hash-consed type, synchronisation matches per
-// label identity, and the type interner itself (which also memoises
-// µ-unfolding and substitution). A single Cache shared by the six Fig. 9
+// label identity, per-component entries (steps plus the port summary
+// that lets exploration skip pairs that cannot synchronise, see
+// Component), per-pair synchronisations, and the type interner itself
+// (which also memoises µ-unfolding and substitution). The port summary
+// lives inside the component entry, so it adds no memo map and costs no
+// lookup of its own. A single Cache shared by the six Fig. 9
 // property checks of one system makes their explorations reuse each
 // other's per-component work, because the cache key — the interned type —
 // is independent of the Y-limitation (Observable), which is applied as a
@@ -50,7 +55,7 @@ type cacheShard struct {
 	mu    sync.Mutex
 	steps map[types.ID][]Step
 	match map[matchKey]bool
-	comp  map[types.ID][]CompStep
+	comp  map[types.ID]*Component
 	sync  map[[2]types.ID][]CompStep
 }
 
@@ -140,7 +145,7 @@ func (c *Cache) storeMatch(key matchKey, v bool) {
 	sh.mu.Unlock()
 }
 
-func (c *Cache) lookupComp(id types.ID) ([]CompStep, bool) {
+func (c *Cache) lookupComp(id types.ID) (*Component, bool) {
 	sh := c.compShard(id)
 	sh.mu.Lock()
 	cs, ok := sh.comp[id]
@@ -148,11 +153,11 @@ func (c *Cache) lookupComp(id types.ID) ([]CompStep, bool) {
 	return cs, ok
 }
 
-func (c *Cache) storeComp(id types.ID, cs []CompStep) []CompStep {
+func (c *Cache) storeComp(id types.ID, cs *Component) *Component {
 	sh := c.compShard(id)
 	sh.mu.Lock()
 	if sh.comp == nil {
-		sh.comp = make(map[types.ID][]CompStep, 16)
+		sh.comp = make(map[types.ID]*Component, 16)
 	}
 	if prev, ok := sh.comp[id]; ok {
 		cs = prev
@@ -257,17 +262,123 @@ type CompStep struct {
 	Next  []types.ID
 }
 
-// ComponentSteps returns the raw (un-Y-limited) transitions of the
-// single component with interned id cid, memoised in the semantics'
-// cache. The component is one FlattenPar leaf of a state; its steps are
-// the interleaving moves the state inherits from it (Fig. 6 lifted
-// through the parallel context).
+// Component is the memo entry of one component (Semantics.Component):
+// its raw steps and the port summary derived from them. Entries are
+// immutable once published.
+type Component struct {
+	ID    types.ID
+	Steps []CompStep
+	Ports Ports
+}
+
+// Ports summarises the subjects a component can output and input on, so
+// that a pair of components that can never synchronise is rejected
+// without a SyncSteps lookup (MaySync). A subject is *exact* when it is
+// a variable whose Γ-bound unfolds to ci[·], co[·] or cio[·]; exact
+// subjects are kept as interned IDs. Every other subject — a
+// non-variable type, a variable bound to a variable, to a union or to ⊤,
+// or a variable absent from Γ — may meet subjects other than itself
+// through subtyping, so it only sets the direction's wildcard flag.
+//
+// Why exact subjects need only be compared by ID: take distinct
+// variables x and y with channel bounds. Γ ⊢ x ⩽ y reduces by [⩽-x] to
+// Γ(x) ⩽ y, and no rule of Fig. 4 relates a channel type to a variable,
+// so it fails; symmetrically y ⩽ x fails. Γ ⊢ x ▷◁ y
+// (types.MightInteract) then returns false, because once mutual
+// subtyping fails it rejects every variable subject. So match, which
+// requires ▷◁, fails for an output on x and an input on y, and a pair
+// can synchronise only when an output and an input subject are the
+// same interned ID (the interner gives one variable one ID) or one of
+// them is a wildcard.
+type Ports struct {
+	HasOut, HasIn   bool
+	OutWild, InWild bool
+	// Outs and Ins are the exact output and input subjects, ascending
+	// and without duplicates.
+	Outs, Ins []types.ID
+}
+
+// MaySync reports whether an output of a component with ports out may
+// meet an input of a component with ports in. It is sound: whenever
+// SyncSteps of the two components is non-empty, MaySync holds.
+func MaySync(out, in *Ports) bool {
+	if !out.HasOut || !in.HasIn {
+		return false
+	}
+	if out.OutWild || in.InWild {
+		return true
+	}
+	for _, id := range out.Outs {
+		if _, ok := slices.BinarySearch(in.Ins, id); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// portsOf computes the port summary of a component's steps.
+func (s *Semantics) portsOf(steps []CompStep) Ports {
+	var p Ports
+	for _, st := range steps {
+		switch l := st.Label.(type) {
+		case Output:
+			p.HasOut = true
+			if s.exactSubject(l.Subject) {
+				p.Outs = insertID(p.Outs, st.Key.A)
+			} else {
+				p.OutWild = true
+			}
+		case Input:
+			p.HasIn = true
+			if s.exactSubject(l.Subject) {
+				p.Ins = insertID(p.Ins, st.Key.A)
+			} else {
+				p.InWild = true
+			}
+		}
+	}
+	return p
+}
+
+// exactSubject reports whether sub is a variable whose Γ-bound unfolds
+// to a channel type (see Ports). It is not types.ResolveChan, which
+// follows a bound that is itself a variable: such a subject meets the
+// variable it is bound to, so it must stay a wildcard.
+func (s *Semantics) exactSubject(sub types.Type) bool {
+	v, ok := sub.(types.Var)
+	if !ok {
+		return false
+	}
+	bound, ok := s.Env.Lookup(v.Name)
+	if !ok {
+		return false
+	}
+	switch types.UnfoldAll(bound).(type) {
+	case types.ChanI, types.ChanO, types.ChanIO:
+		return true
+	}
+	return false
+}
+
+// insertID adds id to the ascending slice ids unless already present.
+func insertID(ids []types.ID, id types.ID) []types.ID {
+	if k, found := slices.BinarySearch(ids, id); !found {
+		ids = slices.Insert(ids, k, id)
+	}
+	return ids
+}
+
+// Component returns the memo entry of the single component with
+// interned id cid: its raw (un-Y-limited) transitions and their port
+// summary, memoised in the semantics' cache. The component is one
+// FlattenPar leaf of a state; its steps are the interleaving moves the
+// state inherits from it (Fig. 6 lifted through the parallel context).
 //
 // Unlike Transitions, the component API cannot fall back to uncached
 // computation — cid is only meaningful relative to the cache's interner
 // — so a missing or mismatched cache is a caller bug and panics
 // (lts.Explore always attaches a compatible one).
-func (s *Semantics) ComponentSteps(cid types.ID) []CompStep {
+func (s *Semantics) Component(cid types.ID) *Component {
 	if cs, ok := s.l1comp[cid]; ok {
 		return cs
 	}
@@ -281,10 +392,11 @@ func (s *Semantics) ComponentSteps(cid types.ID) []CompStep {
 	// Depth 1: the component sits inside the state's parallel context,
 	// mirroring parSteps' raw(c, depth+1).
 	steps := s.rawOf(c.in.TypeOf(cid), 1)
-	cs := make([]CompStep, len(steps))
+	cs := &Component{ID: cid, Steps: make([]CompStep, len(steps))}
 	for i, st := range steps {
-		cs[i] = CompStep{Label: st.Label, Key: c.LabelKeyOf(st.Label), Next: c.internLeaves(st.Next)}
+		cs.Steps[i] = CompStep{Label: st.Label, Key: c.LabelKeyOf(st.Label), Next: c.internLeaves(st.Next)}
 	}
+	cs.Ports = s.portsOf(cs.Steps)
 	if !s.depthHit {
 		cs = c.storeComp(cid, cs) // first-write-wins: adopt the winner
 		s.l1compStore(cid, cs)
@@ -293,9 +405,15 @@ func (s *Semantics) ComponentSteps(cid types.ID) []CompStep {
 	return cs
 }
 
-func (s *Semantics) l1compStore(cid types.ID, cs []CompStep) {
+// ComponentSteps returns the raw transitions of the component cid (see
+// Component).
+func (s *Semantics) ComponentSteps(cid types.ID) []CompStep {
+	return s.Component(cid).Steps
+}
+
+func (s *Semantics) l1compStore(cid types.ID, cs *Component) {
 	if s.l1comp == nil {
-		s.l1comp = make(map[types.ID][]CompStep, 64)
+		s.l1comp = make(map[types.ID]*Component, 64)
 	}
 	s.l1comp[cid] = cs
 }

@@ -50,9 +50,9 @@ type Semantics struct {
 	// distinct components and pairs up tens of thousands of times, so
 	// serving repeats from an unsynchronised local map keeps the hot
 	// loop lock-free (and keeps the serial engine as fast as it was
-	// before the cache grew locks). Entries are immutable slices shared
+	// before the cache grew locks). Entries are immutable and shared
 	// with the L2 cache, so caching them locally is safe.
-	l1comp map[types.ID][]CompStep
+	l1comp map[types.ID]*Component
 	l1sync map[[2]types.ID][]CompStep
 }
 
