@@ -99,8 +99,8 @@ func BenchmarkFig9Ring10Tokens3(b *testing.B) { benchFig9(b, systems.Ring(10, 3)
 
 // benchVerifyAll measures the production path: all six properties
 // verified together, sharing one transition cache and the explored LTS
-// (verify.VerifyAllWith), at the given pipeline parallelism (0 =
-// GOMAXPROCS, 1 = the serial reference engine).
+// (verify.VerifyAllWith), at the given batch executor width (0 =
+// GOMAXPROCS, 1 = one exploration or check at a time).
 func benchVerifyAll(b *testing.B, s *systems.System, parallelism int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -116,9 +116,9 @@ func benchVerifyAll(b *testing.B, s *systems.System, parallelism int) {
 	}
 }
 
-// BenchmarkFig9VerifyAllPhilosophers5 runs at the default parallelism
-// (GOMAXPROCS); the Serial variant pins the reference engine, so the
-// pair isolates the speedup of the concurrent pipeline.
+// BenchmarkFig9VerifyAllPhilosophers5 runs at the default executor width
+// (GOMAXPROCS); the Serial variant runs at width 1, so the pair isolates
+// the speedup of the concurrent batch executor.
 func BenchmarkFig9VerifyAllPhilosophers5(b *testing.B) {
 	benchVerifyAll(b, systems.DiningPhilosophers(5, false), 0)
 }
@@ -127,7 +127,7 @@ func BenchmarkFig9VerifyAllPhilosophers5Serial(b *testing.B) {
 	benchVerifyAll(b, systems.DiningPhilosophers(5, false), 1)
 }
 
-// --- Beyond Fig. 9: the larger instances the parallel engine unlocks ---------
+// --- Beyond Fig. 9: larger instances -----------------------------------------
 //
 // These rows are benchmark-sized (the responsive 10-pair system explores
 // ~59k states per observable group); they are skipped in -short mode so
@@ -141,6 +141,10 @@ func benchLarge(b *testing.B, s *systems.System, parallelism int) {
 	benchVerifyAll(b, s, parallelism)
 }
 
+// BenchmarkLargeVerifyAllPhilosophers7Serial and …Parallel compare batch
+// executor widths only (1 against GOMAXPROCS): every exploration is serial
+// at either width, so the pair measures how much running the row's
+// explorations and checks side by side pays.
 func BenchmarkLargeVerifyAllPhilosophers7Serial(b *testing.B) {
 	benchLarge(b, systems.DiningPhilosophers(7, false), 1)
 }
@@ -149,6 +153,8 @@ func BenchmarkLargeVerifyAllPhilosophers7Parallel(b *testing.B) {
 	benchLarge(b, systems.DiningPhilosophers(7, false), 0)
 }
 
+// BenchmarkLargeVerifyAllPhilosophers8Serial and …Parallel compare batch
+// executor widths only, like the Philosophers7 pair.
 func BenchmarkLargeVerifyAllPhilosophers8Serial(b *testing.B) {
 	benchLarge(b, systems.DiningPhilosophers(8, false), 1)
 }
@@ -255,27 +261,6 @@ func BenchmarkSymmetryVerifyDining8Serial(b *testing.B) {
 
 func BenchmarkSymmetryVerifyDining8Rotational(b *testing.B) {
 	benchSymmetryVerifyDining(b, verify.SymmetryOn)
-}
-
-// BenchmarkParallelExplorePhilosophers6 isolates bare LTS exploration
-// (no model checking) at worker counts 1 and GOMAXPROCS — the
-// level-synchronised BFS against the serial worklist engine.
-func BenchmarkParallelExplorePhilosophers6(b *testing.B) {
-	s := systems.DiningPhilosophers(6, false)
-	for _, par := range []struct {
-		name string
-		n    int
-	}{{"serial", 1}, {"gomaxprocs", 0}} {
-		b.Run(par.name, func(b *testing.B) {
-			sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := lts.Explore(sem, s.Type, lts.Options{Parallelism: par.n}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Ablations: the design choices DESIGN.md calls out -----------------------

@@ -196,19 +196,21 @@ func newJobID() string {
 
 // submit admits a job or rejects it: *errSaturated when the queue is
 // full, errDraining during shutdown. baseCtx ties the job to its
-// submitter (sync) or to the engine (async).
-func (e *jobEngine) submit(req *verifyRequest, baseCtx context.Context, timeout time.Duration) (*job, error) {
+// submitter (sync) or to the engine (async). The returned view is the
+// job as admitted, snapshotted under the same lock: an idle worker may
+// start the job as soon as submit returns.
+func (e *jobEngine) submit(req *verifyRequest, baseCtx context.Context, timeout time.Duration) (*job, jobJSON, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.sweepLocked(time.Now())
 	if e.draining {
-		return nil, errDraining
+		return nil, jobJSON{}, errDraining
 	}
 	if len(e.queue) == cap(e.queue) {
 		retry := e.retryAfterLocked()
 		e.srv.rejections.Add(1)
 		e.srv.retryAfter.Set(int64(retry))
-		return nil, &errSaturated{RetryAfter: retry}
+		return nil, jobJSON{}, &errSaturated{RetryAfter: retry}
 	}
 	e.seq++
 	j := &job{
@@ -229,7 +231,7 @@ func (e *jobEngine) submit(req *verifyRequest, baseCtx context.Context, timeout 
 	if hw := int64(len(e.queue)); hw > e.srv.queueHighWater.Value() {
 		e.srv.queueHighWater.Set(hw)
 	}
-	return j, nil
+	return j, e.viewLocked(j), nil
 }
 
 // retryAfterLocked estimates, in whole seconds, when a freed queue slot

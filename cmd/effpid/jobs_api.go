@@ -45,6 +45,11 @@ type jobJSON struct {
 func (e *jobEngine) view(j *job) jobJSON {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.viewLocked(j)
+}
+
+// viewLocked is view with e.mu already held.
+func (e *jobEngine) viewLocked(j *job) jobJSON {
 	v := jobJSON{ID: j.id, State: j.state.String()}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	switch j.state {
@@ -90,13 +95,13 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j, err := s.engine.submit(req, s.engine.baseCtx, timeout)
+	j, view, err := s.engine.submit(req, s.engine.baseCtx, timeout)
 	if err != nil {
 		s.rejectSubmit(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	s.writeJSON(w, http.StatusAccepted, s.engine.view(j))
+	s.writeJSON(w, http.StatusAccepted, view)
 }
 
 // handleJobGet reports a job's state: queue position while queued,

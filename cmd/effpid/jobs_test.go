@@ -217,6 +217,25 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobSubmitViewIsQueued: the 202 body is the job as admitted. One
+// idle worker and instant jobs make the worker race every response: it
+// dequeues each job the moment submit hands it over, so a view taken
+// after submit returns would often read "running" or "done".
+func TestJobSubmitViewIsQueued(t *testing.T) {
+	ts, srv := testServerWithSrv(t, serverConfig{workers: 1, queueDepth: 256})
+	srv.engine.setExecute(gatedExec(srv, &hookRecorder{}, nil, nil))
+	body := fmt.Sprintf(`{"system": %q}`, fastSystem)
+	for i := 0; i < 200; i++ {
+		code, _, j := submitJob(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		if j.State != "queued" || j.QueuePosition < 1 {
+			t.Fatalf("submit %d: 202 view %+v, want queued with a queue position", i, j)
+		}
+	}
+}
+
 // TestJobUnknownID: polling or cancelling an unknown id is a structured
 // 404.
 func TestJobUnknownID(t *testing.T) {

@@ -76,7 +76,7 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "hard cap on requested timeouts")
 	maxStates := flag.Int("max", 0, "default exploration state bound (0 = engine default)")
 	maxStatesCap := flag.Int("max-states-cap", 0, "admission cap on requested exploration bounds (0 = none)")
-	par := flag.Int("par", 0, "default exploration workers per job (0 = GOMAXPROCS)")
+	par := flag.Int("par", 0, "default batch executor width per job: explorations and checks run at once (0 = GOMAXPROCS; each exploration is serial)")
 	workers := flag.Int("workers", 0, "concurrent verification jobs (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 64, "admission queue depth; beyond it requests get 429")
 	retain := flag.Int("retain", 256, "completed jobs retained for polling")

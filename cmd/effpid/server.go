@@ -54,7 +54,7 @@ type server struct {
 	maxTimeout     time.Duration // hard cap on requested timeouts
 	maxStates      int           // default exploration bound
 	maxStatesCap   int           // admission cap on requested bounds (0 = none)
-	parallelism    int           // default worker count (0 = GOMAXPROCS)
+	parallelism    int           // default batch executor width (0 = GOMAXPROCS)
 	pprof          bool          // serve /debug/pprof/ (opt-in)
 
 	start   time.Time
@@ -293,8 +293,9 @@ type verifyRequest struct {
 	// MaxStates bounds each exploration (0 = server default; values
 	// above the server's admission cap are rejected with 400).
 	MaxStates int `json:"max_states,omitempty"`
-	// Parallelism is the exploration worker count (0 = server default;
-	// verdicts are identical at any value).
+	// Parallelism is the job's batch executor width: how many of its
+	// explorations and checks run at once (0 = server default; each
+	// exploration is serial, and verdicts are identical at any value).
 	Parallelism int `json:"parallelism,omitempty"`
 	// EarlyExit selects on-the-fly checking. Where early_exit, symmetry
 	// and partial_order engage is one planner rule (DESIGN.md §batch).
@@ -568,7 +569,7 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	// The job's base context is the request context: a dropped client
 	// cancels a running job and makes a queued one be skipped unstarted.
-	j, err := s.engine.submit(req, r.Context(), timeout)
+	j, _, err := s.engine.submit(req, r.Context(), timeout)
 	if err != nil {
 		s.rejectSubmit(w, err)
 		return

@@ -44,7 +44,7 @@ func main() {
 	maxStates := flag.Int("max", 1<<22, "state bound for exploration")
 	skipSlow := flag.Bool("skip-slow", false, "skip the largest (slowest) rows")
 	shared := flag.Bool("shared", false, "share one workspace cache across a row's properties (the VerifyAll production path) instead of timing each property cold")
-	par := flag.Int("par", 0, "BFS workers per exploration: 0 = GOMAXPROCS, 1 = the serial engine (cap total CPU with GOMAXPROCS)")
+	par := flag.Int("par", 0, "batch executor width passed to WithParallelism (0 = GOMAXPROCS); rows verify one property per batch and every exploration is serial, so timings do not depend on it")
 	symmetry := flag.Bool("symmetry", false, "explore orbit representatives under each system's channel permutation group — interchangeable-bundle classes and ring rotations (verdicts unchanged; rows gain states_explored/orbit_ratio columns)")
 	por := flag.Bool("por", false, "explore ample transition subsets per state (partial-order reduction; verdicts unchanged, eligible properties gain partial_order/states_explored columns)")
 	propFilter := flag.String("props", "", "comma-separated property kinds to run (default: all six Fig. 9 columns)")

@@ -15,7 +15,9 @@
 //	s, err := ws.NewSession(src, effpi.WithBind("c", "Chan[Int]"))
 //	outcome, err := s.Verify(ctx, effpi.Property{Kind: effpi.DeadlockFree, Channels: []string{"c"}, Closed: true})
 //
-// Every exploration and model-checking pass is cancellable and
+// WithParallelism is the width of VerifyAll's batch executor: how many
+// explorations and checks run at once, each exploration serial. Every
+// exploration and model-checking pass is cancellable and
 // deadline-aware through the context; errors are structured
 // (*ParseError, *TypeError, *BoundExceededError), and progress streams
 // through WithProgress / WithEventChannel. The implementation lives

@@ -6,8 +6,7 @@ type EventKind int
 
 const (
 	// EventExploreProgress reports a running exploration's state/edge
-	// counts: after every BFS level (parallel engine), every few hundred
-	// expanded states (serial and on-the-fly engines), and once when the
+	// counts: every few hundred expanded states, and once when the
 	// exploration completes.
 	EventExploreProgress EventKind = iota
 	// EventPropertyStarted reports that a property's verification began.

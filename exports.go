@@ -141,8 +141,8 @@ func BuildEnv(binds []Binding) (*Env, error) {
 // Fig9Systems returns the 19 benchmark rows of the paper's Fig. 9.
 func Fig9Systems() []*BenchSystem { return systems.Fig9Systems() }
 
-// LargeSystems returns the beyond-Fig. 9 rows the parallel engine
-// unlocks (up to half a million states).
+// LargeSystems returns the beyond-Fig. 9 rows (up to half a million
+// states).
 func LargeSystems() []*BenchSystem { return systems.LargeSystems() }
 
 // BenchSystemByName finds a benchmark row by its exact name among

@@ -1,6 +1,6 @@
 package lts
 
-// Cancellation coverage for all three exploration engines. Promptness
+// Cancellation coverage for both exploration engines. Promptness
 // is asserted structurally (bounded discovered-state counts), not with
 // wall-clock sleeps: the engines poll the context at deterministic
 // points, so a context cancelled after N states can never discover the
@@ -49,10 +49,7 @@ func (c *flipCtx) Err() error {
 func TestExploreContextCancelledSerial(t *testing.T) {
 	sem, init := unboundedCounter()
 	ctx := &flipCtx{Context: context.Background(), after: 3}
-	m, err := ExploreContext(ctx, sem, init, Options{
-		Parallelism: 1,
-		MaxStates:   1 << 19,
-	})
+	m, err := ExploreContext(ctx, sem, init, Options{MaxStates: 1 << 19})
 	if err == nil {
 		t.Fatal("cancelled exploration must fail")
 	}
@@ -63,26 +60,6 @@ func TestExploreContextCancelledSerial(t *testing.T) {
 	// from the state bound.
 	if m.Len() > 16*cancelStride {
 		t.Errorf("exploration ran on after cancellation: %d states", m.Len())
-	}
-}
-
-func TestExploreContextCancelledParallel(t *testing.T) {
-	sem, init := unboundedCounter()
-	ctx := &flipCtx{Context: context.Background(), after: 3}
-	m, err := ExploreContext(ctx, sem, init, Options{
-		Parallelism: 4,
-		MaxStates:   1 << 19,
-	})
-	if err == nil {
-		t.Fatal("cancelled parallel exploration must fail")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got: %v", err)
-	}
-	// The parallel engine polls per level and per inline stride; the
-	// counter's frontier grows by ~one per level, so overshoot is small.
-	if m.Len() > 64*cancelStride {
-		t.Errorf("parallel exploration ran on after cancellation: %d states", m.Len())
 	}
 }
 
@@ -126,15 +103,15 @@ func TestExploreCancelledSharedCacheReusable(t *testing.T) {
 	shared := typelts.NewCache(base.Env, base.WitnessOnly)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExploreContext(ctx, mkSem(shared), init, Options{Parallelism: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := ExploreContext(ctx, mkSem(shared), init, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got: %v", err)
 	}
 
-	warm, err := Explore(mkSem(shared), init, Options{Parallelism: 1})
+	warm, err := Explore(mkSem(shared), init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Explore(mkSem(typelts.NewCache(base.Env, base.WitnessOnly)), init, Options{Parallelism: 1})
+	cold, err := Explore(mkSem(typelts.NewCache(base.Env, base.WitnessOnly)), init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

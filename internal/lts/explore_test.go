@@ -95,35 +95,12 @@ func ltsFingerprint(m *LTS) string {
 	return out
 }
 
-// TestParallelExploreDeterministic asserts the headline guarantee of the
-// parallel engine: Explore at Parallelism 1 vs N yields identical state
-// order, label alphabet and CSR edge arrays, at every worker count and
-// across repeated parallel runs.
-func TestParallelExploreDeterministic(t *testing.T) {
-	for _, fx := range exploreFixtures() {
-		t.Run(fx.name, func(t *testing.T) {
-			serial, serialErr := Explore(fx.sem(), fx.init, Options{Parallelism: 1})
-			want := ltsFingerprint(serial)
-			for _, par := range []int{2, 4, 8} {
-				for rep := 0; rep < 3; rep++ {
-					m, err := Explore(fx.sem(), fx.init, Options{Parallelism: par})
-					if (err == nil) != (serialErr == nil) {
-						t.Fatalf("par=%d rep=%d: err=%v, serial err=%v", par, rep, err, serialErr)
-					}
-					if got := ltsFingerprint(m); got != want {
-						t.Errorf("par=%d rep=%d: LTS differs from serial engine\n--- serial ---\n%s--- parallel ---\n%s", par, rep, want, got)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestParallelExploreSharedCache runs concurrent explorations (different
-// Y-limitations) against one shared cache — the VerifyAll usage pattern —
-// and checks each result against its serial counterpart. Run under -race
-// this exercises the lock-striped cache end to end.
-func TestParallelExploreSharedCache(t *testing.T) {
+// TestConcurrentExplorationsShareOneCache runs explorations under
+// different Y-limitations at once over one shared cache — the batch
+// executor's pattern — and checks each result against a lone exploration
+// on a fresh cache. Run under -race this exercises the lock-striped
+// cache end to end.
+func TestConcurrentExplorationsShareOneCache(t *testing.T) {
 	env := types.EnvOf(
 		"m", types.ChanIO{Elem: types.Str{}},
 		"a", types.ChanIO{Elem: types.Str{}},
@@ -143,54 +120,76 @@ func TestParallelExploreSharedCache(t *testing.T) {
 		{"m": true, "a": true},
 	}
 
-	// Serial baselines, one fresh cache each.
+	// Lone baselines, one fresh cache each.
 	want := make([]string, len(limitations))
 	for i, obs := range limitations {
 		sem := &typelts.Semantics{Env: env, Observable: obs, WitnessOnly: true}
-		m, err := Explore(sem, init, Options{Parallelism: 1})
+		m, err := Explore(sem, init, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = ltsFingerprint(m)
 	}
 
-	// All four explorations concurrently, sharing one cache, each itself
-	// running the parallel engine.
 	shared := typelts.NewCache(env, true)
-	var wg sync.WaitGroup
-	got := make([]string, len(limitations))
-	errs := make([]error, len(limitations))
+	sems := make([]*typelts.Semantics, len(limitations))
 	for i, obs := range limitations {
-		wg.Add(1)
-		go func(i int, obs map[string]bool) {
-			defer wg.Done()
-			sem := &typelts.Semantics{Env: env, Observable: obs, WitnessOnly: true, Cache: shared}
-			m, err := Explore(sem, init, Options{Parallelism: 4})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got[i] = ltsFingerprint(m)
-		}(i, obs)
+		sems[i] = &typelts.Semantics{Env: env, Observable: obs, WitnessOnly: true, Cache: shared}
 	}
-	wg.Wait()
+	got := exploreConcurrently(t, sems, init, func(*typelts.Semantics) Options { return Options{} }, ltsFingerprint)
 	for i := range limitations {
-		if errs[i] != nil {
-			t.Fatalf("limitation %d: %v", i, errs[i])
-		}
 		if got[i] != want[i] {
-			t.Errorf("limitation %d: shared-cache parallel LTS differs from serial\n--- serial ---\n%s--- parallel ---\n%s", i, want[i], got[i])
+			t.Errorf("limitation %d: shared-cache LTS differs from a lone exploration\n--- lone ---\n%s--- shared ---\n%s", i, want[i], got[i])
 		}
 	}
 }
 
+// onSharedCache returns n semantics like base over one fresh cache, one
+// for each goroutine of exploreConcurrently.
+func onSharedCache(base *typelts.Semantics, n int) []*typelts.Semantics {
+	cache := typelts.NewCache(base.Env, base.WitnessOnly)
+	sems := make([]*typelts.Semantics, n)
+	for i := range sems {
+		sems[i] = &typelts.Semantics{Env: base.Env, Observable: base.Observable, WitnessOnly: base.WitnessOnly, Cache: cache}
+	}
+	return sems
+}
+
+// exploreConcurrently explores init once per semantics, all at once and
+// one goroutine each, the way the batch executor runs the explorations of
+// one batch, and returns each LTS's fingerprint fp in semantics order.
+// opts builds each exploration's options from its semantics (a symmetric
+// exploration detects its group on the semantics' cache).
+func exploreConcurrently(t *testing.T, sems []*typelts.Semantics, init types.Type, opts func(*typelts.Semantics) Options, fp func(*LTS) string) []string {
+	t.Helper()
+	got := make([]string, len(sems))
+	errs := make([]error, len(sems))
+	var wg sync.WaitGroup
+	for i, sem := range sems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := Explore(sem, init, opts(sem))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = fp(m)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("exploration %d: %v", i, err)
+		}
+	}
+	return got
+}
+
 // philosophersFixture builds an n-philosopher / n-fork system inline
-// (the systems package sits above lts in the import graph). Its BFS
-// frontiers grow to dozens of states — well past minParallelFrontier —
-// so parallel runs genuinely expand concurrently, with workers interning
-// fresh successor types in scheduler-dependent order. This is the
-// fixture that exercises rank-based (ID-order-independent) multiset
-// ordering.
+// (the systems package sits above lts in the import graph). Its states
+// hold many distinct components, which makes it the fixture that
+// exercises rank-based (ID-order-independent) multiset ordering.
 func philosophersFixture(n int) (*typelts.Semantics, types.Type) {
 	unit := types.Unit{}
 	env := types.NewEnv()
@@ -218,32 +217,6 @@ func philosophersFixture(n int) (*typelts.Semantics, types.Type) {
 	return sem, types.ParOf(comps...)
 }
 
-// TestParallelExploreDeterministicWideFrontier is the determinism
-// assertion on a state space with wide frontiers (4 philosophers, ~80
-// states): workers race on real expansion work, and the resulting state
-// order, alphabet and CSR arrays must still match the serial engine
-// byte for byte, repeatedly.
-func TestParallelExploreDeterministicWideFrontier(t *testing.T) {
-	sem, init := philosophersFixture(4)
-	serial, err := Explore(sem, init, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ltsFingerprint(serial)
-	for _, par := range []int{2, 8} {
-		for rep := 0; rep < 5; rep++ {
-			sem, init := philosophersFixture(4)
-			m, err := Explore(sem, init, Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("par=%d rep=%d: %v", par, rep, err)
-			}
-			if got := ltsFingerprint(m); got != want {
-				t.Fatalf("par=%d rep=%d: LTS differs from serial engine", par, rep)
-			}
-		}
-	}
-}
-
 // TestExploreIndependentOfInternOrder attacks the determinism guarantee
 // directly: it pre-interns the system's component types into the shared
 // cache in several adversarial orders (reversed, rotated) before
@@ -253,7 +226,7 @@ func TestParallelExploreDeterministicWideFrontier(t *testing.T) {
 // encounter rank, not interner ID.
 func TestExploreIndependentOfInternOrder(t *testing.T) {
 	baselineSem, init := philosophersFixture(3)
-	baseline, err := Explore(baselineSem, init, Options{Parallelism: 1})
+	baseline, err := Explore(baselineSem, init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,29 +271,12 @@ func TestExploreIndependentOfInternOrder(t *testing.T) {
 				in.Intern(comps[i])
 			}
 		}
-		for _, par := range []int{1, 4} {
-			m, err := Explore(sem, init, Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("trial %d par %d: %v", trial, par, err)
-			}
-			if got := ltsFingerprint(m); got != want {
-				t.Errorf("trial %d par %d: LTS depends on interner ID assignment order\n--- baseline ---\n%s--- got ---\n%s", trial, par, want, got)
-			}
+		m, err := Explore(sem, init, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-	}
-}
-
-// TestParallelStateBound checks that truncation behaves identically in
-// both engines: same error, same truncation flag.
-func TestParallelStateBound(t *testing.T) {
-	sem, t0 := pingPong()
-	for _, par := range []int{1, 4} {
-		m, err := Explore(sem, t0, Options{MaxStates: 1, Parallelism: par})
-		if err == nil {
-			t.Fatalf("par=%d: exploration must fail when the bound is exceeded", par)
-		}
-		if !m.Truncated {
-			t.Errorf("par=%d: truncated LTS must be flagged", par)
+		if got := ltsFingerprint(m); got != want {
+			t.Errorf("trial %d: LTS depends on interner ID assignment order\n--- baseline ---\n%s--- got ---\n%s", trial, want, got)
 		}
 	}
 }

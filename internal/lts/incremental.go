@@ -10,7 +10,7 @@ package lts
 // on the philosophers systems.
 //
 // Each state's expansion runs through exactly the same builder machinery
-// as the serial engine (expandState, expand, completeRun), so the
+// as Explore (expandState, expand, completeRun), so the
 // edges of any given state — and hence the witness the checker extracts —
 // are identical to what the full exploration would produce for that
 // state. Only the *numbering* of states can differ from Explore's
@@ -39,8 +39,7 @@ type Incremental struct {
 }
 
 // NewIncremental prepares on-demand exploration of init under the given
-// semantics. Options.Parallelism is ignored (the engine is serial by
-// nature); MaxStates bounds the number of *discovered* states exactly as
+// semantics. MaxStates bounds the number of *discovered* states exactly as
 // in Explore — once exceeded, every further expansion fails with the
 // state-bound error.
 func NewIncremental(sem *typelts.Semantics, init types.Type, opts Options) *Incremental {

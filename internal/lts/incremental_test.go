@@ -9,12 +9,12 @@ import (
 )
 
 // TestIncrementalFullyExpandedMatchesExplore: expanding every discovered
-// state in index order replays exactly the serial BFS, so the snapshot
+// state in index order replays exactly Explore's BFS, so the snapshot
 // must be byte-identical to Explore's LTS — states, alphabet, CSR arrays.
 func TestIncrementalFullyExpandedMatchesExplore(t *testing.T) {
 	for _, fx := range exploreFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			full, err := Explore(fx.sem(), fx.init, Options{Parallelism: 1})
+			full, err := Explore(fx.sem(), fx.init, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestIncrementalPartialSnapshot(t *testing.T) {
 	// The root's edges agree with the full exploration's root edges (state
 	// 0 is the root in both numberings; labels compared by key, targets by
 	// canonical form).
-	full, err := Explore(philosophersSem(t), init, Options{Parallelism: 1})
+	full, err := Explore(philosophersSem(t), init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func philosophersSem(t *testing.T) *typelts.Semantics {
 }
 
 // TestIncrementalStateBound: the bound is checked per expansion exactly
-// like the serial engine; once exceeded the error is sticky and the
+// like Explore; once exceeded the error is sticky and the
 // snapshot is flagged Truncated.
 func TestIncrementalStateBound(t *testing.T) {
 	sem, init := philosophersFixture(3)

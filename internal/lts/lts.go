@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -26,7 +25,7 @@ import (
 
 // ErrStateBound is the sentinel wrapped by every state-bound-exceeded
 // error, so callers can classify the failure with errors.Is regardless of
-// which engine (serial, parallel, incremental) hit the bound.
+// which engine (Explore or Incremental) hit the bound.
 var ErrStateBound = errors.New("state bound exceeded")
 
 // Edge is a transition to state Dst firing the label with index Label in
@@ -115,16 +114,10 @@ func (l *LTS) Covered() int64 {
 type Options struct {
 	// MaxStates bounds the exploration (default 1 << 20).
 	MaxStates int
-	// Parallelism is the number of worker goroutines expanding the BFS
-	// frontier (0 = GOMAXPROCS, 1 = the serial engine). Any value yields
-	// the same LTS: state order, dense alphabet and the CSR edge arrays
-	// are identical to the serial engine's (see DESIGN.md §parallel).
-	Parallelism int
 	// Progress, when non-nil, is called periodically during exploration —
-	// after every BFS level in the parallel engine, every progressStride
-	// expanded states in the serial one, and once at the end — with the
-	// running state and edge counts. It is always called from the
-	// exploration's merge (single-threaded) side, never concurrently.
+	// every progressStride expanded states and once at the end — with the
+	// running state and edge counts. It is called from the exploring
+	// goroutine, never concurrently.
 	Progress func(p Progress)
 	// Symmetry, when non-nil, canonicalises every registered state to
 	// its orbit representative under the given channel-permutation group
@@ -132,19 +125,14 @@ type Options struct {
 	// in LTS.Sym. As a safety gate it is honoured only for the
 	// explorations its soundness argument covers — closed (no observable
 	// set), witness-only, over the same interner the group was detected
-	// with — and ignored otherwise. Canonicalisation runs on the
-	// single-threaded registration side of every engine, so the parallel
-	// determinism contract is preserved: the symmetric LTS is
-	// byte-identical at any worker count.
+	// with — and ignored otherwise.
 	Symmetry *Symmetry
 	// PartialOrder, when non-nil, enables exploration-time partial-order
 	// reduction (see por.go): each expanded state registers an ample
 	// subset of its enabled transitions instead of all of them, sound
 	// for properties that only observe the labels PartialOrder.Visible
-	// reports. Ample selection runs on the single-threaded registration
-	// side of every engine, so the reduced LTS is byte-identical at any
-	// worker count. The verifier's planner never sets both reductions;
-	// as a safety gate, PartialOrder is ignored under Symmetry.
+	// reports. The verifier's planner never sets both reductions; as a
+	// safety gate, PartialOrder is ignored under Symmetry.
 	PartialOrder *POR
 }
 
@@ -158,7 +146,7 @@ type Progress struct {
 	Edges int
 }
 
-// progressStride is how many states the serial engine expands between
+// progressStride is how many states exploration expands between
 // Progress callbacks. Exploration of one state is microseconds, so this
 // keeps the callback off the hot path while still reporting every few
 // hundred microseconds. cancelStride is the (smaller) interval between
@@ -182,35 +170,22 @@ const DefaultMaxStates = 1 << 20
 // the semantics' typelts.Cache. When sem carries a cache, it is reused
 // (and extended), so repeated explorations of overlapping systems — the
 // six Fig. 9 properties of one system, say — share their per-component
-// work.
-//
-// With Options.Parallelism ≠ 1 the reachable set is computed by a
-// level-synchronised parallel BFS: workers expand a frontier's states
-// concurrently against the shared (concurrency-safe) cache, and a
-// single-threaded merge then assigns state IDs and splices the CSR edge
-// array in (parent-index, edge-order) order — so the resulting LTS is
-// identical to the serial engine's at any worker count (see DESIGN.md).
+// work. The cache is safe for concurrent use, so explorations running on
+// other goroutines may share it; the LTS does not depend on how they
+// interleave (see DESIGN.md §Parallel verification engine).
 func Explore(sem *typelts.Semantics, init types.Type, opts Options) (*LTS, error) {
 	return ExploreContext(context.Background(), sem, init, opts)
 }
 
 // ExploreContext is Explore with cancellation: the exploration polls ctx
-// between state expansions (serial) and BFS levels / worker batches
-// (parallel), and returns an error wrapping ctx.Err() as soon as the
-// context is cancelled or its deadline passes. A cancelled exploration
+// between state expansions, and returns an error wrapping ctx.Err() as
+// soon as the context is cancelled or its deadline passes. A cancelled exploration
 // leaves any shared typelts.Cache fully usable — the cache is an
 // append-only memo, so a later identical exploration produces the
 // identical LTS (it just starts warmer).
 func ExploreContext(ctx context.Context, sem *typelts.Semantics, init types.Type, opts Options) (*LTS, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	b := prepBuilder(ctx, sem, init, opts)
-	if par == 1 {
-		return b.l, b.exploreSerial()
-	}
-	return b.l, b.exploreParallel(par)
+	return b.l, b.exploreSerial()
 }
 
 // prepBuilder is the shared entry point of both exploration engines
@@ -244,10 +219,10 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 	}
 	if por := opts.PartialOrder; por != nil && b.sym == nil {
 		b.por = newPORState(por, b.sem)
-		// Default proviso predicate: the serial and parallel engines
-		// make ample decisions in state-number order, so a state is
-		// decided iff its number precedes the current one. The
-		// incremental engine overrides this with its own expansion map.
+		// Default proviso predicate: Explore makes ample decisions in
+		// state-number order, so a state is decided iff its number
+		// precedes the current one. The incremental engine overrides
+		// this with its own expansion map.
 		b.porExpanded = func(s int32) bool { return s < b.porCur }
 	}
 	root := sem.InternLeaves(init)
@@ -272,8 +247,7 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 
 // builder holds the mutable state of one exploration: the LTS under
 // construction, the state index (interned multiset ID → state number),
-// and the dense label index. It is single-threaded: the serial engine
-// uses it directly, the parallel engine only from the merge goroutine.
+// and the dense label index. It is used by one goroutine.
 type builder struct {
 	sem      *typelts.Semantics
 	in       *types.Interner
@@ -282,16 +256,16 @@ type builder struct {
 	labelIdx map[typelts.LabelKey]int32
 	// stateComps[s] is the component multiset of state s, sorted by
 	// builder-local rank (see rankOf) — NOT by interner ID value, whose
-	// assignment order is scheduler-dependent when workers intern fresh
-	// successor types concurrently.
+	// assignment order is scheduler-dependent when concurrent
+	// explorations intern fresh successor types into one shared cache.
 	stateComps [][]types.ID
 	maxStates  int
 	// rank maps a component ID to its dense per-exploration rank,
-	// assigned in first-encounter order by the (single-threaded) builder.
-	// Ordering multisets by rank makes iteration order — and therefore
-	// proposal order, state numbering and the CSR arrays — independent
-	// of the interner's ID assignment order, which is the keystone of
-	// the parallel engine's determinism guarantee (see DESIGN.md).
+	// assigned in first-encounter order. Ordering multisets by rank makes
+	// iteration order — and therefore proposal order, state numbering and
+	// the CSR arrays — independent of the interner's ID assignment order,
+	// which is what keeps an exploration over a shared cache
+	// deterministic (see DESIGN.md).
 	rank map[types.ID]int32
 	// scratch is a reusable buffer for InternPar keys (InternPar sorts
 	// its argument in place by ID value, which must not disturb the
@@ -316,14 +290,13 @@ type builder struct {
 	// the state whose expansion is being decided; porExpanded reports
 	// whether a state's own ample decision was already made — the cycle
 	// proviso's notion of "closes a cycle". Both are maintained by the
-	// driving engine (state-number order for the serial and parallel
-	// engines, expansion order for the incremental one).
+	// driving engine (state-number order for Explore, expansion order
+	// for the incremental one).
 	por         *porState
 	porCur      int32
 	porExpanded func(int32) bool
 
-	// props is the proposal buffer the serial and incremental engines
-	// expand each state into.
+	// props is the proposal buffer each state is expanded into.
 	props []proposal
 
 	// Per-state edge dedup: linear scan while the out-degree is small,
@@ -464,15 +437,13 @@ func (b *builder) appendEdge(e Edge, perm int32) {
 	}
 }
 
-// register is the shared successor-registration path of all three
-// engines (serial loop, parallel merge, incremental expansion): order
-// the multiset by builder rank, canonicalise it to its orbit
-// representative when symmetry is active, intern state and label, and
-// splice the edge — recording the canonicalisation permutation
-// alongside. Everything order-sensitive (ranks, state numbers, label
-// indices, permutation table indices) is assigned here, on the
-// single-threaded side, which is what keeps the parallel engine
-// byte-deterministic with symmetry on.
+// register is the shared successor-registration path of both engines
+// (Explore and Incremental): order the multiset by builder rank,
+// canonicalise it to its orbit representative when symmetry is active,
+// intern state and label, and splice the edge — recording the
+// canonicalisation permutation alongside. Everything order-sensitive
+// (ranks, state numbers, label indices, permutation table indices) is
+// assigned here.
 func (b *builder) register(from int32, p proposal) {
 	succ := p.succ
 	b.orderComps(succ)
@@ -525,11 +496,75 @@ func (b *builder) finishState(next int, from int32) {
 	b.l.start = append(b.l.start, int32(len(b.l.edges)))
 }
 
+// proposal is one candidate edge of a state (expandState): the
+// successor component multiset (before interning) plus the transition
+// label and its compact identity. builder.expand turns proposals into
+// states and CSR edges.
+type proposal struct {
+	succ []types.ID
+	key  typelts.LabelKey
+	lab  typelts.Label
+	// i and j are the acting positions in the parent's component
+	// multiset (j is -1 for an interleaving step). The ample-set
+	// computation of partial-order reduction derives its independence
+	// relation from them; plain registration ignores them.
+	i, j int32
+}
+
+// expandState appends the edge proposals of one state to out, in the
+// canonical per-state edge order: interleaving steps of each component
+// (Y-limited), then pairwise synchronisations — an output of component
+// i meeting an input of component j ≠ i (τ labels always survive the
+// Y-limitation). The pairs are visited in ascending (i, j) order, but
+// only those whose port summaries can meet (syncSteps) cost a SyncSteps
+// lookup: the component entries the interleaving loop fetches carry the
+// summaries, and the filter never drops a pair with a step, so the
+// proposal list is exactly the one of an unfiltered k(k−1) sweep.
+func expandState(sem *typelts.Semantics, comps []types.ID, out []proposal) []proposal {
+	var buf [32]*typelts.Component // on the stack for up to 32 components
+	entries := buf[:0]
+	for i := range comps {
+		c := sem.Component(comps[i])
+		entries = append(entries, c)
+		for _, st := range c.Steps {
+			if !sem.KeepLabel(st.Label) {
+				continue
+			}
+			out = append(out, proposal{succ: spliceSucc(comps, i, -1, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: -1})
+		}
+	}
+	for i, ci := range entries {
+		if !ci.Ports.HasOut {
+			continue
+		}
+		for j, cj := range entries {
+			if i == j {
+				continue
+			}
+			for _, st := range syncSteps(sem, ci, cj) {
+				out = append(out, proposal{succ: spliceSucc(comps, i, j, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: int32(j)})
+			}
+		}
+	}
+	return out
+}
+
+// syncSteps returns the synchronisations of an output of component x
+// with an input of component y. It is the one "may synchronise" test of
+// exploration and partial-order reduction: a pair whose port summaries
+// cannot meet (typelts.MaySync) has no step and skips the memo lookup.
+func syncSteps(sem *typelts.Semantics, x, y *typelts.Component) []typelts.CompStep {
+	if !typelts.MaySync(&x.Ports, &y.Ports) {
+		return nil
+	}
+	return sem.SyncSteps(x.ID, y.ID)
+}
+
 // expand settles one state from its proposals (expandState), starting
 // at edge offset from: under partial-order reduction only an ample
 // subset is registered, otherwise every proposal, in proposal order —
-// the canonical per-state edge order shared by the serial, parallel and
-// incremental engines.
+// the canonical per-state edge order shared by Explore and the
+// incremental engine.
 func (b *builder) expand(from int32, comps []types.ID, props []proposal) {
 	if b.por != nil {
 		if sel := b.por.ample(comps, props, b.fresh); sel != nil {
@@ -567,8 +602,8 @@ func (b *builder) report(expanded int) {
 	}
 }
 
-// exploreSerial is the single-threaded worklist engine (Parallelism 1):
-// one pass over the growing state list, expanding and splicing in place.
+// exploreSerial is Explore's worklist engine: one pass over the growing
+// state list, expanding and splicing in place.
 func (b *builder) exploreSerial() error {
 	for next := 0; next < len(b.l.States); next++ {
 		if len(b.l.States) > b.maxStates {

@@ -41,12 +41,11 @@ package lts
 // close to full and the reduction is mostly in edges, not states (see
 // DESIGN.md §por for the measurements).
 //
-// Everything here runs on the single-threaded registration side of the
-// engines (serial loop, parallel merge, incremental expansion) and uses
-// only content-deterministic queries — boolean set membership, position
-// order, canonical proposal order — never interner-ID iteration order,
-// so the reduced LTS honours the byte-determinism contract: it is
-// identical at any worker count.
+// Everything here runs on the registration side of both engines
+// (Explore and incremental expansion) and uses only content-deterministic
+// queries — boolean set membership, position order, canonical proposal
+// order — never interner-ID iteration order, so the reduced LTS does not
+// depend on how concurrent explorations over a shared cache interleave.
 
 import (
 	"effpi/internal/typelts"

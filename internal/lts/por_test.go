@@ -70,28 +70,23 @@ func TestPORAmpleIsSubset(t *testing.T) {
 	}
 }
 
-// TestPORDeterministicAcrossWorkers extends the parallel engine's
-// byte-determinism guarantee to the reduced exploration: ample selection
-// runs on the single-threaded merge side in (parent, edge-order) order,
-// so Explore with PartialOrder at Parallelism 1 vs N yields identical
-// state order, alphabet and CSR arrays at every worker count.
+// TestPORDeterministicAcrossWorkers runs reduced explorations at once
+// over one shared cache, as the batch executor's workers do, and checks
+// each against a lone exploration on a fresh cache byte for byte: ample
+// selection reads no interner ID order, so the interleaving of the shared
+// interner cannot leak into the reduced LTS.
 func TestPORDeterministicAcrossWorkers(t *testing.T) {
 	for _, fx := range exploreFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			serial, err := Explore(fx.sem(), fx.init, Options{Parallelism: 1, PartialOrder: porAll()})
+			lone, err := Explore(fx.sem(), fx.init, Options{PartialOrder: porAll()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ltsFingerprint(serial)
-			for _, par := range []int{2, 4, 8} {
-				for rep := 0; rep < 3; rep++ {
-					m, err := Explore(fx.sem(), fx.init, Options{Parallelism: par, PartialOrder: porAll()})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := ltsFingerprint(m); got != want {
-						t.Errorf("par=%d rep=%d: reduced LTS differs from serial engine\n--- serial ---\n%s--- parallel ---\n%s", par, rep, want, got)
-					}
+			want := ltsFingerprint(lone)
+			opts := func(*typelts.Semantics) Options { return Options{PartialOrder: porAll()} }
+			for i, got := range exploreConcurrently(t, onSharedCache(fx.sem(), 4), fx.init, opts, ltsFingerprint) {
+				if got != want {
+					t.Errorf("exploration %d: reduced LTS differs from a lone exploration\n--- lone ---\n%s--- shared ---\n%s", i, want, got)
 				}
 			}
 		})
@@ -101,12 +96,12 @@ func TestPORDeterministicAcrossWorkers(t *testing.T) {
 // TestPORIncrementalMatchesExplore: driving the incremental engine in
 // BFS order under the ample filter reproduces Explore's reduced LTS
 // byte-for-byte — the cycle proviso's "already decided" predicate (the
-// expansion map) coincides with the serial engine's state-number cursor
+// expansion map) coincides with Explore's state-number cursor
 // exactly when expansion follows discovery order.
 func TestPORIncrementalMatchesExplore(t *testing.T) {
 	for _, fx := range exploreFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			want, err := Explore(fx.sem(), fx.init, Options{Parallelism: 1, PartialOrder: porAll()})
+			want, err := Explore(fx.sem(), fx.init, Options{PartialOrder: porAll()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +149,7 @@ func TestOutAppendDoesNotCorrupt(t *testing.T) {
 func TestIncrementalSuccAppendDoesNotCorrupt(t *testing.T) {
 	for _, fx := range exploreFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			want, err := Explore(fx.sem(), fx.init, Options{Parallelism: 1})
+			want, err := Explore(fx.sem(), fx.init, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,8 +174,7 @@ func TestIncrementalSuccAppendDoesNotCorrupt(t *testing.T) {
 }
 
 // TestPORLivenessProviso: the strong (liveness) proviso is at least as
-// conservative as the weak one — it can only keep more transitions — and
-// stays deterministic across worker counts.
+// conservative as the weak one — it can only keep more transitions.
 func TestPORLivenessProviso(t *testing.T) {
 	for _, fx := range exploreFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
@@ -194,13 +188,6 @@ func TestPORLivenessProviso(t *testing.T) {
 			}
 			if strong.Len() < weak.Len() {
 				t.Errorf("strong proviso explored %d states, weak explored %d — strong must be ⊇ weak", strong.Len(), weak.Len())
-			}
-			par, err := Explore(fx.sem(), fx.init, Options{Parallelism: 8, PartialOrder: &POR{Liveness: true}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ltsFingerprint(par) != ltsFingerprint(strong) {
-				t.Error("strong-proviso exploration is not byte-identical across worker counts")
 			}
 		})
 	}

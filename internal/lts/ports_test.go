@@ -33,7 +33,7 @@ const (
 func checkPairs(t *testing.T, s *systems.System, exact bool) pairCounts {
 	t.Helper()
 	sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true, Cache: typelts.NewCache(s.Env, true)}
-	m, err := lts.Explore(sem, s.Type, lts.Options{Parallelism: 1})
+	m, err := lts.Explore(sem, s.Type, lts.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name, err)
 	}
@@ -178,15 +178,14 @@ func TestPortFilterSoundOnRandomCorpus(t *testing.T) {
 	}
 }
 
-// benchExplore explores s in full, closed, on the serial engine with a
-// cold cache per op: the exploration every engine runs through
-// expandState.
+// benchExplore explores s in full, closed, with a cold cache per op: the
+// exploration both engines run through expandState.
 func benchExplore(b *testing.B, s *systems.System) {
 	b.ReportAllocs()
 	states := 0
 	for i := 0; i < b.N; i++ {
 		sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true, Cache: typelts.NewCache(s.Env, true)}
-		m, err := lts.Explore(sem, s.Type, lts.Options{Parallelism: 1})
+		m, err := lts.Explore(sem, s.Type, lts.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

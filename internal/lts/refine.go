@@ -8,7 +8,7 @@ package lts
 // order in which blocks are first met scanning states 0..n-1 — never by
 // map iteration order. Two byte-identical inputs therefore always
 // produce byte-identical partitions, regardless of interner ID
-// assignment or worker count; TestRefineIndependentOfInternOrder pins
+// assignment; TestRefineIndependentOfInternOrder pins
 // this the same way TestExploreIndependentOfInternOrder pins it for
 // exploration.
 

@@ -60,7 +60,7 @@ func quotientOf(m *LTS, blockOf []int32, blocks int) *LTS {
 func TestRefineBisimilarToFull(t *testing.T) {
 	for _, fx := range exploreFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			m, err := Explore(fx.sem(), fx.init, Options{Parallelism: 1})
+			m, err := Explore(fx.sem(), fx.init, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestRefineBisimilarToFull(t *testing.T) {
 // block's (label, destination block) move set.
 func TestRefineStability(t *testing.T) {
 	sem, init := philosophersFixture(4)
-	m, err := Explore(sem, init, Options{Parallelism: 1})
+	m, err := Explore(sem, init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRefineStability(t *testing.T) {
 // moving — collapses to a single block.
 func TestRefineCoarseClassesCollapse(t *testing.T) {
 	sem, init := philosophersFixture(3)
-	m, err := Explore(sem, init, Options{Parallelism: 1})
+	m, err := Explore(sem, init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRefineCoarseClassesCollapse(t *testing.T) {
 // them, never by map order.
 func TestRefineEncounterRankContract(t *testing.T) {
 	sem, init := philosophersFixture(4)
-	m, err := Explore(sem, init, Options{Parallelism: 1})
+	m, err := Explore(sem, init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,10 @@ func TestRefineEncounterRankContract(t *testing.T) {
 // TestRefineIndependentOfInternOrder attacks the refiner's determinism
 // the same way TestExploreIndependentOfInternOrder attacks the
 // explorer's: pre-intern the system's components in hostile orders (so
-// interner ID values differ wildly), explore at several worker counts,
-// and require the partition to be byte-identical in every run.
+// interner ID values differ wildly), explore, and require the partition to be byte-identical in every run.
 func TestRefineIndependentOfInternOrder(t *testing.T) {
 	baselineSem, init := philosophersFixture(3)
-	baseline, err := Explore(baselineSem, init, Options{Parallelism: 1})
+	baseline, err := Explore(baselineSem, init, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,17 +215,15 @@ func TestRefineIndependentOfInternOrder(t *testing.T) {
 				in.Intern(comps[i])
 			}
 		}
-		for _, par := range []int{1, 4} {
-			m, err := Explore(sem, init, Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("trial %d par %d: %v", trial, par, err)
-			}
-			if got := partition(m, nil); got != wantID {
-				t.Errorf("trial %d par %d: identity partition depends on interner ID order", trial, par)
-			}
-			if got := partition(m, coarse(m)); got != wantCoarse {
-				t.Errorf("trial %d par %d: coarse partition depends on interner ID order", trial, par)
-			}
+		m, err := Explore(sem, init, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got := partition(m, nil); got != wantID {
+			t.Errorf("trial %d: identity partition depends on interner ID order", trial)
+		}
+		if got := partition(m, coarse(m)); got != wantCoarse {
+			t.Errorf("trial %d: coarse partition depends on interner ID order", trial)
 		}
 	}
 }

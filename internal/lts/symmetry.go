@@ -50,11 +50,11 @@ package lts
 // onto the canonical representative (LTS.EdgePerm); internal/verify
 // composes these along a counterexample lasso to rebuild a concrete
 // run, and re-validates it with the replay oracle. Canonicalisation
-// runs only on the single-threaded registration side of each engine
-// (serial loop, parallel merge, incremental expansion), so the
-// parallel engine's byte-for-byte determinism contract is untouched:
-// abstract-shape ranks, permutation table indices and canonical states
-// are all assigned in merge order.
+// runs on the registration side of both engines (Explore and
+// incremental expansion): abstract-shape ranks, permutation table
+// indices and canonical states are all assigned in registration order,
+// never by interner ID value, so the symmetric LTS does not depend on
+// how concurrent explorations over a shared cache interleave.
 
 import (
 	"fmt"
@@ -70,8 +70,8 @@ import (
 // Symmetry is a channel-permutation group detected by DetectSymmetry,
 // plus the memo tables the canonicaliser needs. A Symmetry is built for
 // one (cache, environment, initial type, pinned set) and must only be
-// used by one exploration at a time (the builder calls it from its
-// single-threaded side; the exploration memos are not locked). The
+// used by one exploration at a time (the exploration memos are not
+// locked). The
 // permutation-algebra entry points used by witness lifting — Compose,
 // Invert, PermuteComps, PermuteLabel — take mu, because the verifier
 // lifts counterexamples of independent properties concurrently after the
@@ -750,8 +750,8 @@ func (s *Symmetry) reify(abst types.ID, bundle, rot int32) types.ID {
 
 // rankOfAbst assigns dense first-encounter ranks to abstract shapes —
 // the comparison key of the canonical order. Ranks are assigned on the
-// single-threaded registration side in deterministic encounter order,
-// mirroring builder.rankOf for component IDs.
+// registration side in deterministic encounter order, mirroring
+// builder.rankOf for component IDs.
 func (s *Symmetry) rankOfAbst(id types.ID) int32 {
 	if r, ok := s.abstRank[id]; ok {
 		return r
@@ -917,9 +917,9 @@ func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32, int64) {
 // at rotation r+d, two states of one orbit enumerate the same candidate
 // set and pick the same minimum, which is what makes the lex-min
 // representative canonical. Ranks are first-encounter and assigned here
-// on the single-threaded registration side (rotations ascending,
-// contents in sorted order), so the choice is deterministic at any
-// worker count. O(n²·|contents|) per state with n the ring length. It
+// on the registration side (rotations ascending, contents in sorted
+// order), so the choice never depends on interner ID values.
+// O(n²·|contents|) per state with n the ring length. It
 // also returns the number of rotations tying for the minimum.
 func (s *Symmetry) bestRotation(slot int32) (best int32, ties int64) {
 	n := int32(len(s.bundles[slot]))

@@ -111,7 +111,7 @@ func symFingerprint(m *LTS) string {
 func TestSymmetricExploreCollapsesAndCovers(t *testing.T) {
 	for _, responsive := range []bool{false, true} {
 		sem, t0 := pairsFixture(4, responsive)
-		full, err := Explore(sem, t0, Options{Parallelism: 1})
+		full, err := Explore(sem, t0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestSymmetricExploreCollapsesAndCovers(t *testing.T) {
 		if sym == nil {
 			t.Fatal("no symmetry detected")
 		}
-		red, err := Explore(sem, t0, Options{Parallelism: 1, Symmetry: sym})
+		red, err := Explore(sem, t0, Options{Symmetry: sym})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,31 +140,27 @@ func TestSymmetricExploreCollapsesAndCovers(t *testing.T) {
 	}
 }
 
-// TestSymmetricExploreDeterministic extends the parallel determinism
-// contract to symmetric mode: states, labels, CSR arrays, edge
-// permutations and orbit sizes are byte-identical at any worker count.
+// TestSymmetricExploreDeterministic runs symmetric explorations at once
+// over one shared cache, each detecting its own group as the batch
+// executor's workers do: states, labels, CSR arrays, edge permutations
+// and orbit sizes must match a lone exploration byte for byte.
 func TestSymmetricExploreDeterministic(t *testing.T) {
+	pinned := []string{"z1", "y1"}
 	sem, t0 := pairsFixture(4, true)
-	sym := DetectSymmetry(sem.Cache, t0, []string{"z1", "y1"})
+	sym := DetectSymmetry(sem.Cache, t0, pinned)
 	if sym == nil {
 		t.Fatal("no symmetry detected")
 	}
-	serial, err := Explore(sem, t0, Options{Parallelism: 1, Symmetry: sym})
+	lone, err := Explore(sem, t0, Options{Symmetry: sym})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := symFingerprint(serial)
-	for _, par := range []int{2, 4, 8} {
-		for rep := 0; rep < 3; rep++ {
-			sem2, t2 := pairsFixture(4, true)
-			sym2 := DetectSymmetry(sem2.Cache, t2, []string{"z1", "y1"})
-			m, err := Explore(sem2, t2, Options{Parallelism: par, Symmetry: sym2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := symFingerprint(m); got != want {
-				t.Fatalf("par=%d rep=%d: symmetric fingerprint differs from serial", par, rep)
-			}
+	want := symFingerprint(lone)
+	sem2, t2 := pairsFixture(4, true)
+	opts := func(s *typelts.Semantics) Options { return Options{Symmetry: DetectSymmetry(s.Cache, t2, pinned)} }
+	for i, got := range exploreConcurrently(t, onSharedCache(sem2, 4), t2, opts, symFingerprint) {
+		if got != want {
+			t.Fatalf("exploration %d: symmetric fingerprint differs from a lone exploration", i)
 		}
 	}
 }
@@ -177,7 +173,7 @@ func TestSymmetricExploreDeterministic(t *testing.T) {
 func TestSymmetricExploreHostileInternOrder(t *testing.T) {
 	sem, t0 := pairsFixture(3, true)
 	symBase := DetectSymmetry(sem.Cache, t0, []string{"z1", "y1"})
-	baseline, err := Explore(sem, t0, Options{Parallelism: 1, Symmetry: symBase})
+	baseline, err := Explore(sem, t0, Options{Symmetry: symBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +215,13 @@ func TestSymmetricExploreHostileInternOrder(t *testing.T) {
 				in.Intern(comps[i])
 			}
 		}
-		for _, par := range []int{1, 4} {
-			sym := DetectSymmetry(sem2.Cache, t2, []string{"z1", "y1"})
-			m, err := Explore(sem2, t2, Options{Parallelism: par, Symmetry: sym})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := symFingerprint(m); got != want {
-				t.Fatalf("trial %d par %d: symmetric fingerprint differs under hostile intern order", trial, par)
-			}
+		sym := DetectSymmetry(sem2.Cache, t2, []string{"z1", "y1"})
+		m, err := Explore(sem2, t2, Options{Symmetry: sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := symFingerprint(m); got != want {
+			t.Fatalf("trial %d: symmetric fingerprint differs under hostile intern order", trial)
 		}
 	}
 }
@@ -309,7 +303,7 @@ func TestDetectSymmetryRing(t *testing.T) {
 // exactly.
 func TestRingExploreCollapsesAndCovers(t *testing.T) {
 	sem, t0 := ringFixture(5, false)
-	full, err := Explore(sem, t0, Options{Parallelism: 1})
+	full, err := Explore(sem, t0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +311,7 @@ func TestRingExploreCollapsesAndCovers(t *testing.T) {
 	if sym == nil {
 		t.Fatal("no symmetry detected")
 	}
-	red, err := Explore(sem, t0, Options{Parallelism: 1, Symmetry: sym})
+	red, err := Explore(sem, t0, Options{Symmetry: sym})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,30 +327,24 @@ func TestRingExploreCollapsesAndCovers(t *testing.T) {
 	}
 }
 
-// TestRingExploreDeterministic extends the worker-count determinism
-// contract to the rotation canonicaliser.
+// TestRingExploreDeterministic is TestSymmetricExploreDeterministic for
+// the rotation canonicaliser.
 func TestRingExploreDeterministic(t *testing.T) {
 	sem, t0 := ringFixture(5, false)
 	sym := DetectSymmetry(sem.Cache, t0, nil)
 	if sym == nil {
 		t.Fatal("no symmetry detected")
 	}
-	serial, err := Explore(sem, t0, Options{Parallelism: 1, Symmetry: sym})
+	lone, err := Explore(sem, t0, Options{Symmetry: sym})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := symFingerprint(serial)
-	for _, par := range []int{2, 4, 8} {
-		for rep := 0; rep < 3; rep++ {
-			sem2, t2 := ringFixture(5, false)
-			sym2 := DetectSymmetry(sem2.Cache, t2, nil)
-			m, err := Explore(sem2, t2, Options{Parallelism: par, Symmetry: sym2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := symFingerprint(m); got != want {
-				t.Fatalf("par=%d rep=%d: ring fingerprint differs from serial", par, rep)
-			}
+	want := symFingerprint(lone)
+	sem2, t2 := ringFixture(5, false)
+	opts := func(s *typelts.Semantics) Options { return Options{Symmetry: DetectSymmetry(s.Cache, t2, nil)} }
+	for i, got := range exploreConcurrently(t, onSharedCache(sem2, 4), t2, opts, symFingerprint) {
+		if got != want {
+			t.Fatalf("exploration %d: ring fingerprint differs from a lone exploration", i)
 		}
 	}
 }
@@ -369,7 +357,7 @@ func TestRingExploreDeterministic(t *testing.T) {
 func TestRingHostileInternOrder(t *testing.T) {
 	sem, t0 := ringFixture(5, false)
 	symBase := DetectSymmetry(sem.Cache, t0, nil)
-	baseline, err := Explore(sem, t0, Options{Parallelism: 1, Symmetry: symBase})
+	baseline, err := Explore(sem, t0, Options{Symmetry: symBase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,15 +398,13 @@ func TestRingHostileInternOrder(t *testing.T) {
 				in.Intern(comps[i])
 			}
 		}
-		for _, par := range []int{1, 4} {
-			sym := DetectSymmetry(sem2.Cache, t2, nil)
-			m, err := Explore(sem2, t2, Options{Parallelism: par, Symmetry: sym})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := symFingerprint(m); got != want {
-				t.Fatalf("trial %d par %d: ring fingerprint differs under hostile intern order", trial, par)
-			}
+		sym := DetectSymmetry(sem2.Cache, t2, nil)
+		m, err := Explore(sem2, t2, Options{Symmetry: sym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := symFingerprint(m); got != want {
+			t.Fatalf("trial %d: ring fingerprint differs under hostile intern order", trial)
 		}
 	}
 }
@@ -489,13 +475,13 @@ func TestDetectSymmetryMixed(t *testing.T) {
 	if got := sym.NumRings(); got != 1 {
 		t.Errorf("rings = %d, want 1", got)
 	}
-	full, err := Explore(sem, t0, Options{Parallelism: 1})
+	full, err := Explore(sem, t0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sem2, t2 := buildMixed()
 	sym2 := DetectSymmetry(sem2.Cache, t2, nil)
-	red, err := Explore(sem2, t2, Options{Parallelism: 1, Symmetry: sym2})
+	red, err := Explore(sem2, t2, Options{Symmetry: sym2})
 	if err != nil {
 		t.Fatal(err)
 	}

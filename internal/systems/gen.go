@@ -2,9 +2,9 @@
 // testing: RandomSystem deterministically derives a small closed system —
 // environment, parallel composition of bounded recursive components, and
 // the six Fig. 9 property instances — from a seed. The generator is the
-// scenario-diversity engine behind the differential test suite: serial
-// vs parallel exploration equivalence, parallelism-invariant verdicts,
-// and replay-validated witnesses are all asserted over its output.
+// scenario-diversity engine behind the differential test suite: full vs
+// incremental exploration equivalence, width-invariant verdicts, and
+// replay-validated witnesses are all asserted over its output.
 package systems
 
 import (

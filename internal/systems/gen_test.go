@@ -64,27 +64,28 @@ func publicFingerprint(m *lts.LTS) string {
 	return out
 }
 
-// TestRandomDifferentialExplore: serial vs parallel exploration of every
-// generated system is byte-identical (state numbering, alphabet, edges),
-// including identical truncation behaviour at the state bound.
+// TestRandomDifferentialExplore: for every generated system, Explore and
+// an Incremental expanded state by state in discovery order build the
+// byte-identical LTS (state numbering, alphabet, edges), including
+// identical truncation behaviour at the state bound.
 func TestRandomDifferentialExplore(t *testing.T) {
 	n := genSeedCount(t)
 	for seed := 0; seed < n; seed++ {
 		s := RandomSystem(int64(seed))
-		explore := func(par int) (*lts.LTS, error) {
-			sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true}
-			return lts.Explore(sem, s.Type, lts.Options{MaxStates: genMaxStates, Parallelism: par})
+		sem := func() *typelts.Semantics {
+			return &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true}
 		}
-		serial, serialErr := explore(1)
-		want := publicFingerprint(serial)
-		for _, par := range []int{2, 8} {
-			m, err := explore(par)
-			if (err == nil) != (serialErr == nil) {
-				t.Fatalf("seed %d par %d: err=%v, serial err=%v", seed, par, err, serialErr)
-			}
-			if got := publicFingerprint(m); got != want {
-				t.Fatalf("seed %d par %d: parallel LTS differs from serial\n--- serial ---\n%s--- parallel ---\n%s", seed, par, want, got)
-			}
+		opts := lts.Options{MaxStates: genMaxStates}
+		full, fullErr := lts.Explore(sem(), s.Type, opts)
+		inc := lts.NewIncremental(sem(), s.Type, opts)
+		for st := 0; st < inc.Len() && inc.Err() == nil; st++ {
+			inc.Succ(st)
+		}
+		if (inc.Err() == nil) != (fullErr == nil) {
+			t.Fatalf("seed %d: incremental err=%v, Explore err=%v", seed, inc.Err(), fullErr)
+		}
+		if want, got := publicFingerprint(full), publicFingerprint(inc.Snapshot()); got != want {
+			t.Fatalf("seed %d: incremental LTS differs from Explore's\n--- Explore ---\n%s--- incremental ---\n%s", seed, want, got)
 		}
 	}
 }

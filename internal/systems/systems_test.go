@@ -93,9 +93,10 @@ func TestFig9Matrix(t *testing.T) {
 }
 
 // TestFig9MatrixParallelismInvariant re-runs the complete 19×6 matrix
-// with the verification pipeline pinned to 2 and then 8 workers: every
-// verdict must match Fig. 9 regardless of parallelism (the determinism
-// guarantee of the parallel engine, observed at the top of the stack).
+// with the batch executor pinned to width 2 and then 8: every verdict
+// must match Fig. 9 regardless of width (the determinism guarantee of
+// concurrent explorations over one cache, observed at the top of the
+// stack).
 func TestFig9MatrixParallelismInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallelism sweep of the full matrix skipped in -short mode")

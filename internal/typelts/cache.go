@@ -29,16 +29,16 @@ import (
 //
 // Cache is safe for concurrent use: the four memo maps are lock-striped
 // across shards keyed by a hash of the entry key, so one cache can serve
-// many exploration workers and many simultaneous explorations (the
-// Interner inside is independently concurrency-safe). Entries are
+// many simultaneous explorations (the Interner inside is independently
+// concurrency-safe). Entries are
 // immutable once published and first-write-wins: when two goroutines
 // race to compute the same entry, both compute an ≡-equivalent result
 // and the earlier store sticks, so readers never observe an entry
 // changing. Memo values are always computed from the interner's
 // representative of the key (not from whichever syntactic variant a
 // caller happened to pass), which keeps entry content independent of
-// goroutine scheduling — the determinism argument of the parallel
-// exploration engine leans on this (see DESIGN.md).
+// goroutine scheduling — the determinism argument of concurrent
+// explorations over one cache leans on this (see DESIGN.md).
 type Cache struct {
 	env         *types.Env
 	witnessOnly bool
@@ -47,7 +47,7 @@ type Cache struct {
 }
 
 // cacheShards is the number of lock stripes. 64 keeps the per-shard
-// mutexes essentially uncontended at any realistic worker count while
+// mutexes essentially uncontended at any realistic executor width while
 // costing only a few kilobytes per Cache.
 const cacheShards = 64
 

@@ -20,7 +20,7 @@ func stepFingerprint(cs []CompStep) string {
 }
 
 // TestCacheConcurrentComponentSteps hammers one shared Cache from many
-// forked Semantics concurrently — ComponentSteps, SyncSteps and
+// Semantics concurrently, one per goroutine — ComponentSteps, SyncSteps and
 // Transitions over the same component set — and checks every goroutine
 // observes exactly the content a fresh serial semantics computes. Run
 // under -race this is the correctness test of the lock-striped shards.
@@ -40,11 +40,12 @@ func TestCacheConcurrentComponentSteps(t *testing.T) {
 	}
 	wantSync := stepFingerprint(ref.SyncSteps(refIDs[0], refIDs[1]))
 
-	// Concurrent run: one shared cache, many forks, repeated lookups.
-	shared := &Semantics{Env: env, WitnessOnly: true, Cache: NewCache(env, true)}
+	// Concurrent run: one shared cache, one Semantics per goroutine,
+	// repeated lookups.
+	shared := NewCache(env, true)
 	ids := make([]types.ID, len(comps))
 	for i, c := range comps {
-		ids[i] = shared.Cache.Interner().Intern(c)
+		ids[i] = shared.Interner().Intern(c)
 	}
 	const goroutines = 16
 	const rounds = 50
@@ -52,7 +53,7 @@ func TestCacheConcurrentComponentSteps(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		ws := shared.Fork()
+		ws := &Semantics{Env: env, WitnessOnly: true, Cache: shared}
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
@@ -85,15 +86,15 @@ func TestCacheConcurrentComponentSteps(t *testing.T) {
 // compare and index them without synchronisation.
 func TestCacheFirstWriteWins(t *testing.T) {
 	env := pingPongEnv()
-	base := &Semantics{Env: env, WitnessOnly: true, Cache: NewCache(env, true)}
-	id := base.Cache.Interner().Intern(types.FlattenPar(pingPongType().(types.Par))[0])
+	shared := NewCache(env, true)
+	id := shared.Interner().Intern(types.FlattenPar(pingPongType().(types.Par))[0])
 
 	const goroutines = 16
 	got := make([][]CompStep, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		ws := base.Fork()
+		ws := &Semantics{Env: env, WitnessOnly: true, Cache: shared}
 		go func(g int) {
 			defer wg.Done()
 			got[g] = ws.ComponentSteps(id)
@@ -107,25 +108,5 @@ func TestCacheFirstWriteWins(t *testing.T) {
 		if len(got[g]) > 0 && &got[g][0] != &got[0][0] {
 			t.Errorf("goroutine %d received a different slice than goroutine 0: racing computations must adopt the first published entry", g)
 		}
-	}
-}
-
-// TestForkIsolation checks a fork shares the cache but not the L1 memo
-// or depth bookkeeping — the properties workers rely on.
-func TestForkIsolation(t *testing.T) {
-	env := pingPongEnv()
-	s := &Semantics{Env: env, WitnessOnly: true, Cache: NewCache(env, true)}
-	id := s.Cache.Interner().Intern(types.FlattenPar(pingPongType().(types.Par))[0])
-	s.ComponentSteps(id) // populate s's L1
-
-	f := s.Fork()
-	if f.Cache != s.Cache {
-		t.Error("fork must share the cache")
-	}
-	if f.l1comp != nil || f.l1sync != nil {
-		t.Error("fork must start with an empty L1 memo")
-	}
-	if got := stepFingerprint(f.ComponentSteps(id)); got != stepFingerprint(s.ComponentSteps(id)) {
-		t.Error("fork must observe the same cached steps")
 	}
 }

@@ -15,8 +15,8 @@ type Step struct {
 //
 // A Semantics value is for a single goroutine: it carries mutable
 // bookkeeping (depthHit), which is not synchronised. The Cache it points
-// to, however, IS safe for concurrent use — parallel exploration workers
-// each take a Fork() of one Semantics and share its cache, so their
+// to, however, IS safe for concurrent use — concurrent explorations each
+// build their own Semantics over one shared cache, so their
 // per-component work is computed once and served to all.
 type Semantics struct {
 	Env *types.Env
@@ -49,24 +49,10 @@ type Semantics struct {
 	// cache's lock-striped maps: exploration looks the same few hundred
 	// distinct components and pairs up tens of thousands of times, so
 	// serving repeats from an unsynchronised local map keeps the hot
-	// loop lock-free (and keeps the serial engine as fast as it was
-	// before the cache grew locks). Entries are immutable and shared
-	// with the L2 cache, so caching them locally is safe.
+	// loop lock-free. Entries are immutable and shared with the L2
+	// cache, so caching them locally is safe.
 	l1comp map[types.ID]*Component
 	l1sync map[[2]types.ID][]CompStep
-}
-
-// Fork returns a copy of s for use by another goroutine: it shares the
-// environment, Y-limitation and (concurrency-safe) cache, but has its
-// own depthHit bookkeeping and L1 memo. The Observable map is shared
-// and must not be mutated while forks are live (exploration only reads
-// it).
-func (s *Semantics) Fork() *Semantics {
-	clone := *s
-	clone.depthHit = false
-	clone.l1comp = nil
-	clone.l1sync = nil
-	return &clone
 }
 
 // Transitions returns all labelled transitions of t (Fig. 6), after
@@ -93,8 +79,8 @@ func (s *Semantics) Transitions(t types.Type) []Step {
 // ≡-equivalent — which is all the semantics observes — and computing
 // from the representative makes the stored entry a pure function of the
 // interned identity, independent of which syntactic variant reached the
-// cache first and of goroutine scheduling (see DESIGN.md on parallel
-// exploration determinism).
+// cache first and of goroutine scheduling (see DESIGN.md on the
+// determinism of concurrent explorations).
 func (s *Semantics) rawOf(t types.Type, depth int) []Step {
 	c := s.Cache
 	if !c.compatible(s) {

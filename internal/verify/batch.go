@@ -59,10 +59,11 @@ type Options struct {
 	// callbacks arrive from multiple goroutines; the callee must be safe
 	// for that.
 	Progress func(lts.Progress)
-	// Parallelism is the width of the batch executor and the BFS worker
-	// count of each exploration: 0 = GOMAXPROCS, 1 = one task after
-	// another and serial explorations. At any value the verdicts, state
-	// counts and witnesses are identical; only wall-clock changes.
+	// Parallelism is the width of the batch executor: how many
+	// explorations and checks run at once (0 = GOMAXPROCS, 1 = one task
+	// after another). Each exploration itself is serial. At any value the
+	// verdicts, state counts and witnesses are identical; only wall-clock
+	// changes.
 	Parallelism int
 }
 
@@ -323,7 +324,7 @@ func (b *batch) request(i int) Request {
 func (b *batch) explore(ctx context.Context, x *exploration) {
 	start := time.Now()
 	x.lts, x.err = lts.ExploreContext(ctx, b.semantics(x.obs), b.t, lts.Options{
-		MaxStates: b.opts.MaxStates, Parallelism: b.width, Progress: b.opts.Progress,
+		MaxStates: b.opts.MaxStates, Progress: b.opts.Progress,
 		Symmetry: b.symmetry(x), PartialOrder: x.por,
 	})
 	x.took = time.Since(start)

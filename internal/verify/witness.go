@@ -25,8 +25,9 @@ type Witness struct {
 	// States maps every state id visited by the lasso to its component
 	// multiset: the FlattenPar leaves of the state's interned
 	// representative type. The order of each slice is unspecified — it
-	// follows the interner's IDs, which parallel exploration assigns in
-	// schedule order; StateText prints the components sorted.
+	// follows the interner's IDs, which concurrent explorations over a
+	// shared cache assign in schedule order; StateText prints the
+	// components sorted.
 	States map[int][]types.Type
 }
 

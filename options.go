@@ -46,10 +46,11 @@ func WithMaxStates(n int) Option {
 	}
 }
 
-// WithParallelism sets the exploration worker count and the width of
-// VerifyAll's batch executor: 0 = GOMAXPROCS, 1 = one thing at a time.
-// Verdicts, state counts and witnesses are identical at any value; only
-// wall-clock changes.
+// WithParallelism sets the width of VerifyAll's batch executor: how many
+// explorations and checks run at once (0 = GOMAXPROCS, 1 = one thing at
+// a time). Each exploration is serial, so Verify, Explore and
+// Bisimilar do not depend on it. Verdicts, state counts and witnesses
+// are identical at any value; only wall-clock changes.
 func WithParallelism(n int) Option {
 	return func(o *sessionOptions) error {
 		o.parallelism = n

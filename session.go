@@ -203,9 +203,8 @@ func (s *Session) Explore(ctx context.Context, observables ...string) (*LTS, err
 	}
 	sem := &typelts.Semantics{Env: s.env, Observable: obs, WitnessOnly: true, Cache: s.cache}
 	m, err := lts.ExploreContext(ctx, sem, t, lts.Options{
-		MaxStates:   s.opt.maxStates,
-		Parallelism: s.opt.parallelism,
-		Progress:    s.progressHook(nil),
+		MaxStates: s.opt.maxStates,
+		Progress:  s.progressHook(nil),
 	})
 	s.ws.sweep()
 	if err != nil {
@@ -301,7 +300,7 @@ func (s *Session) Bisimilar(ctx context.Context, other *Session) (bool, error) {
 	// in witness-only mode (the verification semantics), while
 	// bisimilarity explores the unrestricted semantics — mismatched
 	// entries would be wrong, and the internal layer refuses them.
-	ok, err := lts.TypesBisimilarContext(ctx, s.env, t1, t2, lts.Options{MaxStates: s.opt.maxStates, Parallelism: s.opt.parallelism})
+	ok, err := lts.TypesBisimilarContext(ctx, s.env, t1, t2, lts.Options{MaxStates: s.opt.maxStates})
 	if err != nil {
 		return false, wrapVerifyErr(err, s.opt.maxStates)
 	}
