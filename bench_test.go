@@ -6,10 +6,11 @@ package effpi
 //
 //	go test -bench=. -benchmem
 //
-// The full-size sweeps (Fig. 8's 10⁶-actor points, Fig. 9's 10-pair
-// ping-pong rows) are driven by cmd/savina and cmd/mcbench; the bench
-// sizes here are chosen so the whole suite completes in minutes while
-// preserving the paper's comparisons (who wins, by what factor).
+// The full-size sweeps are elsewhere: cmd/savina drives Fig. 8's
+// 10⁶-actor points, cmd/mcbench prints every Fig. 9 row's verdicts and
+// perfbench times them. The bench sizes here are chosen so the whole
+// suite completes in minutes while preserving the paper's comparisons
+// (who wins, by what factor).
 
 import (
 	"testing"
@@ -131,8 +132,8 @@ func BenchmarkFig9VerifyAllPhilosophers5Serial(b *testing.B) {
 //
 // These rows are benchmark-sized (the responsive 10-pair system explores
 // ~59k states per observable group); they are skipped in -short mode so
-// `go test -short -bench=.` stays quick, and surfaced in cmd/mcbench
-// behind -skip-slow.
+// `go test -short -bench=.` stays quick; `mcbench -suite large` prints
+// their verdicts.
 
 func benchLarge(b *testing.B, s *systems.System, parallelism int) {
 	if testing.Short() {

@@ -48,6 +48,41 @@ func TestNegativeRequestFieldsRejected(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutTakesTheCap: timeout_ms is checked against the cap
+// before it becomes a time.Duration. 9223372036855 ms wraps to about
+// −2.56M h and 18446744073710 ms to +448 µs; the first used to slip past
+// -max-timeout and run with no deadline at all, the second timed out at
+// once. Both are over the cap, so both resolve to it, and without a cap
+// the out-of-range value is a 400.
+func TestHugeTimeoutTakesTheCap(t *testing.T) {
+	const maxTimeout = 5 * time.Minute
+	capped := newServer(effpi.NewWorkspace(), serverConfig{defaultTimeout: time.Second, maxTimeout: maxTimeout})
+	t.Cleanup(capped.Close)
+	uncapped := newServer(effpi.NewWorkspace(), serverConfig{defaultTimeout: time.Second})
+	t.Cleanup(uncapped.Close)
+	decode := func(srv *server, ms string) (time.Duration, *httptest.ResponseRecorder, bool) {
+		w := httptest.NewRecorder()
+		body := `{"system": "Dining philos. (5, deadlock)", "timeout_ms": ` + ms + `}`
+		_, timeout, ok := srv.decodeVerifyRequest(w, httptest.NewRequest(http.MethodPost, "/v1/verify", strings.NewReader(body)))
+		return timeout, w, ok
+	}
+	for _, ms := range []string{"9223372036855", "18446744073710"} {
+		timeout, w, ok := decode(capped, ms)
+		if !ok || timeout != maxTimeout {
+			t.Errorf("timeout_ms %s with a %v cap: deadline %v (accepted %v, %s), want the cap", ms, maxTimeout, timeout, ok, w.Body)
+		}
+	}
+	if timeout, _, ok := decode(capped, "1500"); !ok || timeout != 1500*time.Millisecond {
+		t.Errorf("timeout_ms 1500 under the cap: deadline %v (accepted %v), want 1.5s", timeout, ok)
+	}
+	if _, w, ok := decode(uncapped, "9223372036855"); ok || w.Code != http.StatusBadRequest {
+		t.Errorf("unrepresentable timeout_ms without a cap: accepted %v, status %d, want 400", ok, w.Code)
+	}
+	if timeout, _, ok := decode(uncapped, "9223372036854"); !ok || timeout <= 0 {
+		t.Errorf("largest representable timeout_ms without a cap: deadline %v (accepted %v), want it kept", timeout, ok)
+	}
+}
+
 // FuzzDecodeVerifyRequest drives the request decoder with arbitrary
 // bodies on a server with a max_states cap. Every input either gets a
 // 4xx with a JSON {error, kind} body, or decodes to a request whose
@@ -66,6 +101,8 @@ func FuzzDecodeVerifyRequest(f *testing.F) {
 		`{"system": "Dining philos. (6, deadlock)", "max_states": -1}`,
 		`{"system": "Dining philos. (6, deadlock)", "parallelism": -2}`,
 		`{"system": "Dining philos. (6, deadlock)", "timeout_ms": -5}`,
+		`{"system": "Dining philos. (6, deadlock)", "timeout_ms": 9223372036855}`,
+		`{"system": "Dining philos. (6, deadlock)", "timeout_ms": 18446744073710}`,
 	} {
 		f.Add(body)
 	}

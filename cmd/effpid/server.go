@@ -33,6 +33,7 @@ import (
 	"expvar"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -528,9 +529,22 @@ func (s *server) decodeVerifyRequest(w http.ResponseWriter, r *http.Request) (*v
 			fmt.Errorf("max_states %d exceeds the server's cap of %d", req.MaxStates, s.maxStatesCap))
 		return nil, 0, false
 	}
+	// timeout_ms is compared with the cap in milliseconds before it is
+	// converted: the product with time.Millisecond wraps for values past
+	// ~292 years, and a wrapped (negative or tiny) duration would slip
+	// under the cap.
 	timeout := s.defaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if ms := int64(req.TimeoutMS); ms > 0 {
+		switch {
+		case s.maxTimeout > 0 && ms > s.maxTimeout.Milliseconds():
+			timeout = s.maxTimeout
+		case ms > int64(math.MaxInt64/time.Millisecond):
+			s.writeError(w, http.StatusBadRequest, "bad-request",
+				fmt.Errorf("timeout_ms %d exceeds the largest representable deadline", req.TimeoutMS))
+			return nil, 0, false
+		default:
+			timeout = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if s.maxTimeout > 0 && timeout > s.maxTimeout {
 		timeout = s.maxTimeout

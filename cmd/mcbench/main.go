@@ -1,123 +1,73 @@
-// Command mcbench regenerates Fig. 9 of the paper: for each benchmark
-// system it verifies the six behavioural properties, reporting the
-// verdict, the explored state count, and the mean verification time with
-// standard deviation — the same row format as the paper's table. Beyond
-// the paper's rows it also sweeps the larger instances the parallel
-// engine unlocks (effpi.LargeSystems).
+// Command mcbench prints Fig. 9 of the paper: for each benchmark system
+// it verifies the six behavioural properties and prints one row with the
+// verdicts, the state count of the system's type LTS and the state count
+// the paper reports. A verdict that differs from the paper's is marked
+// [≠Fig.9], and every FAIL is replay-validated with effpi.Replay before
+// it is reported; either failure makes the exit code 1. mcbench measures
+// no time: perfbench is the benchmark.
 //
 // The harness drives the public effpi package — the same session API
-// cmd/effpid serves over HTTP — so the numbers it reports are the
-// numbers an API consumer gets.
+// cmd/effpid serves over HTTP — so the verdicts it reports are the
+// verdicts an API consumer gets.
 //
 // Usage:
 //
-//	mcbench [-suite all|payment|philos|pingpong|ring|large] [-reps N]
-//	        [-max N] [-skip-slow] [-shared] [-par N] [-props a,b] [-json PATH]
-//	        [-symmetry] [-por] [-cpuprofile PATH] [-memprofile PATH]
+//	mcbench [-suite fig9|all|large|payment|philos|pingpong|ring]
+//	        [-props a,b] [-symmetry] [-por] [-json PATH]
 //
-// With -json PATH the results are also written as machine-readable JSON
-// (one object per row with per-property verdicts and timing stats), the
-// format of the committed BENCH_fig9.json perf-trajectory snapshot. Every
-// failing property additionally carries its counterexample witness — the
-// lasso-shaped violating run, replay-validated with effpi.Replay before
-// it is written — so a FAIL in the snapshot is a checkable artifact, not
-// just a bit.
+// The default suite, fig9, is exactly effpi.Fig9Systems; large is
+// effpi.LargeSystems, all is both, and the named families filter all.
+// Each cell is one Session.Verify on a fresh workspace, so a reducer
+// engages (or not) per property; under -symmetry or -por every cell also
+// reports the states its exploration materialised.
+//
+// With -json PATH the table is also written as JSON: per row the system,
+// its states and the paper's states; per cell the verdict, the paper's
+// verdict and, for a FAIL with a witness, the witness length (stem +
+// cycle) and the SHA-256 of its rendering (Witness.Render(0)). The
+// committed BENCH_fig9.json is the reducers-off fig9 table,
+//
+//	go run ./cmd/mcbench -json BENCH_fig9.json
+//
+// and TestFig9Snapshot re-derives it byte for byte.
 package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"effpi"
 )
 
 func main() {
-	suite := flag.String("suite", "all", "payment | philos | pingpong | ring | large | all")
-	reps := flag.Int("reps", 3, "repetitions per property")
-	maxStates := flag.Int("max", 1<<22, "state bound for exploration")
-	skipSlow := flag.Bool("skip-slow", false, "skip the largest (slowest) rows")
-	shared := flag.Bool("shared", false, "share one workspace cache across a row's properties (the VerifyAll production path) instead of timing each property cold")
-	par := flag.Int("par", 0, "batch executor width passed to WithParallelism (0 = GOMAXPROCS); rows verify one property per batch and every exploration is serial, so timings do not depend on it")
-	symmetry := flag.Bool("symmetry", false, "explore orbit representatives under each system's channel permutation group — interchangeable-bundle classes and ring rotations (verdicts unchanged; rows gain states_explored/orbit_ratio columns)")
-	por := flag.Bool("por", false, "explore ample transition subsets per state (partial-order reduction; verdicts unchanged, eligible properties gain partial_order/states_explored columns)")
+	suite := flag.String("suite", "fig9", "fig9 | all | large | payment | philos | pingpong | ring")
+	symmetry := flag.Bool("symmetry", false, "explore orbit representatives under each system's channel permutation group — interchangeable-bundle classes and ring rotations (verdicts unchanged; cells gain states_explored)")
+	por := flag.Bool("por", false, "explore ample transition subsets per state (partial-order reduction; verdicts unchanged, eligible cells gain partial_order/states_explored)")
 	propFilter := flag.String("props", "", "comma-separated property kinds to run (default: all six Fig. 9 columns)")
-	jsonPath := flag.String("json", "", "write machine-readable results to PATH")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to PATH")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the sweep) to PATH")
+	jsonPath := flag.String("json", "", "write the table as JSON to PATH")
 	flag.Parse()
-
-	// Profile teardown must run on every exit path, and main exits via
-	// os.Exit (which skips defers) — so the sweep lives in run() and the
-	// teardown happens here, between run returning and the process dying.
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
-		os.Exit(2)
-	}
-	code := run(*suite, *reps, *maxStates, *skipSlow, *shared, *par, *symmetry, *por, *propFilter, *jsonPath)
-	stopProfiles()
-	os.Exit(code)
-}
-
-// startProfiles begins CPU profiling and/or arranges a heap profile,
-// returning the teardown to run after the sweep. A nil-safe no-op
-// teardown comes back when neither path is set.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	var stopCPU func()
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("starting CPU profile: %w", err)
-		}
-		stopCPU = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	return func() {
-		if stopCPU != nil {
-			stopCPU()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "mcbench: writing heap profile: %v\n", err)
-			}
-		}
-	}, nil
+	os.Exit(run(*suite, *symmetry, *por, *propFilter, *jsonPath))
 }
 
 // run executes the sweep and returns the process exit code.
-func run(suite string, reps, maxStates int, skipSlow, shared bool, par int, symmetry, por bool, propFilter, jsonPath string) int {
+func run(suite string, symmetry, por bool, propFilter, jsonPath string) int {
 	rows := selectRows(suite)
 	if len(rows) == 0 {
 		fmt.Fprintf(os.Stderr, "mcbench: unknown suite %q\n", suite)
 		return 2
 	}
-
 	kinds, err := parseKindFilter(propFilter)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
 		return 2
 	}
-
 	symMode := effpi.SymmetryOff
 	if symmetry {
 		symMode = effpi.SymmetryOn
@@ -126,41 +76,19 @@ func run(suite string, reps, maxStates int, skipSlow, shared bool, par int, symm
 	if por {
 		porMode = effpi.PartialOrderOn
 	}
-	report := &jsonReport{
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Parallelism:  par,
-		Reps:         reps,
-		SharedCache:  shared,
-		Symmetry:     symMode.String(),
-		PartialOrder: porMode.String(),
-	}
-
-	statesHeader := "states"
-	switch {
-	case symmetry:
-		statesHeader = "states full→explored"
-	case por:
-		statesHeader = "states full→ample"
-	}
-	fmt.Printf("%-34s %19s  %s\n", "system", statesHeader, strings.Join(propHeaders(kinds), "  "))
-	mismatches := 0
-	for _, s := range rows {
-		if skipSlow && isSlow(s.Name) {
-			continue
-		}
-		row, bad := runRow(s, reps, maxStates, shared, par, symMode, porMode, kinds)
-		report.Rows = append(report.Rows, row)
-		mismatches += bad
-	}
-
+	t := sweep(rows, symMode, porMode, kinds, os.Stdout)
 	if jsonPath != "" {
-		if err := writeJSON(jsonPath, report); err != nil {
+		buf, err := t.encode()
+		if err == nil {
+			err = os.WriteFile(jsonPath, buf, 0o644)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
 			return 1
 		}
 	}
-	if mismatches > 0 {
-		fmt.Fprintf(os.Stderr, "mcbench: %d verdicts differ from Fig. 9\n", mismatches)
+	if n := t.mismatches(); n > 0 {
+		fmt.Fprintf(os.Stderr, "mcbench: %d verdicts differ from Fig. 9 or failed to replay\n", n)
 		return 1
 	}
 	return 0
@@ -183,273 +111,189 @@ func parseKindFilter(spec string) (map[effpi.Kind]bool, error) {
 	return kinds, nil
 }
 
-// keepProp applies the -props filter.
-func keepProp(kinds map[effpi.Kind]bool, p effpi.Property) bool {
-	return kinds == nil || kinds[p.Kind]
-}
+// familyPrefix maps each family suite to the lower-cased name prefix of
+// its rows.
+var familyPrefix = map[string]string{"payment": "pay", "philos": "dining", "pingpong": "ping", "ring": "ring"}
 
+// selectRows resolves -suite; nil means the suite is unknown.
 func selectRows(suite string) []*effpi.BenchSystem {
 	all := append(effpi.Fig9Systems(), effpi.LargeSystems()...)
-	if suite == "all" {
+	switch suite {
+	case "fig9":
+		return effpi.Fig9Systems()
+	case "large":
+		return effpi.LargeSystems()
+	case "all":
 		return all
 	}
-	if suite == "large" {
-		return effpi.LargeSystems()
+	prefix, ok := familyPrefix[suite]
+	if !ok {
+		return nil
 	}
 	var out []*effpi.BenchSystem
 	for _, s := range all {
-		name := strings.ToLower(s.Name)
-		switch suite {
-		case "payment":
-			if strings.HasPrefix(name, "pay") {
-				out = append(out, s)
-			}
-		case "philos":
-			if strings.HasPrefix(name, "dining") {
-				out = append(out, s)
-			}
-		case "pingpong":
-			if strings.HasPrefix(name, "ping") {
-				out = append(out, s)
-			}
-		case "ring":
-			if strings.HasPrefix(name, "ring") {
-				out = append(out, s)
-			}
+		if strings.HasPrefix(strings.ToLower(s.Name), prefix) {
+			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// isSlow marks the rows whose full sweep takes seconds rather than
-// milliseconds: the paper's 10-pair ping-pong rows and the beyond-Fig. 9
-// instances of effpi.LargeSystems. -skip-slow keeps a default run
-// fast; the full sweep is one flag away.
-func isSlow(name string) bool {
-	for _, marker := range []string{
-		"10 pairs",    // Fig. 9 rows 14-15
-		"12 pairs",    // LargeSystems: the 531k-state ping-pong sweep
-		"philos. (7",  // LargeSystems: 7 philosophers
-		"philos. (8",  // LargeSystems: 8 philosophers
-		"philos. (9",  // LargeSystems: 9 philosophers
-		"philos. (10", // LargeSystems: 10 philosophers (59k-state rings)
-		"Ring (16",    // LargeSystems: 16-member rings
-	} {
-		if strings.Contains(name, marker) {
-			return true
-		}
-	}
-	return false
+// table is the -json output and the content of BENCH_fig9.json.
+type table struct {
+	// Symmetry and PartialOrder are the reducer modes the table was
+	// built with ("off" or "on").
+	Symmetry     string     `json:"symmetry"`
+	PartialOrder string     `json:"partial_order"`
+	Rows         []tableRow `json:"rows"`
 }
 
-func propHeaders(kinds map[effpi.Kind]bool) []string {
-	var out []string
-	for _, k := range effpi.AllKinds() {
-		if kinds != nil && !kinds[k] {
-			continue
-		}
-		out = append(out, fmt.Sprintf("%-24s", k))
-	}
-	return out
-}
-
-// jsonReport is the -json output: enough context to compare runs across
-// machines and parallelism settings, plus one entry per row.
-type jsonReport struct {
-	GOMAXPROCS  int  `json:"gomaxprocs"`
-	Parallelism int  `json:"parallelism"`
-	Reps        int  `json:"reps"`
-	SharedCache bool `json:"shared_cache"`
-	// Symmetry is the exploration-time symmetry mode the run used ("off"
-	// or "on"); with "on" every row carries states_explored and
-	// orbit_ratio.
-	Symmetry string `json:"symmetry"`
-	// PartialOrder is the exploration-time partial-order mode the run
-	// used ("off" or "on"); with "on" every eligible property carries
-	// partial_order and its ample-set states_explored count.
-	PartialOrder string    `json:"partial_order,omitempty"`
-	Rows         []jsonRow `json:"rows"`
-}
-
-type jsonRow struct {
+type tableRow struct {
 	System string `json:"system"`
-	States int    `json:"states"`
-	// StatesExplored is the smallest orbit-representative count any of
-	// the row's properties visited under -symmetry (equal to States when
-	// the row has no non-trivial symmetry group; properties whose pinned
-	// channels freeze the whole group — e.g. every fork-observing column
-	// of a Dining row, since a rotation moves every fork — stay concrete
-	// and carry their own per-property states_explored). OrbitRatio is
-	// States / StatesExplored — the row's best exploration collapse
-	// factor.
-	StatesExplored int     `json:"states_explored,omitempty"`
-	OrbitRatio     float64 `json:"orbit_ratio,omitempty"`
-	// StatesAmple is the largest ample-set reduced state space any of the
-	// row's eligible properties explored under -por (each property prunes
-	// against its own visible-label set, so reduced sizes differ per
-	// column; the full interleaving count is never computed for them —
-	// States holds it only when an ineligible property ran full).
-	StatesAmple int        `json:"states_ample,omitempty"`
-	Properties  []jsonProp `json:"properties"`
+	// States is the row's full state count, taken from the cells that
+	// explored every interleaving (under -por an ample-reduced cell
+	// counts only its reduced space). PaperStates is the count Fig. 9
+	// reports (0 where the paper gives none).
+	States      int         `json:"states"`
+	PaperStates int         `json:"paper_states"`
+	Properties  []tableCell `json:"properties"`
 }
 
-type jsonProp struct {
-	Kind  string `json:"kind"`
-	Holds bool   `json:"holds"`
-	// PartialOrder reports that this property was checked on an ample-set
-	// reduced space under -por; StatesExplored is that reduced state
-	// count (the full interleaving count is never computed under POR).
-	// Under -symmetry it is instead this property's orbit-representative
-	// count — per-property because pinned channels can freeze the group
-	// for some columns but not others (a Dining row rotates only for
-	// deadlock-freedom).
-	PartialOrder   bool    `json:"partial_order,omitempty"`
-	StatesExplored int     `json:"states_explored,omitempty"`
-	Expected       *bool   `json:"expected,omitempty"`
-	Matches        bool    `json:"matches_expected"`
-	MeanSeconds    float64 `json:"mean_seconds"`
-	StddevSeconds  float64 `json:"stddev_seconds"`
-	Error          string  `json:"error,omitempty"`
-	// Witness is the counterexample lasso of a failing property,
-	// replay-validated (effpi.Replay) before it is written. ev-usage
-	// failures have none: the schema is existential.
-	Witness *effpi.WitnessJSON `json:"witness,omitempty"`
+type tableCell struct {
+	Kind     string `json:"kind"`
+	Holds    bool   `json:"holds"`
+	Expected *bool  `json:"expected,omitempty"`
+	// PartialOrder reports that the property was checked on an
+	// ample-set reduced space. StatesExplored, set for every cell under a
+	// reducer flag, is the state count the cell's exploration
+	// materialised: orbit representatives when symmetry engaged, the
+	// ample-reduced space when POR did, otherwise States.
+	PartialOrder   bool `json:"partial_order,omitempty"`
+	StatesExplored int  `json:"states_explored,omitempty"`
+	// WitnessSteps (stem + cycle) and WitnessSHA256 (of
+	// Witness.Render(0)) identify a FAIL's counterexample lasso; they
+	// are written only after the witness replayed. ev-usage FAILs have
+	// none: the schema is existential.
+	WitnessSteps  int    `json:"witness_steps,omitempty"`
+	WitnessSHA256 string `json:"witness_sha256,omitempty"`
+	Error         string `json:"error,omitempty"`
 }
 
-// runRow verifies the (filtered) properties of one system, reps times
-// each, and prints one Fig. 9-style row. It returns the row's JSON
-// record and the number of verdicts that deviate from the expectations.
-// With shared, one workspace serves the whole row, so later properties
-// reuse earlier per-component work through its cache; without it every
-// repetition runs in a fresh workspace (timed cold).
-func runRow(s *effpi.BenchSystem, reps, maxStates int, shared bool, par int, symmetry effpi.SymmetryMode, por effpi.PartialOrderMode, kinds map[effpi.Kind]bool) (jsonRow, int) {
+// mismatch reports a cell that errored, whose witness did not replay,
+// or whose verdict differs from Fig. 9.
+func (c tableCell) mismatch() bool {
+	return c.Error != "" || (c.Expected != nil && *c.Expected != c.Holds)
+}
+
+func (t *table) mismatches() int {
+	n := 0
+	for _, r := range t.Rows {
+		for _, c := range r.Properties {
+			if c.mismatch() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// encode renders the table as -json writes it.
+func (t *table) encode() ([]byte, error) {
+	buf, err := json.MarshalIndent(t, "", "  ")
+	return append(buf, '\n'), err
+}
+
+// sweep verifies every row, printing each to out as it completes, and
+// returns the table.
+func sweep(rows []*effpi.BenchSystem, symmetry effpi.SymmetryMode, por effpi.PartialOrderMode, kinds map[effpi.Kind]bool, out io.Writer) *table {
+	t := &table{Symmetry: symmetry.String(), PartialOrder: por.String()}
+	var head strings.Builder
+	fmt.Fprintf(&head, "%-34s %9s %9s", "system", "states", "paper")
+	for _, k := range effpi.AllKinds() {
+		if kinds == nil || kinds[k] {
+			fmt.Fprintf(&head, "  %-14s", k)
+		}
+	}
+	fmt.Fprintln(out, strings.TrimRight(head.String(), " "))
+	for _, s := range rows {
+		r := runRow(s, symmetry, por, kinds)
+		t.Rows = append(t.Rows, r)
+		printRow(out, r)
+	}
+	return t
+}
+
+// printRow writes one Fig. 9-style row: verdicts, with each cell's
+// explored states when the table was built under a reducer flag.
+func printRow(out io.Writer, r tableRow) {
+	paper := "-"
+	if r.PaperStates > 0 {
+		paper = fmt.Sprint(r.PaperStates)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-34s %9d %9s", r.System, r.States, paper)
+	for _, c := range r.Properties {
+		text := fmt.Sprint(c.Holds)
+		if c.StatesExplored > 0 {
+			text += fmt.Sprintf(" (%d)", c.StatesExplored)
+		}
+		switch {
+		case c.Error != "":
+			text = "error: " + c.Error
+		case c.mismatch():
+			text += " [≠Fig.9]"
+		}
+		fmt.Fprintf(&b, "  %-14s", text)
+	}
+	fmt.Fprintln(out, strings.TrimRight(b.String(), " "))
+}
+
+// runRow verifies the (filtered) properties of one system, each as one
+// lone Session.Verify on a fresh workspace, so every cell gets the
+// reducers its own property admits (a whole-row VerifyAll would pin the
+// batch's channels together). Every FAIL with a witness is replayed
+// before its hash is recorded; a replay failure is the cell's error.
+func runRow(s *effpi.BenchSystem, symmetry effpi.SymmetryMode, por effpi.PartialOrderMode, kinds map[effpi.Kind]bool) tableRow {
 	ctx := context.Background()
-	row := jsonRow{System: s.Name}
-	cells := make([]string, 0, len(s.Props))
-	mismatches := 0
-	var rowWS *effpi.Workspace
-	if shared {
-		rowWS = effpi.NewWorkspace()
-	}
-	newSession := func() (*effpi.Session, error) {
-		ws := rowWS
-		if ws == nil {
-			ws = effpi.NewWorkspace()
-		}
-		return ws.NewSessionFromType(s.Env, s.Type,
-			effpi.WithMaxStates(maxStates), effpi.WithParallelism(par),
-			effpi.WithSymmetry(symmetry), effpi.WithPartialOrder(por))
-	}
+	reduced := symmetry != effpi.SymmetryOff || por != effpi.PartialOrderOff
+	r := tableRow{System: s.Name, PaperStates: s.PaperStates}
 	for _, prop := range s.Props {
-		if !keepProp(kinds, prop) {
+		if kinds != nil && !kinds[prop.Kind] {
 			continue
 		}
-		jp := jsonProp{Kind: prop.Kind.String(), Matches: true}
-		var times []float64
-		var last *effpi.Outcome
-		failed := false
-		for r := 0; r < reps; r++ {
-			sess, err := newSession()
-			if err == nil {
-				last, err = sess.Verify(ctx, prop)
-			}
-			if err != nil {
-				cells = append(cells, fmt.Sprintf("error: %v", err))
-				jp.Error = err.Error()
-				jp.Matches = false
-				failed = true
-				break
-			}
-			jp.Holds = last.Holds
-			if last.PartialOrder {
-				// Under POR, States and StatesExplored both count the
-				// reduced space — keep the row's full count from the
-				// ineligible properties (which still explore everything).
-				jp.PartialOrder = true
-				jp.StatesExplored = last.StatesExplored
-				if last.StatesExplored > row.StatesAmple {
-					row.StatesAmple = last.StatesExplored
-				}
-			} else {
-				row.States = last.States
-			}
-			if symmetry != effpi.SymmetryOff {
-				jp.StatesExplored = last.StatesExplored
-				if row.StatesExplored == 0 || last.StatesExplored < row.StatesExplored {
-					row.StatesExplored = last.StatesExplored
-				}
-			}
-			times = append(times, last.Duration.Seconds())
-		}
-		if failed {
-			mismatches++
-			row.Properties = append(row.Properties, jp)
-			continue
-		}
-		if last != nil && !last.Holds && prop.Kind != effpi.EventualOutput {
-			w, err := effpi.WitnessToJSON(last)
-			if err != nil {
-				// A FAIL whose witness does not replay is as bad as a wrong
-				// verdict: count it against the row.
-				jp.Error = err.Error()
-				jp.Matches = false
-				mismatches++
-			}
-			jp.Witness = w
-		}
-		jp.MeanSeconds, jp.StddevSeconds = meanStddev(times)
-		mark := ""
+		c := tableCell{Kind: prop.Kind.String()}
 		if want, ok := s.Expected[prop.Kind]; ok {
-			w := want
-			jp.Expected = &w
-			if want != jp.Holds {
-				jp.Matches = false
-				mark = " [≠Fig.9]"
-				mismatches++
+			c.Expected = &want
+		}
+		sess, err := effpi.NewWorkspace().NewSessionFromType(s.Env, s.Type,
+			effpi.WithSymmetry(symmetry), effpi.WithPartialOrder(por))
+		var o *effpi.Outcome
+		if err == nil {
+			o, err = sess.Verify(ctx, prop)
+		}
+		if err != nil {
+			c.Error = err.Error()
+			r.Properties = append(r.Properties, c)
+			continue
+		}
+		c.Holds = o.Holds
+		c.PartialOrder = o.PartialOrder
+		if !o.PartialOrder {
+			r.States = o.States
+		}
+		if reduced {
+			c.StatesExplored = o.StatesExplored
+		}
+		if !o.Holds && prop.Kind != effpi.EventualOutput {
+			if err := effpi.Replay(o); err != nil {
+				c.Error = err.Error()
+			} else {
+				sum := sha256.Sum256([]byte(o.Witness.Render(0)))
+				c.WitnessSteps = len(o.Witness.Stem) + len(o.Witness.Cycle)
+				c.WitnessSHA256 = hex.EncodeToString(sum[:])
 			}
 		}
-		cells = append(cells, fmt.Sprintf("%-5v (%6.2f±%5.1f%%)%s", jp.Holds, jp.MeanSeconds, relDev(jp.MeanSeconds, jp.StddevSeconds), mark))
-		row.Properties = append(row.Properties, jp)
+		r.Properties = append(r.Properties, c)
 	}
-	statesCell := fmt.Sprintf("%19d", row.States)
-	if symmetry != effpi.SymmetryOff && row.StatesExplored > 0 {
-		row.OrbitRatio = float64(row.States) / float64(row.StatesExplored)
-	}
-	if row.OrbitRatio > 0 {
-		statesCell = fmt.Sprintf("%10d\u2192%-8d", row.States, row.StatesExplored)
-	} else if por != effpi.PartialOrderOff && row.StatesAmple > 0 {
-		statesCell = fmt.Sprintf("%10d\u2192%-8d", row.States, row.StatesAmple)
-	}
-	fmt.Printf("%-34s %s  %s\n", s.Name, statesCell, strings.Join(cells, "  "))
-	return row, mismatches
-}
-
-func writeJSON(path string, report *jsonReport) error {
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-func meanStddev(xs []float64) (mean, dev float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		dev += (x - mean) * (x - mean)
-	}
-	dev = math.Sqrt(dev / float64(len(xs)))
-	return mean, dev
-}
-
-func relDev(mean, dev float64) float64 {
-	if mean == 0 {
-		return 0
-	}
-	return 100 * dev / mean
+	return r
 }

@@ -1,98 +1,118 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"io"
 	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"effpi"
 )
 
+var sha256Hex = regexp.MustCompile(`^[0-9a-f]{64}$`)
+
+// checkWitnesses asserts that a row matches Fig. 9 and that exactly its
+// LTL-checked FAILs carry a (replayed) witness length and hash.
+func checkWitnesses(t *testing.T, r tableRow) {
+	t.Helper()
+	sawWitness := false
+	for _, c := range r.Properties {
+		if c.mismatch() {
+			t.Errorf("%s / %s: holds %v (error %q) differs from Fig. 9", r.System, c.Kind, c.Holds, c.Error)
+		}
+		if c.Holds || c.Kind == effpi.EventualOutput.String() {
+			if c.WitnessSteps != 0 || c.WitnessSHA256 != "" {
+				t.Errorf("%s / %s: unexpected witness", r.System, c.Kind)
+			}
+			continue
+		}
+		if c.WitnessSteps <= 0 || !sha256Hex.MatchString(c.WitnessSHA256) {
+			t.Errorf("%s / %s: FAIL without witness length and hash: %d %q", r.System, c.Kind, c.WitnessSteps, c.WitnessSHA256)
+		}
+		sawWitness = true
+	}
+	if !sawWitness {
+		t.Errorf("%s: row produced no witnesses", r.System)
+	}
+}
+
 // TestRunRowAttachesReplayedWitnesses: every failing LTL property of a
-// benchmark row comes out with a witness that was re-validated by
-// replay, and none of the verdicts mismatch Fig. 9.
+// benchmark row comes out with its witness length and hash (written
+// only after the witness replayed), none of the verdicts mismatch
+// Fig. 9, and without a reducer flag no cell reports explored states.
 func TestRunRowAttachesReplayedWitnesses(t *testing.T) {
 	s, ok := effpi.BenchSystemByName("Dining philos. (4, deadlock)")
 	if !ok {
 		t.Fatal("benchmark row not found")
 	}
-	row, mismatches := runRow(s, 1, 1<<18, true, 1, effpi.SymmetryOff, effpi.PartialOrderOff, nil)
-	if mismatches != 0 {
-		t.Fatalf("unexpected verdict mismatches: %d", mismatches)
+	r := runRow(s, effpi.SymmetryOff, effpi.PartialOrderOff, nil)
+	if len(r.Properties) != 6 {
+		t.Fatalf("%d properties, want 6", len(r.Properties))
 	}
-	sawWitness := false
-	for _, p := range row.Properties {
-		kind, err := effpi.ParseKind(p.Kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := s.Expected[kind]
-		if p.Holds != want {
-			t.Errorf("%s: verdict %v, Fig. 9 expects %v", p.Kind, p.Holds, want)
-		}
-		if p.Holds || kind == effpi.EventualOutput {
-			if p.Witness != nil {
-				t.Errorf("%s: unexpected witness", p.Kind)
-			}
-			continue
-		}
-		if p.Witness == nil {
-			t.Fatalf("%s: FAIL without witness in the JSON row", p.Kind)
-		}
-		if !p.Witness.Replayed {
-			t.Errorf("%s: witness not marked replayed", p.Kind)
-		}
-		if len(p.Witness.Cycle) == 0 {
-			t.Errorf("%s: witness cycle is empty", p.Kind)
-		}
-		for _, st := range append(append([]effpi.WitnessStepJSON{}, p.Witness.Stem...), p.Witness.Cycle...) {
-			if st.Label == "" {
-				t.Errorf("%s: witness step without label", p.Kind)
-			}
-		}
-		sawWitness = true
+	if r.States <= 0 || r.PaperStates != s.PaperStates {
+		t.Errorf("states %d, paper_states %d (want %d)", r.States, r.PaperStates, s.PaperStates)
 	}
-	if !sawWitness {
-		t.Fatal("row produced no witnesses")
+	checkWitnesses(t, r)
+	for _, c := range r.Properties {
+		if c.StatesExplored != 0 || c.PartialOrder {
+			t.Errorf("%s: reducer columns without a reducer flag", c.Kind)
+		}
 	}
 }
 
 // TestRunRowSymmetry: under -symmetry a ping-pong row (interchangeable
-// pairs) carries the states_explored / orbit_ratio pair with an actual
-// collapse, verdicts still match Fig. 9, and failing properties still
-// serialise replay-validated witnesses (now produced by the permutation
-// lift).
+// pairs) reports every cell's explored states, at least one with an
+// actual orbit collapse; verdicts still match Fig. 9 and FAILs still
+// carry witnesses (now produced by the permutation lift).
 func TestRunRowSymmetry(t *testing.T) {
 	s, ok := effpi.BenchSystemByName("Ping-pong (6 pairs)")
 	if !ok {
 		t.Fatal("benchmark row not found")
 	}
-	row, mismatches := runRow(s, 1, 1<<20, true, 1, effpi.SymmetryOn, effpi.PartialOrderOff, nil)
-	if mismatches != 0 {
-		t.Fatalf("unexpected verdict mismatches under -symmetry: %d", mismatches)
-	}
-	if row.StatesExplored <= 0 || row.StatesExplored >= row.States {
-		t.Fatalf("states_explored=%d, want a real collapse of the %d-state row", row.StatesExplored, row.States)
-	}
-	if want := float64(row.States) / float64(row.StatesExplored); row.OrbitRatio != want {
-		t.Errorf("orbit_ratio=%v, want %v", row.OrbitRatio, want)
-	}
-	sawWitness := false
-	for _, p := range row.Properties {
-		kind, err := effpi.ParseKind(p.Kind)
-		if err != nil {
-			t.Fatal(err)
+	r := runRow(s, effpi.SymmetryOn, effpi.PartialOrderOff, nil)
+	checkWitnesses(t, r)
+	collapsed := 0
+	for _, c := range r.Properties {
+		if c.StatesExplored <= 0 || c.StatesExplored > r.States {
+			t.Errorf("%s: states_explored=%d out of range (row %d)", c.Kind, c.StatesExplored, r.States)
 		}
-		if p.Holds || kind == effpi.EventualOutput {
-			continue
+		if c.StatesExplored < r.States {
+			collapsed++
 		}
-		if p.Witness == nil || !p.Witness.Replayed {
-			t.Fatalf("%s: symmetric FAIL without replay-validated witness", p.Kind)
-		}
-		sawWitness = true
 	}
-	if !sawWitness {
-		t.Fatal("symmetric row produced no witnesses")
+	if collapsed == 0 {
+		t.Fatalf("no cell collapsed the %d-state row", r.States)
+	}
+}
+
+// TestRunRowPartialOrder: a -por row keeps every verdict, marks the
+// eligible cells with partial_order plus their ample-set explored
+// counts (strictly smaller than the full ping-pong space), keeps the
+// full count from the ineligible cells, and still attaches witnesses to
+// FAILs.
+func TestRunRowPartialOrder(t *testing.T) {
+	s, ok := effpi.BenchSystemByName("Ping-pong (6 pairs)")
+	if !ok {
+		t.Fatal("benchmark row not found")
+	}
+	r := runRow(s, effpi.SymmetryOff, effpi.PartialOrderOn, nil)
+	checkWitnesses(t, r)
+	if r.States <= 0 {
+		t.Fatalf("row lost its full state count: %d", r.States)
+	}
+	engaged := 0
+	for _, c := range r.Properties {
+		if c.PartialOrder {
+			engaged++
+			if c.StatesExplored <= 0 || c.StatesExplored >= r.States {
+				t.Errorf("%s: states_explored=%d, want a real reduction of the %d-state row", c.Kind, c.StatesExplored, r.States)
+			}
+		}
+	}
+	if engaged == 0 {
+		t.Fatal("no cell engaged partial-order reduction on the ping-pong row")
 	}
 }
 
@@ -118,120 +138,85 @@ func TestPropFilter(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark row not found")
 	}
-	row, mismatches := runRow(s, 1, 1<<18, true, 1, effpi.SymmetryOff, effpi.PartialOrderOff, kinds)
-	if mismatches != 0 {
-		t.Fatalf("unexpected verdict mismatches: %d", mismatches)
+	r := runRow(s, effpi.SymmetryOff, effpi.PartialOrderOff, kinds)
+	if len(r.Properties) != 2 {
+		t.Fatalf("filter kept %d properties, want 2", len(r.Properties))
 	}
-	if len(row.Properties) != 2 {
-		t.Fatalf("filter kept %d properties, want 2", len(row.Properties))
-	}
-	for _, p := range row.Properties {
-		k, err := effpi.ParseKind(p.Kind)
+	for _, c := range r.Properties {
+		if c.mismatch() {
+			t.Errorf("%s: verdict mismatch", c.Kind)
+		}
+		k, err := effpi.ParseKind(c.Kind)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !kinds[k] {
-			t.Errorf("property %s escaped the filter", p.Kind)
+			t.Errorf("property %s escaped the filter", c.Kind)
 		}
 	}
 }
 
-// TestSnapshotSchemaCompat: the committed BENCH_fig9.json parses under
-// the current schema, keeps all 19 Fig. 9 rows (plus the LargeSystems
-// sweep), agrees with the published verdicts, and every failing
-// LTL-checked property carries a replay-validated witness — the snapshot
-// is a set of checkable claims, not just numbers.
-func TestSnapshotSchemaCompat(t *testing.T) {
-	buf, err := os.ReadFile("../../BENCH_fig9.json")
-	if err != nil {
-		t.Skipf("snapshot not present: %v", err)
-	}
-	var report jsonReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("committed snapshot does not parse under the current schema: %v", err)
-	}
-	if len(report.Rows) < 19 {
-		t.Fatalf("snapshot has %d rows, want the 19 Fig. 9 rows at least", len(report.Rows))
-	}
-	witnesses := 0
-	for _, row := range report.Rows {
-		if len(row.Properties) != 6 {
-			t.Errorf("%s: %d properties, want 6", row.System, len(row.Properties))
+// TestSelectRows: the default suite is exactly Fig. 9, the families
+// filter Fig. 9 plus the large rows, and an unknown suite selects
+// nothing (exit code 2).
+func TestSelectRows(t *testing.T) {
+	names := func(rows []*effpi.BenchSystem) string {
+		var out []string
+		for _, s := range rows {
+			out = append(out, s.Name)
 		}
-		for _, p := range row.Properties {
-			if !p.Matches {
-				t.Errorf("%s / %s: snapshot verdict does not match Fig. 9", row.System, p.Kind)
-			}
-			if p.Holds || p.Kind == effpi.EventualOutput.String() {
-				continue
-			}
-			if p.Witness == nil {
-				t.Errorf("%s / %s: failing property without witness in the snapshot", row.System, p.Kind)
-				continue
-			}
-			if !p.Witness.Replayed || len(p.Witness.Cycle) == 0 {
-				t.Errorf("%s / %s: snapshot witness not replay-validated or empty", row.System, p.Kind)
-			}
-			witnesses++
+		return strings.Join(out, "|")
+	}
+	if got, want := names(selectRows("fig9")), names(effpi.Fig9Systems()); got != want {
+		t.Errorf("fig9 suite:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := len(selectRows("all")), len(effpi.Fig9Systems())+len(effpi.LargeSystems()); got != want {
+		t.Errorf("all suite has %d rows, want %d", got, want)
+	}
+	for _, family := range []string{"payment", "philos", "pingpong", "ring"} {
+		if len(selectRows(family)) == 0 {
+			t.Errorf("%s suite is empty", family)
 		}
 	}
-	if witnesses == 0 {
-		t.Fatal("snapshot contains no witnesses")
-	}
-	// Round-trip: the schema serialises losslessly.
-	out, err := json.Marshal(&report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again jsonReport
-	if err := json.Unmarshal(out, &again); err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Rows) != len(report.Rows) {
-		t.Error("round-trip changed the row count")
+	if rows := selectRows("nope"); rows != nil {
+		t.Errorf("unknown suite selected %d rows", len(rows))
 	}
 }
 
-// TestRunRowPartialOrder: a -por row keeps every verdict, marks the
-// eligible columns with partial_order plus their ample-set explored
-// counts (strictly smaller than the full ping-pong space), keeps the
-// full count from the ineligible columns, and still attaches
-// replay-validated witnesses to FAILs.
-func TestRunRowPartialOrder(t *testing.T) {
-	s, ok := effpi.BenchSystemByName("Ping-pong (6 pairs)")
-	if !ok {
-		t.Fatal("benchmark row not found")
+// TestFig9Snapshot: the committed BENCH_fig9.json is exactly the table
+// `mcbench -json` builds for the default suite with reducers off —
+// every verdict, state count, witness length and rendered-witness hash —
+// and that table agrees with Fig. 9. The file is never skipped: a
+// missing or stale snapshot fails with the command that regenerates it.
+func TestFig9Snapshot(t *testing.T) {
+	const path = "../../BENCH_fig9.json"
+	const regen = "go run ./cmd/mcbench -json BENCH_fig9.json"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading the snapshot: %v; regenerate it with `%s`", err, regen)
 	}
-	row, mismatches := runRow(s, 1, 1<<20, true, 1, effpi.SymmetryOff, effpi.PartialOrderOn, nil)
-	if mismatches != 0 {
-		t.Fatalf("unexpected verdict mismatches under -por: %d", mismatches)
+	tab := sweep(selectRows("fig9"), effpi.SymmetryOff, effpi.PartialOrderOff, nil, io.Discard)
+	if n := tab.mismatches(); n != 0 {
+		t.Errorf("%d cells differ from Fig. 9 or failed to replay", n)
 	}
-	if row.States <= 0 {
-		t.Fatalf("row lost its full state count: %d", row.States)
+	got, err := tab.encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if row.StatesAmple <= 0 || row.StatesAmple >= row.States {
-		t.Fatalf("states_ample=%d, want a real reduction of the %d-state row", row.StatesAmple, row.States)
+	if bytes.Equal(got, want) {
+		return
 	}
-	engaged := 0
-	for _, p := range row.Properties {
-		kind, err := effpi.ParseKind(p.Kind)
-		if err != nil {
-			t.Fatal(err)
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
 		}
-		if p.PartialOrder {
-			engaged++
-			if p.StatesExplored <= 0 || p.StatesExplored > row.StatesAmple {
-				t.Errorf("%s: states_explored=%d out of range (row ample max %d)", p.Kind, p.StatesExplored, row.StatesAmple)
-			}
+		if i < len(wl) {
+			w = wl[i]
 		}
-		if p.Holds || kind == effpi.EventualOutput {
-			continue
+		if g != w {
+			t.Fatalf("BENCH_fig9.json is stale from line %d:\n  committed: %s\n  derived:   %s\nregenerate it with `%s`", i+1, w, g, regen)
 		}
-		if p.Witness == nil || !p.Witness.Replayed {
-			t.Fatalf("%s: FAIL without replay-validated witness under -por", p.Kind)
-		}
-	}
-	if engaged == 0 {
-		t.Fatal("no column engaged partial-order reduction on the ping-pong row")
 	}
 }

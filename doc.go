@@ -35,8 +35,10 @@
 // lasso-shaped witness — a stem of transitions from the initial state
 // followed by a cycle that repeats forever, with the parallel component
 // multiset printed at every visited state. "effpi verify" prints the
-// witness and exits non-zero on FAIL; "mcbench -json" and effpid
-// responses embed it (field "witness", with state ids and labels). Every
+// witness and exits non-zero on FAIL; effpid responses embed it (field
+// "witness", with state ids and labels — effpid is the only JSON witness
+// emitter; "mcbench -json" records only each witness's length and the
+// SHA-256 of its rendering). Every
 // witness is replay-validated before it is shown: the run is re-executed
 // against the explored transition system and the property's Büchi
 // automaton (Replay), so a reported FAIL is a checkable artifact. The

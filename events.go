@@ -49,9 +49,10 @@ type Event struct {
 // emit delivers an event to the session's sinks. The callback runs
 // synchronously on the emitting goroutine; the channel send blocks until
 // the consumer is ready (use a buffered channel or a draining goroutine).
-// Exploration progress can be emitted from the concurrent engine's merge
-// goroutines, so delivery is serialised through the session's mutex —
-// sinks never run concurrently with themselves.
+// Exploration progress can be emitted from the batch executor's
+// goroutines, which explore a batch's groups side by side, so delivery
+// is serialised through the session's mutex (emitMu) — sinks never run
+// concurrently with themselves.
 func (s *Session) emit(ev Event) {
 	if s.opt.progress == nil && s.opt.events == nil {
 		return

@@ -332,14 +332,13 @@ func Fig9Systems() []*System {
 }
 
 // LargeSystems returns benchmark rows beyond the sizes published in
-// Fig. 9, sized for the parallel verification engine: the paper's table
-// stops where the serial mCRL2 pipeline got slow, but the multi-worker
-// explorer has headroom for another philosopher, another ping-pong pair
-// and a wider ring. Verdict expectations follow the same schemas as the
-// paper's rows (they are size-independent); PaperStates is 0 because the
-// paper does not report these instances. The rows are slow by unit-test
-// standards — gate them behind testing.Short() and cmd/mcbench's
-// -skip-slow.
+// Fig. 9: the paper's table stops where the mCRL2 pipeline got slow,
+// but this checker has headroom for another philosopher, another
+// ping-pong pair and a wider ring. Verdict expectations follow the same
+// schemas as the paper's rows (they are size-independent); PaperStates
+// is 0 because the paper does not report these instances. The rows are slow by unit-test
+// standards — gate them behind testing.Short(); cmd/mcbench prints them
+// only under -suite large or all.
 func LargeSystems() []*System {
 	return []*System{
 		DiningPhilosophers(7, true),

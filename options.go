@@ -130,8 +130,9 @@ func WithClosed(v bool) Option {
 // WithProgress registers a callback for streaming progress events
 // (exploration counters, property started/verdict). The callback runs
 // synchronously on the emitting goroutine — keep it fast, and safe for
-// calls from the concurrent engine's merge goroutines (calls are
-// serialised, but not pinned to one goroutine).
+// calls from the batch executor's goroutines, which explore a batch's
+// groups side by side (calls are serialised, but not pinned to one
+// goroutine).
 func WithProgress(fn func(Event)) Option {
 	return func(o *sessionOptions) error {
 		o.progress = fn

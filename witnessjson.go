@@ -1,10 +1,10 @@
 package effpi
 
-// WitnessJSON is the machine-readable counterexample lasso shared by the
-// JSON-emitting front ends (effpid responses, mcbench -json rows): the
-// violating run follows Stem from the initial state, then repeats Cycle
-// forever. Every step names its source and destination state ids (into
-// the request's explored LTS) and the fired transition label.
+// WitnessJSON is the machine-readable counterexample lasso of effpid's
+// responses, the one JSON witness emitter: the violating run follows
+// Stem from the initial state, then repeats Cycle forever. Every step
+// names its source and destination state ids (into the request's
+// explored LTS) and the fired transition label.
 type WitnessJSON struct {
 	Stem  []WitnessStepJSON `json:"stem"`
 	Cycle []WitnessStepJSON `json:"cycle"`
