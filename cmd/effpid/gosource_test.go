@@ -115,6 +115,9 @@ func TestGoSourceEntrySelectionAndErrors(t *testing.T) {
 		{"go parse error", map[string]any{
 			"go_source": "package p\nfunc {", "properties": prop,
 		}, http.StatusBadRequest, "parse"},
+		{"standard-library import", map[string]any{
+			"go_source": "package p\n\nimport \"fmt\"\n", "properties": prop,
+		}, http.StatusBadRequest, "bad-request"},
 	}
 	for _, tc := range cases {
 		code, buf := postVerify(t, ts, marshalReq(t, tc.req))
@@ -141,5 +144,34 @@ func TestGoSourceEntrySelectionAndErrors(t *testing.T) {
 	var resp verifyResponse
 	if err := json.Unmarshal(buf, &resp); err != nil || resp.Entry != "Stuck" {
 		t.Fatalf("explicit entry: bad response (%v): %s", err, buf)
+	}
+}
+
+// TestGoSourceRefusesOtherImports: a go_source file importing anything
+// but the combinator packages is refused before extraction, with the
+// import's path and position. Importing the module's root package used
+// to type-check (and keep) the whole module for this one request.
+func TestGoSourceRefusesOtherImports(t *testing.T) {
+	ts := testServer(t, serverConfig{})
+	src := `package p
+
+import "effpi"
+
+var _ = effpi.NewWorkspace
+
+func F() {}
+`
+	code, buf := postVerify(t, ts, marshalReq(t, map[string]any{
+		"go_source": src, "properties": []map[string]any{{"kind": "deadlock-free"}},
+	}))
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", code, buf)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(buf, &e); err != nil {
+		t.Fatalf("error body is not JSON: %s", buf)
+	}
+	if e.Kind != "bad-request" || !strings.Contains(e.Error, `"effpi"`) || !strings.Contains(e.Error, "request.go:3:8") {
+		t.Errorf("got kind %q, error %q; want bad-request naming \"effpi\" at request.go:3:8", e.Kind, e.Error)
 	}
 }

@@ -32,6 +32,8 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"log"
 	"math"
 	"net/http"
@@ -650,6 +652,9 @@ func (s *server) verify(ctx context.Context, req *verifyRequest, progress func(e
 		if len(req.Binds) > 0 {
 			return nil, http.StatusBadRequest, "bad-request", errors.New("binds are not applicable to a go_source request (the environment is extracted)")
 		}
+		if err := checkGoImports("request.go", req.GoSource); err != nil {
+			return nil, http.StatusBadRequest, "bad-request", err
+		}
 		ext, err := effpi.ExtractGoSource("request.go", req.GoSource)
 		if err != nil {
 			return nil, http.StatusBadRequest, "parse", err
@@ -756,6 +761,34 @@ func (s *server) verify(ctx context.Context, req *verifyRequest, progress func(e
 		resp.Results = append(resp.Results, res)
 	}
 	return resp, 0, "", nil
+}
+
+// goSourceImports are the packages a go_source file may import: the
+// combinators the extractor interprets. The extractor type-checks every
+// import from source and keeps it for the life of the process, so any
+// other import would make a request as costly as loading that package.
+var goSourceImports = map[string]bool{
+	"effpi/internal/runtime": true,
+	"effpi/internal/actor":   true,
+}
+
+// checkGoImports parses only the imports of a go_source file and refuses
+// any outside goSourceImports, naming the path and its position. A file
+// whose imports do not parse is left to the extractor, which reports
+// the parse error.
+func checkGoImports(filename, src string) error {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filename, src, parser.ImportsOnly)
+	if err != nil {
+		return nil
+	}
+	for _, imp := range f.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil || !goSourceImports[path] {
+			return fmt.Errorf("go_source may import only effpi/internal/runtime and effpi/internal/actor, not %s (%s)", imp.Path.Value, fset.Position(imp.Path.Pos()))
+		}
+	}
+	return nil
 }
 
 // selectEntry resolves a go_source extraction to the one entry to

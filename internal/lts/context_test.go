@@ -126,7 +126,7 @@ func fingerprint(m *LTS) string {
 	for i, lab := range m.Labels {
 		s += fmt.Sprintf("L%d=%s;", i, lab.Key())
 	}
-	for st := range m.States {
+	for st := range m.Len() {
 		s += fmt.Sprintf("s%d:", st)
 		for _, e := range m.Out(st) {
 			s += fmt.Sprintf("(%d→%d)", e.Label, e.Dst)

@@ -1,7 +1,9 @@
 package lts
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -82,8 +84,8 @@ func exploreFixtures() []struct {
 // transition system with the same numbering.
 func ltsFingerprint(m *LTS) string {
 	out := fmt.Sprintf("initial=%d truncated=%v\n", m.Initial, m.Truncated)
-	for i, s := range m.States {
-		out += fmt.Sprintf("S%d %s\n", i, types.Canon(s))
+	for i := range m.Len() {
+		out += fmt.Sprintf("S%d %s\n", i, types.Canon(m.StateType(i)))
 	}
 	for i, l := range m.Labels {
 		out += fmt.Sprintf("L%d %s\n", i, l.Key())
@@ -235,8 +237,8 @@ func TestExploreIndependentOfInternOrder(t *testing.T) {
 	// Collect every distinct state component the baseline saw, as trees.
 	var comps []types.Type
 	seen := map[string]bool{}
-	for _, s := range baseline.States {
-		for _, c := range types.FlattenPar(s) {
+	for s := range baseline.Len() {
+		for _, c := range types.FlattenPar(baseline.StateType(s)) {
 			key := types.Canon(c)
 			if !seen[key] {
 				seen[key] = true
@@ -290,7 +292,7 @@ func TestAddEdgeDedupHighDegree(t *testing.T) {
 	sem.Cache = typelts.NewCache(sem.Env, sem.WitnessOnly)
 	b := newBuilder(sem, DefaultMaxStates)
 	// Seed two real states so dst indices are valid.
-	b.internState(sem.InternLeaves(t0), t0, 1)
+	b.internState(sem.InternLeaves(t0), 1)
 	b.beginState()
 	from := int32(0)
 	total := 3 * dedupThreshold
@@ -306,6 +308,36 @@ func TestAddEdgeDedupHighDegree(t *testing.T) {
 	for k, e := range b.l.edges {
 		if int(e.Label) != k {
 			t.Fatalf("edge %d has label %d: insertion order must be preserved", k, e.Label)
+		}
+	}
+}
+
+// TestPeekSeenRegistersNothing: the cycle proviso's probe of a successor
+// neither writes to the shared interner nor assigns ranks, and it finds
+// exactly the states registration numbers.
+func TestPeekSeenRegistersNothing(t *testing.T) {
+	sem, t0 := pingPong()
+	b := prepBuilder(context.Background(), sem, t0, Options{PartialOrder: &POR{}})
+	in := b.sem.Cache.Interner()
+	b.expandState(b.l.StateComps(0))
+	if len(b.props) == 0 {
+		t.Fatal("root has no proposals")
+	}
+	interned, ranked := in.Len(), len(b.rank)
+	for _, p := range b.props {
+		if _, ok := b.peekSeen(p.succ); ok {
+			t.Errorf("successor %v seen before it was registered", p.succ)
+		}
+	}
+	if in.Len() != interned || len(b.rank) != ranked {
+		t.Errorf("peeks grew the interner %d → %d and the ranks %d → %d, want no change", interned, in.Len(), ranked, len(b.rank))
+	}
+	for _, p := range b.props {
+		succ := slices.Clone(p.succ)
+		b.orderComps(succ)
+		want := b.internState(succ, 1)
+		if got, ok := b.peekSeen(p.succ); !ok || got != want {
+			t.Errorf("peek of registered successor %v = (%d, %v), want (%d, true)", p.succ, got, ok, want)
 		}
 	}
 }

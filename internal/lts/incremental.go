@@ -10,7 +10,7 @@ package lts
 // on the philosophers systems.
 //
 // Each state's expansion runs through exactly the same builder machinery
-// as Explore (expandState, expand, completeRun), so the
+// as Explore (expand, completeRun), so the
 // edges of any given state — and hence the witness the checker extracts —
 // are identical to what the full exploration would produce for that
 // state. Only the *numbering* of states can differ from Explore's
@@ -74,7 +74,7 @@ func (x *Incremental) Labels() []typelts.Label { return x.b.l.Labels }
 
 // Len is the number of states discovered so far (expanded states plus
 // registered-but-unexpanded successors).
-func (x *Incremental) Len() int { return len(x.b.l.States) }
+func (x *Incremental) Len() int { return x.b.l.Len() }
 
 // Expanded is the number of states whose successors were materialised.
 func (x *Incremental) Expanded() int { return x.expanded }
@@ -82,12 +82,12 @@ func (x *Incremental) Expanded() int { return x.expanded }
 // Err returns the sticky exploration error (state bound exceeded), if any.
 func (x *Incremental) Err() error { return x.err }
 
-// StateType returns the representative type of a discovered state.
-func (x *Incremental) StateType(s int) types.Type { return x.b.l.States[s] }
+// StateType builds the type of a discovered state (see LTS.StateType).
+func (x *Incremental) StateType(s int) types.Type { return x.b.l.StateType(s) }
 
 // StateComps returns the rank-sorted component multiset of a discovered
 // state. The slice is owned by the explorer; callers must not mutate it.
-func (x *Incremental) StateComps(s int) []types.ID { return x.b.stateComps[s] }
+func (x *Incremental) StateComps(s int) []types.ID { return x.b.l.StateComps(s) }
 
 // Succ returns the outgoing edges of state s, expanding it on first
 // request. Expansion registers s's successor states (growing Len) and
@@ -109,15 +109,12 @@ func (x *Incremental) Succ(s int) ([]Edge, error) {
 		return nil, x.err
 	}
 	x.grow()
-	if len(x.b.l.States) > x.b.maxStates {
+	if x.b.l.Len() > x.b.maxStates {
 		x.err = x.b.boundExceeded()
 		return nil, x.err
 	}
 	from := int32(len(x.b.l.edges))
-	x.b.beginState()
-	x.b.porCur = int32(s)
-	x.b.props = expandState(x.b.sem, x.b.stateComps[s], x.b.props[:0])
-	x.b.expand(from, x.b.stateComps[s], x.b.props)
+	x.b.expand(s, from)
 	x.b.completeRun(s, from)
 	x.grow() // expansion may have discovered new states
 	hi := int32(len(x.b.l.edges))
@@ -131,7 +128,7 @@ func (x *Incremental) Succ(s int) ([]Edge, error) {
 
 // grow pads the extent arrays to cover newly discovered states.
 func (x *Incremental) grow() {
-	for len(x.lo) < len(x.b.l.States) {
+	for len(x.lo) < x.b.l.Len() {
 		x.lo = append(x.lo, -1)
 		x.hi = append(x.hi, -1)
 	}
@@ -142,33 +139,39 @@ func (x *Incremental) grow() {
 // unexpanded states have none. The result is marked Partial unless every
 // discovered state was expanded, and Truncated if the state bound was
 // hit. Witness runs extracted by the checker only visit expanded states,
-// so they validate against the snapshot.
+// so they validate against the snapshot. The snapshot shares the
+// explorer's state arena: later expansions only append to it.
 func (x *Incremental) Snapshot() *LTS {
+	src := x.b.l
+	n := src.Len()
 	l := &LTS{
-		Initial:   x.b.l.Initial,
-		Truncated: x.b.l.Truncated,
-		States:    append([]types.Type{}, x.b.l.States...),
-		Labels:    append([]typelts.Label{}, x.b.l.Labels...),
+		Initial:   src.Initial,
+		Truncated: src.Truncated,
+		comps:     src.comps[:src.compStart[n]:src.compStart[n]],
+		compStart: src.compStart[: n+1 : n+1],
+		in:        src.in,
+		root:      src.root,
+		Labels:    append([]typelts.Label{}, src.Labels...),
 	}
 	var sym *SymInfo
-	if src := x.b.l.Sym; src != nil {
+	if src.Sym != nil {
 		sym = &SymInfo{
-			S:          src.S,
-			RootPerm:   src.RootPerm,
-			OrbitSizes: append([]int64{}, src.OrbitSizes...),
+			S:          src.Sym.S,
+			RootPerm:   src.Sym.RootPerm,
+			OrbitSizes: append([]int64{}, src.Sym.OrbitSizes...),
 		}
 		l.Sym = sym
 	}
-	l.start = make([]int32, 1, len(l.States)+1)
-	for s := range l.States {
+	l.start = make([]int32, 1, n+1)
+	for s := 0; s < n; s++ {
 		if s < len(x.lo) && x.lo[s] >= 0 {
-			l.edges = append(l.edges, x.b.l.edges[x.lo[s]:x.hi[s]]...)
+			l.edges = append(l.edges, src.edges[x.lo[s]:x.hi[s]]...)
 			if sym != nil {
-				sym.edgePerms = append(sym.edgePerms, x.b.l.Sym.edgePerms[x.lo[s]:x.hi[s]]...)
+				sym.edgePerms = append(sym.edgePerms, src.Sym.edgePerms[x.lo[s]:x.hi[s]]...)
 			}
 		}
 		l.start = append(l.start, int32(len(l.edges)))
 	}
-	l.Partial = x.expanded < len(l.States)
+	l.Partial = x.expanded < n
 	return l
 }

@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 
 // TestIncrementalFullyExpandedMatchesExplore: expanding every discovered
 // state in index order replays exactly Explore's BFS, so the snapshot
-// must be byte-identical to Explore's LTS — states, alphabet, CSR arrays.
+// must be byte-identical to Explore's LTS — state types and vectors,
+// alphabet, CSR arrays.
 func TestIncrementalFullyExpandedMatchesExplore(t *testing.T) {
 	for _, fx := range exploreFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
@@ -30,6 +32,13 @@ func TestIncrementalFullyExpandedMatchesExplore(t *testing.T) {
 			}
 			if got, want := ltsFingerprint(snap), ltsFingerprint(full); got != want {
 				t.Errorf("snapshot differs from Explore\n--- explore ---\n%s--- snapshot ---\n%s", want, got)
+			}
+			// Both ran over fresh caches in the same order, so even the
+			// component IDs agree.
+			for s := range full.Len() {
+				if got, want := snap.StateComps(s), full.StateComps(s); !slices.Equal(got, want) {
+					t.Errorf("state %d: snapshot vector %v, Explore's %v", s, got, want)
+				}
 			}
 			if inc.Expanded() != full.Len() {
 				t.Errorf("expanded %d states, Explore found %d", inc.Expanded(), full.Len())
@@ -105,7 +114,7 @@ func TestIncrementalPartialSnapshot(t *testing.T) {
 		for _, e := range m.Out(0) {
 			b.WriteString(m.LabelOf(e).Key())
 			b.WriteString("→")
-			b.WriteString(types.Canon(m.States[e.Dst]))
+			b.WriteString(types.Canon(m.StateType(int(e.Dst))))
 			b.WriteString("\n")
 		}
 		return b.String()

@@ -3,19 +3,24 @@
 // extraction and DOT export. It is the bridge between the type semantics
 // (Def. 4.2) and the linear-time model checker (Def. 4.6).
 //
-// State identity is hash-consed: exploration interns every state in a
-// types.Interner (Canon-equal states get the same integer ID), so the
-// frontier set is a map over ints, not canonical strings. Labels are
-// interned into a dense per-LTS alphabet, and edges live in one flat
-// CSR-style array indexed by per-state offsets — which is what lets the
-// model checker precompute per-Büchi-state admit bitsets and walk the
-// product with plain array indexing (see DESIGN.md).
+// A state is a vector of hash-consed component IDs (the FlattenPar
+// leaves, interned in the semantics' types.Interner), sorted by the
+// exploration's own encounter rank. Each exploration owns its states:
+// the vectors live in one flat arena of the LTS, indexed by an
+// open-addressed table of state numbers (statetable.go), and the shared
+// interner never sees a whole state — a state's type is built only when
+// asked for (StateType). Labels are interned into a dense per-LTS
+// alphabet, and edges live in one flat CSR-style array indexed by
+// per-state offsets — which is what lets the model checker precompute
+// per-Büchi-state admit bitsets and walk the product with plain array
+// indexing (see DESIGN.md).
 package lts
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,7 +46,14 @@ type Edge struct {
 // self-loop so that all maximal runs are infinite (Def. 4.6 quantifies
 // over complete runs; see DESIGN.md §4.4).
 type LTS struct {
-	States []types.Type
+	// comps is the state arena: state s is the component vector
+	// comps[compStart[s]:compStart[s+1]] (see StateComps).
+	comps     []types.ID
+	compStart []int32
+	// in builds state types on demand (StateType); root, when non-nil,
+	// is state 0's type as the caller gave it.
+	in   *types.Interner
+	root types.Type
 	// Labels is the dense alphabet: one representative per distinct label
 	// (by Key), in first-seen order. Edge.Label indexes into it.
 	Labels []typelts.Label
@@ -75,14 +87,14 @@ type SymInfo struct {
 	// S is the group the exploration canonicalised under.
 	S *Symmetry
 	// RootPerm maps the caller's initial state onto the canonical root:
-	// States[Initial] = RootPerm(init).
+	// state Initial = RootPerm(init).
 	RootPerm int32
 	// edgePerms[k] is the permutation π of edge k: the raw successor u
 	// of the edge's source representative satisfies dst = π(u). Aligned
 	// with the LTS's flat edge array.
 	edgePerms []int32
 	// OrbitSizes[s] is |orbit(s)| (1 when the canonicaliser fell back to
-	// the identity for lack of residence info). Aligned with States.
+	// the identity for lack of residence info). Aligned with the states.
 	OrbitSizes []int64
 }
 
@@ -101,7 +113,7 @@ func (l *LTS) EdgePerm(s, k int) int32 {
 // (saturating) for symmetric ones.
 func (l *LTS) Covered() int64 {
 	if l.Sym == nil {
-		return int64(len(l.States))
+		return int64(l.Len())
 	}
 	var sum int64
 	for _, o := range l.Sym.OrbitSizes {
@@ -162,15 +174,15 @@ const DefaultMaxStates = 1 << 20
 
 // Explore builds the reachable LTS of init under the given semantics.
 //
-// States are represented as sorted multisets of hash-consed component
+// States are represented as rank-sorted vectors of hash-consed component
 // IDs (the FlattenPar leaves), so a successor is multiset surgery —
 // remove the acting components, splice in their cached replacements —
-// followed by one interner lookup; no successor type tree is ever built
-// or walked. Per-component steps and per-pair synchronisations come from
-// the semantics' typelts.Cache. When sem carries a cache, it is reused
-// (and extended), so repeated explorations of overlapping systems — the
-// six Fig. 9 properties of one system, say — share their per-component
-// work. The cache is safe for concurrent use, so explorations running on
+// followed by one probe of the exploration's state table; no successor
+// type tree is ever built or walked. Per-component steps and per-pair
+// synchronisations come from the semantics' typelts.Cache. When sem
+// carries a cache, it is reused (and extended), so repeated explorations
+// of overlapping systems — the six Fig. 9 properties of one system, say
+// — share their per-component work. The cache is safe for concurrent use, so explorations running on
 // other goroutines may share it; the LTS does not depend on how they
 // interleave (see DESIGN.md §Parallel verification engine).
 func Explore(sem *typelts.Semantics, init types.Type, opts Options) (*LTS, error) {
@@ -191,12 +203,12 @@ func ExploreContext(ctx context.Context, sem *typelts.Semantics, init types.Type
 // prepBuilder is the shared entry point of both exploration engines
 // (Explore and NewIncremental): resolve the state bound, attach a private
 // cache when the semantics has none (even a single exploration profits
-// from hash-consed state identity, and the clone keeps the caller's value
-// intact), and intern the root state. The root-intern sequence is
-// determinism-critical — encounter-rank assignment starts here — so both
-// engines must run it identically: a witness extracted from an
-// Incremental only replays against Explore-style numbering because the
-// two share this path.
+// from hash-consed component identity, and the clone keeps the caller's
+// value intact), and register the root state. The root-registration
+// sequence is determinism-critical — encounter-rank assignment starts
+// here — so both engines must run it identically: a witness extracted
+// from an Incremental only replays against Explore-style numbering
+// because the two share this path.
 func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, opts Options) *builder {
 	maxStates := opts.MaxStates
 	if maxStates <= 0 {
@@ -231,48 +243,49 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 	if b.sym != nil {
 		var canon []types.ID
 		var perm int32
-		canon, perm, size = b.sym.canonicalise(root)
+		canon, perm, size = b.sym.canonicalise(root, nil)
 		b.l.Sym.RootPerm = perm
 		if perm != 0 {
-			// The canonical root is a different state; its representative
-			// type is materialised from the interner.
+			// The canonical root is a different state; its type is
+			// materialised from the interner like any other state's.
 			root = canon
 			b.orderComps(root)
 			init = nil
 		}
 	}
-	b.internState(root, init, size)
+	b.l.root = init
+	b.internState(root, size)
 	return b
 }
 
 // builder holds the mutable state of one exploration: the LTS under
-// construction, the state index (interned multiset ID → state number),
-// and the dense label index. It is used by one goroutine.
+// construction (whose arena holds the state vectors), the state table
+// indexing that arena, and the dense label index. It is used by one
+// goroutine.
 type builder struct {
-	sem      *typelts.Semantics
-	in       *types.Interner
-	l        *LTS
-	index    map[types.ID]int32
-	labelIdx map[typelts.LabelKey]int32
-	// stateComps[s] is the component multiset of state s, sorted by
-	// builder-local rank (see rankOf) — NOT by interner ID value, whose
-	// assignment order is scheduler-dependent when concurrent
-	// explorations intern fresh successor types into one shared cache.
-	stateComps [][]types.ID
-	maxStates  int
+	sem       *typelts.Semantics
+	l         *LTS
+	table     stateTable
+	labelIdx  map[typelts.LabelKey]int32
+	maxStates int
 	// rank maps a component ID to its dense per-exploration rank,
-	// assigned in first-encounter order. Ordering multisets by rank makes
+	// assigned in first-encounter order. State vectors are sorted by
+	// rank — NOT by interner ID value, whose assignment order is
+	// scheduler-dependent when concurrent explorations intern fresh
+	// successor types into one shared cache. Ordering by rank makes
 	// iteration order — and therefore proposal order, state numbering and
 	// the CSR arrays — independent of the interner's ID assignment order,
 	// which is what keeps an exploration over a shared cache
-	// deterministic (see DESIGN.md).
+	// deterministic (see DESIGN.md). Ranks are unique, so the rank-sorted
+	// vector is also the canonical key of the multiset.
 	rank map[types.ID]int32
-	// scratch is a reusable buffer for InternPar keys (InternPar sorts
-	// its argument in place by ID value, which must not disturb the
-	// rank-sorted stateComps entries); rankScratch buffers the ranks
-	// during orderComps.
-	scratch     []types.ID
+	// rankScratch buffers the ranks during orderComps and peekSeen;
+	// succBuf holds the successor vectors of the expansion in progress
+	// (each proposal's succ is a window of it); canonBuf receives
+	// symmetry representatives.
 	rankScratch []int32
+	succBuf     []types.ID
+	canonBuf    []types.ID
 
 	// ctx is polled between expansions; a cancelled context aborts the
 	// exploration with an error wrapping ctx.Err(). progress, when
@@ -315,9 +328,8 @@ const dedupThreshold = 32
 func newBuilder(sem *typelts.Semantics, maxStates int) *builder {
 	return &builder{
 		sem:       sem,
-		in:        sem.Cache.Interner(),
-		l:         &LTS{Initial: 0, start: make([]int32, 1, 64)},
-		index:     make(map[types.ID]int32, 256),
+		l:         &LTS{Initial: 0, start: make([]int32, 1, 64), compStart: make([]int32, 1, 64), in: sem.Cache.Interner()},
+		table:     newStateTable(),
 		labelIdx:  make(map[typelts.LabelKey]int32, 16),
 		maxStates: maxStates,
 		rank:      make(map[types.ID]int32, 64),
@@ -346,33 +358,32 @@ func (b *builder) orderComps(ids []types.ID) {
 	for _, id := range ids {
 		rs = append(rs, b.rankOf(id))
 	}
+	b.rankScratch = rs
+	sortByRanks(ids, rs)
+}
+
+// sortByRanks co-sorts ids with their ranks rs.
+func sortByRanks(ids []types.ID, rs []int32) {
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
 			rs[j], rs[j-1] = rs[j-1], rs[j]
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	b.rankScratch = rs
 }
 
 // internState registers the state with the given rank-sorted component
-// multiset, materialising a representative type for new states; size is
-// its orbit size under symmetry (canonicalise).
-func (b *builder) internState(comps []types.ID, rep types.Type, size int64) int32 {
-	// InternPar sorts by ID value in place; give it a scratch copy so
-	// the rank order of comps survives.
-	b.scratch = append(b.scratch[:0], comps...)
-	sid := b.in.InternPar(b.scratch)
-	if s, ok := b.index[sid]; ok {
+// vector, copying it into the arena when it is new; size is its orbit
+// size under symmetry (canonicalise).
+func (b *builder) internState(comps []types.ID, size int64) int32 {
+	s, at, tag := b.table.find(b.l, comps)
+	if s >= 0 {
 		return s
 	}
-	s := int32(len(b.l.States))
-	b.index[sid] = s
-	if rep == nil {
-		rep = b.in.TypeOf(sid)
-	}
-	b.l.States = append(b.l.States, rep)
-	b.stateComps = append(b.stateComps, comps)
+	s = int32(b.l.Len())
+	b.l.comps = append(b.l.comps, comps...)
+	b.l.compStart = append(b.l.compStart, int32(len(b.l.comps)))
+	b.table.insert(at, tag, s)
 	if b.sym != nil {
 		b.l.Sym.OrbitSizes = append(b.l.Sym.OrbitSizes, size)
 	}
@@ -451,28 +462,31 @@ func (b *builder) register(from int32, p proposal) {
 	size := int64(1)
 	if b.sym != nil {
 		var canon []types.ID
-		canon, perm, size = b.sym.canonicalise(succ)
+		canon, perm, size = b.sym.canonicalise(succ, b.canonBuf)
 		if perm != 0 {
+			b.canonBuf = canon
 			succ = canon
 			b.orderComps(succ)
 		}
 	}
-	dst := b.internState(succ, nil, size)
+	dst := b.internState(succ, size)
 	lid := b.internLabel(p.key, p.lab)
 	b.addEdge(from, lid, dst, perm)
 }
 
-// spliceSucc builds the successor multiset: comps without positions i
-// and j, plus the acting components' replacements next.
-func spliceSucc(comps []types.ID, i, j int, next []types.ID) []types.ID {
-	succ := make([]types.ID, 0, len(comps)+len(next))
+// propose appends one edge proposal of the state comps: its successor
+// vector — comps without positions i and j, plus the acting components'
+// replacements st.Next — is spliced into succBuf.
+func (b *builder) propose(comps []types.ID, i, j int, st *typelts.CompStep) {
+	lo := len(b.succBuf)
 	for k, c := range comps {
-		if k == i || k == j {
-			continue
+		if k != i && k != j {
+			b.succBuf = append(b.succBuf, c)
 		}
-		succ = append(succ, c)
 	}
-	return append(succ, next...)
+	b.succBuf = append(b.succBuf, st.Next...)
+	hi := len(b.succBuf)
+	b.props = append(b.props, proposal{succ: b.succBuf[lo:hi:hi], key: st.Key, lab: st.Label, i: int32(i), j: int32(j)})
 }
 
 // completeRun appends the run-completion self-loop of an edge-less state
@@ -482,7 +496,7 @@ func spliceSucc(comps []types.ID, i, j int, next []types.ID) []types.ID {
 func (b *builder) completeRun(next int, from int32) {
 	if len(b.l.edges) == int(from) {
 		var lab typelts.Label = typelts.Stuck{}
-		if len(b.stateComps[next]) == 0 {
+		if len(b.l.StateComps(next)) == 0 {
 			lab = typelts.Done{}
 		}
 		b.appendEdge(Edge{Label: b.internLabel(b.sem.Cache.LabelKeyOf(lab), lab), Dst: int32(next)}, 0)
@@ -497,9 +511,9 @@ func (b *builder) finishState(next int, from int32) {
 }
 
 // proposal is one candidate edge of a state (expandState): the
-// successor component multiset (before interning) plus the transition
-// label and its compact identity. builder.expand turns proposals into
-// states and CSR edges.
+// successor component vector (a window of the builder's succBuf, not yet
+// rank-sorted or registered) plus the transition label and its compact
+// identity. builder.expand turns proposals into states and CSR edges.
 type proposal struct {
 	succ []types.ID
 	key  typelts.LabelKey
@@ -511,26 +525,26 @@ type proposal struct {
 	i, j int32
 }
 
-// expandState appends the edge proposals of one state to out, in the
-// canonical per-state edge order: interleaving steps of each component
-// (Y-limited), then pairwise synchronisations — an output of component
-// i meeting an input of component j ≠ i (τ labels always survive the
-// Y-limitation). The pairs are visited in ascending (i, j) order, but
-// only those whose port summaries can meet (syncSteps) cost a SyncSteps
-// lookup: the component entries the interleaving loop fetches carry the
-// summaries, and the filter never drops a pair with a step, so the
-// proposal list is exactly the one of an unfiltered k(k−1) sweep.
-func expandState(sem *typelts.Semantics, comps []types.ID, out []proposal) []proposal {
+// expandState fills b.props with the edge proposals of the state comps,
+// in the canonical per-state edge order: interleaving steps of each
+// component (Y-limited), then pairwise synchronisations — an output of
+// component i meeting an input of component j ≠ i (τ labels always
+// survive the Y-limitation). The pairs are visited in ascending (i, j)
+// order, but only those whose port summaries can meet (syncSteps) cost a
+// SyncSteps lookup: the component entries the interleaving loop fetches
+// carry the summaries, and the filter never drops a pair with a step, so
+// the proposal list is exactly the one of an unfiltered k(k−1) sweep.
+func (b *builder) expandState(comps []types.ID) {
+	b.props, b.succBuf = b.props[:0], b.succBuf[:0]
 	var buf [32]*typelts.Component // on the stack for up to 32 components
 	entries := buf[:0]
 	for i := range comps {
-		c := sem.Component(comps[i])
+		c := b.sem.Component(comps[i])
 		entries = append(entries, c)
-		for _, st := range c.Steps {
-			if !sem.KeepLabel(st.Label) {
-				continue
+		for k := range c.Steps {
+			if b.sem.KeepLabel(c.Steps[k].Label) {
+				b.propose(comps, i, -1, &c.Steps[k])
 			}
-			out = append(out, proposal{succ: spliceSucc(comps, i, -1, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: -1})
 		}
 	}
 	for i, ci := range entries {
@@ -541,12 +555,12 @@ func expandState(sem *typelts.Semantics, comps []types.ID, out []proposal) []pro
 			if i == j {
 				continue
 			}
-			for _, st := range syncSteps(sem, ci, cj) {
-				out = append(out, proposal{succ: spliceSucc(comps, i, j, st.Next), key: st.Key, lab: st.Label, i: int32(i), j: int32(j)})
+			steps := syncSteps(b.sem, ci, cj)
+			for k := range steps {
+				b.propose(comps, i, j, &steps[k])
 			}
 		}
 	}
-	return out
 }
 
 // syncSteps returns the synchronisations of an output of component x
@@ -560,21 +574,25 @@ func syncSteps(sem *typelts.Semantics, x, y *typelts.Component) []typelts.CompSt
 	return sem.SyncSteps(x.ID, y.ID)
 }
 
-// expand settles one state from its proposals (expandState), starting
-// at edge offset from: under partial-order reduction only an ample
-// subset is registered, otherwise every proposal, in proposal order —
-// the canonical per-state edge order shared by Explore and the
-// incremental engine.
-func (b *builder) expand(from int32, comps []types.ID, props []proposal) {
+// expand settles state s, starting at edge offset from: it proposes
+// the state's edges (expandState) and, under partial-order reduction,
+// registers only an ample subset of them, otherwise every proposal, in
+// proposal order — the canonical per-state edge order shared by Explore
+// and the incremental engine.
+func (b *builder) expand(s int, from int32) {
+	comps := b.l.StateComps(s)
+	b.beginState()
+	b.porCur = int32(s)
+	b.expandState(comps)
 	if b.por != nil {
-		if sel := b.por.ample(comps, props, b.fresh); sel != nil {
+		if sel := b.por.ample(comps, b.props, b.fresh); sel != nil {
 			for _, k := range sel {
-				b.register(from, props[k])
+				b.register(from, b.props[k])
 			}
 			return
 		}
 	}
-	for _, p := range props {
+	for _, p := range b.props {
 		b.register(from, p)
 	}
 }
@@ -591,22 +609,22 @@ func (b *builder) boundExceeded() error {
 // LTS must not be consumed — only the error matters.
 func (b *builder) cancelled() error {
 	b.l.sealTruncated()
-	return fmt.Errorf("lts: exploration cancelled after %d states: %w", len(b.l.States), b.ctx.Err())
+	return fmt.Errorf("lts: exploration cancelled after %d states: %w", b.l.Len(), b.ctx.Err())
 }
 
 // report delivers a Progress snapshot (expanded = the number of states
 // whose successors are spliced).
 func (b *builder) report(expanded int) {
 	if b.progress != nil {
-		b.progress(Progress{States: len(b.l.States), Expanded: expanded, Edges: len(b.l.edges)})
+		b.progress(Progress{States: b.l.Len(), Expanded: expanded, Edges: len(b.l.edges)})
 	}
 }
 
 // exploreSerial is Explore's worklist engine: one pass over the growing
 // state list, expanding and splicing in place.
 func (b *builder) exploreSerial() error {
-	for next := 0; next < len(b.l.States); next++ {
-		if len(b.l.States) > b.maxStates {
+	for next := 0; next < b.l.Len(); next++ {
+		if b.l.Len() > b.maxStates {
 			return b.boundExceeded()
 		}
 		if next%cancelStride == 0 && b.ctx.Err() != nil {
@@ -616,32 +634,33 @@ func (b *builder) exploreSerial() error {
 			b.report(next)
 		}
 		from := b.l.start[next]
-		b.beginState()
-		b.porCur = int32(next)
-		b.props = expandState(b.sem, b.stateComps[next], b.props[:0])
-		b.expand(from, b.stateComps[next], b.props)
+		b.expand(next, from)
 		b.finishState(next, from)
 	}
-	b.report(len(b.l.States))
+	b.report(b.l.Len())
 	return nil
 }
 
 // sealTruncated pads the offset array so Out stays in bounds for the
 // states that were discovered but never processed.
 func (l *LTS) sealTruncated() {
-	for len(l.start) < len(l.States)+1 {
+	for len(l.start) < l.Len()+1 {
 		l.start = append(l.start, int32(len(l.edges)))
 	}
 }
 
 // FromAdjacency builds an LTS from an explicit adjacency list — states[i]
 // has the outgoing edges adj[i]. It is meant for tests and hand-built
-// models; Explore is the production constructor.
+// models; Explore is the production constructor. The states are interned
+// into a private interner, so StateType returns a ≡-equivalent type.
 func FromAdjacency(states []types.Type, adj [][]AdjEdge, initial int) *LTS {
-	l := &LTS{Initial: initial, start: make([]int32, 1, len(states)+1)}
+	l := &LTS{Initial: initial, start: make([]int32, 1, len(states)+1), compStart: make([]int32, 1, len(states)+1), in: types.NewInterner()}
 	labelIdx := map[string]int32{}
-	l.States = append(l.States, states...)
 	for i := range states {
+		for _, c := range types.FlattenPar(states[i]) {
+			l.comps = append(l.comps, l.in.Intern(c))
+		}
+		l.compStart = append(l.compStart, int32(len(l.comps)))
 		for _, e := range adj[i] {
 			key := e.Label.Key()
 			lid, ok := labelIdx[key]
@@ -664,7 +683,28 @@ type AdjEdge struct {
 }
 
 // Len returns the number of states.
-func (l *LTS) Len() int { return len(l.States) }
+func (l *LTS) Len() int { return len(l.compStart) - 1 }
+
+// StateComps returns the component vector of state s: the interned IDs
+// of its FlattenPar leaves, in the exploration's rank order (each
+// multiset has exactly one such vector). The slice is a view into the
+// LTS's arena; callers must not mutate it.
+func (l *LTS) StateComps(s int) []types.ID {
+	hi := l.compStart[s+1]
+	return l.comps[l.compStart[s]:hi:hi]
+}
+
+// StateType builds the type of state s on demand. State 0 is the
+// caller's initial type as given unless symmetry moved the root to
+// another representative; every other state is the interner's
+// representative of the parallel composition of its components.
+func (l *LTS) StateType(s int) types.Type {
+	if s == 0 && l.root != nil {
+		return l.root
+	}
+	// InternPar sorts its argument in place; the arena stays rank-sorted.
+	return l.in.TypeOf(l.in.InternPar(slices.Clone(l.StateComps(s))))
+}
 
 // Out returns the outgoing edges of state s (a view into the flat edge
 // array; callers must not mutate it).
@@ -712,10 +752,10 @@ func (l *LTS) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph lts {\n  rankdir=LR;\n")
 	fmt.Fprintf(&b, "  init [shape=point];\n  init -> s%d;\n", l.Initial)
-	for i := range l.States {
-		fmt.Fprintf(&b, "  s%d [label=%q];\n", i, truncate(l.States[i].String(), 60))
+	for i := 0; i < l.Len(); i++ {
+		fmt.Fprintf(&b, "  s%d [label=%q];\n", i, truncate(l.StateType(i).String(), 60))
 	}
-	for src := range l.States {
+	for src := 0; src < l.Len(); src++ {
 		for _, e := range l.Out(src) {
 			fmt.Fprintf(&b, "  s%d -> s%d [label=%q];\n", src, e.Dst, truncate(l.LabelOf(e).String(), 40))
 		}

@@ -60,7 +60,7 @@ func TestEveryStateHasSuccessor(t *testing.T) {
 	}
 	for i := 0; i < m.Len(); i++ {
 		if len(m.Out(i)) == 0 {
-			t.Errorf("state %d (%s) has no outgoing edge: runs must be completed", i, m.States[i])
+			t.Errorf("state %d (%s) has no outgoing edge: runs must be completed", i, m.StateType(i))
 		}
 	}
 }

@@ -149,13 +149,24 @@ func (b *builder) fresh(succ []types.ID) bool {
 }
 
 // peekSeen returns the state number of the successor multiset if it is
-// already discovered, without registering anything. InternPar sorts by
-// ID value internally, so no rank ordering is needed — and none is
-// assigned, keeping the peek free of ordering side effects.
+// already discovered: a plain probe of the state table that registers
+// nothing and assigns no ranks. A component without a rank belongs to
+// no registered state, so such a successor is unseen at once; otherwise
+// succ is sorted by rank in place, which is exactly the order register
+// gives it later.
 func (b *builder) peekSeen(succ []types.ID) (int32, bool) {
-	b.scratch = append(b.scratch[:0], succ...)
-	num, ok := b.index[b.in.InternPar(b.scratch)]
-	return num, ok
+	rs := b.rankScratch[:0]
+	for _, id := range succ {
+		r, ok := b.rank[id]
+		if !ok {
+			return 0, false
+		}
+		rs = append(rs, r)
+	}
+	b.rankScratch = rs
+	sortByRanks(succ, rs)
+	num, _, _ := b.table.find(b.l, succ)
+	return num, num >= 0
 }
 
 // ample returns the indices (in canonical proposal order) of a valid

@@ -17,7 +17,7 @@ func porAll() *POR { return &POR{} }
 // stateKey/edgeKey identify states and edges independently of state
 // numbering, so a reduced LTS can be compared against the full one even
 // though dropping edges reorders the BFS discovery sequence.
-func stateKey(m *LTS, s int) string { return types.Canon(m.States[s]) }
+func stateKey(m *LTS, s int) string { return types.Canon(m.StateType(s)) }
 func edgeKey(m *LTS, s int, e Edge) string {
 	return fmt.Sprintf("%s --%s--> %s", stateKey(m, s), m.Labels[e.Label].Key(), stateKey(m, int(e.Dst)))
 }
@@ -44,7 +44,7 @@ func TestPORAmpleIsSubset(t *testing.T) {
 			}
 			states := map[string]bool{}
 			edges := map[string]bool{}
-			for s := range full.States {
+			for s := range full.Len() {
 				states[stateKey(full, s)] = true
 				for _, e := range full.Out(s) {
 					edges[edgeKey(full, s, e)] = true
@@ -53,7 +53,7 @@ func TestPORAmpleIsSubset(t *testing.T) {
 			if !states[stateKey(red, red.Initial)] || stateKey(red, red.Initial) != stateKey(full, full.Initial) {
 				t.Errorf("initial states differ")
 			}
-			for s := range red.States {
+			for s := range red.Len() {
 				if !states[stateKey(red, s)] {
 					t.Errorf("reduced state %s is not a state of the full LTS", stateKey(red, s))
 				}

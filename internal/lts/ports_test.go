@@ -32,7 +32,7 @@ const (
 // also have a step (the filter is exact on the row).
 func checkPairs(t *testing.T, s *systems.System, exact bool) pairCounts {
 	t.Helper()
-	sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true, Cache: typelts.NewCache(s.Env, true)}
+	sem := closedSem(s)
 	m, err := lts.Explore(sem, s.Type, lts.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name, err)
@@ -42,10 +42,9 @@ func checkPairs(t *testing.T, s *systems.System, exact bool) pairCounts {
 	// computed once and the per-state sweep reads a table.
 	dense := map[types.ID]int{}
 	var comps []*typelts.Component
-	stateComps := make([][]int32, len(m.States))
-	for k, st := range m.States {
-		for _, leaf := range types.FlattenPar(st) {
-			id := in.Intern(leaf)
+	stateComps := make([][]int32, m.Len())
+	for k := range m.Len() {
+		for _, id := range m.StateComps(k) {
 			d, ok := dense[id]
 			if !ok {
 				d = len(comps)
@@ -178,14 +177,20 @@ func TestPortFilterSoundOnRandomCorpus(t *testing.T) {
 	}
 }
 
-// benchExplore explores s in full, closed, with a cold cache per op: the
-// exploration both engines run through expandState.
-func benchExplore(b *testing.B, s *systems.System) {
+// benchExplore explores s, closed, with a cold cache per op: the
+// exploration both engines run through expandState. opts builds the
+// exploration's options over that op's cache (nil: explore in full), so
+// a symmetry group is detected afresh each op.
+func benchExplore(b *testing.B, s *systems.System, opts func(*typelts.Semantics) lts.Options) {
 	b.ReportAllocs()
 	states := 0
 	for i := 0; i < b.N; i++ {
-		sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true, Cache: typelts.NewCache(s.Env, true)}
-		m, err := lts.Explore(sem, s.Type, lts.Options{})
+		sem := closedSem(s)
+		var o lts.Options
+		if opts != nil {
+			o = opts(sem)
+		}
+		m, err := lts.Explore(sem, s.Type, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,5 +199,22 @@ func benchExplore(b *testing.B, s *systems.System) {
 	b.ReportMetric(float64(states), "states")
 }
 
-func BenchmarkExplorePingPong8(b *testing.B) { benchExplore(b, systems.PingPongPairs(8, false)) }
-func BenchmarkExploreDining7(b *testing.B)   { benchExplore(b, systems.DiningPhilosophers(7, true)) }
+func BenchmarkExplorePingPong8(b *testing.B) { benchExplore(b, systems.PingPongPairs(8, false), nil) }
+func BenchmarkExploreDining7(b *testing.B)   { benchExplore(b, systems.DiningPhilosophers(7, true), nil) }
+
+// BenchmarkExploreRing16x4POR covers the cycle proviso's probes of the
+// state table.
+func BenchmarkExploreRing16x4POR(b *testing.B) {
+	benchExplore(b, systems.Ring(16, 4), func(*typelts.Semantics) lts.Options {
+		return lts.Options{PartialOrder: &lts.POR{}}
+	})
+}
+
+// BenchmarkExploreDining8Rotational covers canonicalised registration:
+// the 6 560-state ring explored on 833 necklaces.
+func BenchmarkExploreDining8Rotational(b *testing.B) {
+	s := systems.DiningPhilosophers(8, true)
+	benchExplore(b, s, func(sem *typelts.Semantics) lts.Options {
+		return lts.Options{Symmetry: lts.DetectSymmetry(sem.Cache, s.Type, nil)}
+	})
+}

@@ -44,7 +44,7 @@ func quotientOf(m *LTS, blockOf []int32, blocks int) *LTS {
 	adj := make([][]AdjEdge, blocks)
 	for s := m.Len() - 1; s >= 0; s-- {
 		b := blockOf[s]
-		states[b] = m.States[s]
+		states[b] = m.StateType(s)
 		adj[b] = adj[b][:0]
 		for _, mv := range moveSet(m.Out, blockOf, s) {
 			adj[b] = append(adj[b], AdjEdge{Label: m.Labels[mv.Label], Dst: int(mv.Dst)})
@@ -182,8 +182,8 @@ func TestRefineIndependentOfInternOrder(t *testing.T) {
 
 	var comps []types.Type
 	seen := map[string]bool{}
-	for _, s := range baseline.States {
-		for _, c := range types.FlattenPar(s) {
+	for s := range baseline.Len() {
+		for _, c := range types.FlattenPar(baseline.StateType(s)) {
 			key := types.Canon(c)
 			if !seen[key] {
 				seen[key] = true

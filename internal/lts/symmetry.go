@@ -830,18 +830,19 @@ func (s *Symmetry) equalContents(a, b int32) bool {
 // rotation-fixed ring stays put). The two decisions are independent —
 // the group is a direct product on disjoint channels — so the pass
 // first decides the full permutation, then builds the representative.
-// It returns the canonical multiset (freshly allocated when it differs
-// from the input), the interned permutation π with canonical = π(input)
-// — (input, 0) when the state is already canonical or cannot be placed —
-// and |orbit(input)|, the number of distinct concrete states the
-// canonical state represents. The orbit size is the product over
-// classes of the multinomial counting the distinct assignments of the
-// class's content multisets to its bundles (the equal runs of the
-// sorted order), times n/|stabiliser| for each ring of length n: the
-// rotations tying for the minimum are a coset of the stabiliser, a
-// subgroup of C_n, so the division is exact (orbit–stabiliser). It
-// saturates at MaxInt64, and is 1 for a state that cannot be placed.
-func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32, int64) {
+// It returns the canonical multiset (built in buf's storage when it
+// differs from the input), the interned permutation π with
+// canonical = π(input) — (input, 0) when the state is already canonical
+// or cannot be placed — and |orbit(input)|, the number of distinct
+// concrete states the canonical state represents. The orbit size is the
+// product over classes of the multinomial counting the distinct
+// assignments of the class's content multisets to its bundles (the
+// equal runs of the sorted order), times n/|stabiliser| for each ring of
+// length n: the rotations tying for the minimum are a coset of the
+// stabiliser, a subgroup of C_n, so the division is exact
+// (orbit–stabiliser). It saturates at MaxInt64, and is 1 for a state
+// that cannot be placed.
+func (s *Symmetry) canonicalise(comps, buf []types.ID) ([]types.ID, int32, int64) {
 	if !s.fillContents(comps) {
 		return comps, 0, 1
 	}
@@ -890,8 +891,7 @@ func (s *Symmetry) canonicalise(comps []types.ID) ([]types.ID, int32, int64) {
 	if identity {
 		return comps, 0, size
 	}
-	out := make([]types.ID, 0, len(comps))
-	out = append(out, s.fixed...)
+	out := append(buf[:0], s.fixed...)
 	base := 0
 	for _, cls := range s.classes {
 		o := ord[base : base+len(cls)]

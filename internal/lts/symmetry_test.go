@@ -187,8 +187,8 @@ func TestSymmetricExploreHostileInternOrder(t *testing.T) {
 	}
 	var comps []types.Type
 	seen := map[string]bool{}
-	for _, s := range full.States {
-		for _, c := range types.FlattenPar(s) {
+	for s := range full.Len() {
+		for _, c := range types.FlattenPar(full.StateType(s)) {
 			key := types.Canon(c)
 			if !seen[key] {
 				seen[key] = true
@@ -370,8 +370,8 @@ func TestRingHostileInternOrder(t *testing.T) {
 	}
 	var comps []types.Type
 	seen := map[string]bool{}
-	for _, s := range full.States {
-		for _, c := range types.FlattenPar(s) {
+	for s := range full.Len() {
+		for _, c := range types.FlattenPar(full.StateType(s)) {
 			key := types.Canon(c)
 			if !seen[key] {
 				seen[key] = true
@@ -431,7 +431,7 @@ func TestRingPermOps(t *testing.T) {
 			if got := sym.Compose(p, inv); got != 0 {
 				t.Fatalf("p∘p⁻¹ = perm %d, want identity", got)
 			}
-			dst := sem.InternLeaves(m.States[e.Dst])
+			dst := m.StateComps(int(e.Dst))
 			if _, ok := sym.PermuteComps(inv, dst); !ok {
 				t.Fatalf("edge %d/%d: destination components cannot be un-permuted", s, k)
 			}
@@ -513,7 +513,7 @@ func TestSymmetryPermOps(t *testing.T) {
 			// Un-permuting the canonical destination must give a real raw
 			// successor of s's representative: one of the uncanonicalised
 			// splice results.
-			dst := sem.InternLeaves(m.States[e.Dst])
+			dst := m.StateComps(int(e.Dst))
 			raw, ok := sym.PermuteComps(inv, dst)
 			if !ok {
 				t.Fatalf("edge %d/%d: destination components cannot be un-permuted", s, k)

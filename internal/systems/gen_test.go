@@ -50,13 +50,13 @@ func TestRandomSystemsWellFormedAndDeterministic(t *testing.T) {
 // (label keys), and the per-state edge lists.
 func publicFingerprint(m *lts.LTS) string {
 	out := fmt.Sprintf("initial=%d truncated=%v\n", m.Initial, m.Truncated)
-	for i, s := range m.States {
-		out += fmt.Sprintf("S%d %s\n", i, types.Canon(s))
+	for i := range m.Len() {
+		out += fmt.Sprintf("S%d %s\n", i, types.Canon(m.StateType(i)))
 	}
 	for i, l := range m.Labels {
 		out += fmt.Sprintf("L%d %s\n", i, l.Key())
 	}
-	for s := range m.States {
+	for s := range m.Len() {
 		for _, e := range m.Out(s) {
 			out += fmt.Sprintf("e %d %d %d\n", s, e.Label, e.Dst)
 		}

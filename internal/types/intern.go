@@ -7,10 +7,11 @@ package types
 // commutativity and associativity, p[T,nil] ≡ T, α-conversion of binders).
 //
 // The interner is the identity backbone of the verification hot path:
-// state identity in lts.Explore, transition-label identity, and the
-// memoisation keys of the cached type semantics (typelts.Cache) are all
-// interned IDs, so the expensive canonical *string* of a type never needs
-// to be built at all. Interning walks the type once and hashes structural
+// component identity in lts.Explore (a state is a vector of component
+// IDs), transition-label identity, and the memoisation keys of the
+// cached type semantics (typelts.Cache) are all interned IDs, so the
+// expensive canonical *string* of a type never needs to be built at
+// all. Interning walks the type once and hashes structural
 // node keys (tag + child IDs + positional binder names), which mirrors
 // Canon's traversal exactly: Par components are flattened (nil dropped)
 // and sorted, union leaves are flattened, sorted and deduplicated, and
@@ -87,8 +88,8 @@ func (in *Interner) TypeOf(id ID) Type {
 // components ids — a multiset: order is irrelevant, and ids is sorted in
 // place. No type tree is walked or built unless the composition is new
 // (its representative is then assembled from the components'
-// representatives). This is how lts.Explore identifies successor states
-// in O(|components|) instead of O(|type tree|).
+// representatives). lts.LTS.StateType builds a state's type this way,
+// on demand, from the state's component vector.
 //
 // ids must be the interned IDs of FlattenPar leaves (non-Par, non-Nil
 // types), which is the same invariant Intern itself establishes for Par

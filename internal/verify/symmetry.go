@@ -27,6 +27,7 @@ package verify
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -112,12 +113,13 @@ func pinnedChannels(props []Property) []string {
 	return out
 }
 
-// internMultiset interns a component multiset's identity: ID-sorted
-// InternPar over a scratch copy (InternPar sorts in place, and callers'
-// slices are rank-sorted and must stay that way).
-func internMultiset(in *types.Interner, comps []types.ID) types.ID {
-	scratch := append(make([]types.ID, 0, len(comps)), comps...)
-	return in.InternPar(scratch)
+// sortedInto copies a component multiset into buf, sorted by ID value:
+// two multisets are equal iff their sorted copies are. Callers' slices
+// are rank-sorted and must stay that way, hence the copy.
+func sortedInto(buf, comps []types.ID) []types.ID {
+	buf = append(buf[:0], comps...)
+	slices.Sort(buf)
+	return buf
 }
 
 // orbitStep is one resolved transition of an orbit-LTS lasso: the edge
@@ -172,7 +174,6 @@ func liftSymmetric(ctx context.Context, req Request, sem *typelts.Semantics, m *
 	if !sem.HasCompatibleCache() || !sym.SameInterner(sem.Cache.Interner()) {
 		return fmt.Errorf("the outcome's symmetry group was detected over a different transition cache")
 	}
-	in := sem.Cache.Interner()
 
 	stem, err := resolveOrbitSteps(m, raw.StemStates, raw.StemLabels)
 	if err != nil {
@@ -194,23 +195,26 @@ func liftSymmetric(ctx context.Context, req Request, sem *typelts.Semantics, m *
 	// step advances the concrete walk along one orbit step: the concrete
 	// label is ρ(label), the expected concrete successor is
 	// (ρ∘π⁻¹)(canonical destination), matched among the concrete edges by
-	// label key and interned multiset identity.
+	// label key and component multiset.
+	var want, got []types.ID
 	step := func(st orbitStep) error {
 		next := sym.Compose(rho, sym.Invert(st.perm))
 		lab := sym.PermuteLabel(rho, m.Labels[st.lab])
-		dstComps := sem.InternLeaves(m.States[st.to])
-		expComps, ok := sym.PermuteComps(next, dstComps)
+		expComps, ok := sym.PermuteComps(next, m.StateComps(st.to))
 		if !ok {
 			return fmt.Errorf("orbit state %d has components the group cannot place", st.to)
 		}
-		want := internMultiset(in, expComps)
+		want = sortedInto(want, expComps)
 		wantKey := lab.Key()
 		edges, err := inc.Succ(cur)
 		if err != nil {
 			return err
 		}
 		for _, e := range edges {
-			if inc.Labels()[e.Label].Key() == wantKey && internMultiset(in, inc.StateComps(int(e.Dst))) == want {
+			if inc.Labels()[e.Label].Key() != wantKey {
+				continue
+			}
+			if got = sortedInto(got, inc.StateComps(int(e.Dst))); slices.Equal(got, want) {
 				lifted.StemLabels = append(lifted.StemLabels, e.Label)
 				cur = int(e.Dst)
 				lifted.StemStates = append(lifted.StemStates, cur)

@@ -10,10 +10,13 @@ import (
 // DefaultCacheBudget is the default Workspace memo budget: the total
 // number of cache entries (interned types + memoised steps, matches and
 // synchronisations, summed over all environments) retained between
-// requests before least-recently-used caches are evicted. The Fig. 9
-// systems each settle in the low thousands of entries, so the default
-// keeps hundreds of distinct workloads warm while bounding a long-lived
-// process to tens of megabytes of memo state.
+// requests before least-recently-used caches are evicted. Explored
+// states are not entries: each exploration keeps its states in its own
+// table, freed with its LTS, so the budget grows with the components a
+// workload meets, not with its state space. A Fig. 9 system settles at
+// about 600 entries on average, so the default keeps well over a
+// thousand distinct workloads warm while bounding a long-lived process
+// to tens of megabytes of memo state.
 const DefaultCacheBudget = 1 << 20
 
 // Workspace owns the verification state that outlives a single request:
@@ -65,8 +68,8 @@ type wsEntry struct {
 type WorkspaceOption func(*Workspace)
 
 // WithCacheBudget bounds the total memo entries retained across requests
-// (see DefaultCacheBudget). 0 keeps the default; negative disables
-// eviction entirely.
+// (see DefaultCacheBudget); explored states do not count. 0 keeps the
+// default; negative disables eviction entirely.
 func WithCacheBudget(entries int) WorkspaceOption {
 	return func(w *Workspace) {
 		if entries != 0 {
