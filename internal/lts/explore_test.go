@@ -299,7 +299,7 @@ func TestAddEdgeDedupHighDegree(t *testing.T) {
 	for round := 0; round < 2; round++ { // second round: all duplicates
 		for k := 0; k < total; k++ {
 			lab := typelts.Output{Subject: types.Var{Name: fmt.Sprintf("v%d", k)}, Payload: types.Str{}}
-			b.addEdge(from, b.internLabel(sem.Cache.LabelKeyOf(lab), lab), 0, 0)
+			b.addEdge(from, b.internLabel(sem.Cache.LabelKeyOf(lab), lab), 0, 0, false)
 		}
 	}
 	if got := len(b.l.edges); got != total {
@@ -323,21 +323,47 @@ func TestPeekSeenRegistersNothing(t *testing.T) {
 	if len(b.props) == 0 {
 		t.Fatal("root has no proposals")
 	}
-	interned, ranked := in.Len(), len(b.rank)
+	interned, ranked := in.Len(), len(b.ranks.rows)
 	for _, p := range b.props {
-		if _, ok := b.peekSeen(p.succ); ok {
-			t.Errorf("successor %v seen before it was registered", p.succ)
+		if _, ok := b.peekSeen(p); ok {
+			t.Errorf("successor of %v seen before it was registered", p)
 		}
 	}
-	if in.Len() != interned || len(b.rank) != ranked {
-		t.Errorf("peeks grew the interner %d → %d and the ranks %d → %d, want no change", interned, in.Len(), ranked, len(b.rank))
+	if in.Len() != interned || len(b.ranks.rows) != ranked {
+		t.Errorf("peeks grew the interner %d → %d and the ranks %d → %d, want no change", interned, in.Len(), ranked, len(b.ranks.rows))
 	}
 	for _, p := range b.props {
-		succ := slices.Clone(p.succ)
-		b.orderComps(succ)
-		want := b.internState(succ, 1)
-		if got, ok := b.peekSeen(p.succ); !ok || got != want {
-			t.Errorf("peek of registered successor %v = (%d, %v), want (%d, true)", p.succ, got, ok, want)
+		want := b.internState(slices.Clone(b.materialise(p)), 1)
+		if got, ok := b.peekSeen(p); !ok || got != want {
+			t.Errorf("peek of registered successor of %v = (%d, %v), want (%d, true)", p, got, ok, want)
 		}
+	}
+}
+
+// TestSyncSweepPairsCopiesOfOneComponent: a component with both an
+// output and an input on one channel is its own sync partner, so two
+// copies of it in one state synchronise in both orders, and the sweep
+// must propose both pairs, just as the k(k−1) sweep does.
+func TestSyncSweepPairsCopiesOfOneComponent(t *testing.T) {
+	env := types.EnvOf("c", types.ChanIO{Elem: types.Int{}})
+	both := types.Rec{Var: "t", Body: types.Par{
+		L: types.Out{Ch: tv("c"), Payload: types.Int{}, Cont: types.Thunk(types.Nil{})},
+		R: types.In{Ch: tv("c"), Cont: types.Pi{Var: "x", Dom: types.Int{}, Cod: types.Nil{}}},
+	}}
+	sem := &typelts.Semantics{Env: env, Observable: map[string]bool{}, WitnessOnly: true}
+	init := types.Par{L: both, R: both}
+	if n := CheckExpansions(t, sem, init, Options{}, false); n.States < 2 {
+		t.Fatalf("explored %d states, want the copies to move", n.States)
+	}
+	b := prepBuilder(context.Background(), sem, init, Options{})
+	b.expandState(b.l.StateComps(0))
+	pairs := map[[2]int32]bool{}
+	for _, p := range b.props {
+		if p.j >= 0 {
+			pairs[[2]int32{p.i, p.j}] = true
+		}
+	}
+	if !pairs[[2]int32{0, 1}] || !pairs[[2]int32{1, 0}] {
+		t.Errorf("root proposes sync pairs %v, want (0, 1) and (1, 0)", pairs)
 	}
 }

@@ -9,11 +9,16 @@
 // the vectors live in one flat arena of the LTS, indexed by an
 // open-addressed table of state numbers (statetable.go), and the shared
 // interner never sees a whole state — a state's type is built only when
-// asked for (StateType). Labels are interned into a dense per-LTS
-// alphabet, and edges live in one flat CSR-style array indexed by
-// per-state offsets — which is what lets the model checker precompute
-// per-Büchi-state admit bitsets and walk the product with plain array
-// indexing (see DESIGN.md).
+// asked for (StateType). Each exploration also keeps a rank table: per
+// component, its typelts entry and the components it may synchronise
+// with, fetched once. A state is expanded through that table into
+// proposals, each an edit of the state's vector, and a successor is
+// found from its edit by an incremental hash; only a new state's vector
+// is ever built. Labels are interned into a dense per-LTS alphabet, and
+// edges live in one flat CSR-style array indexed by per-state offsets —
+// which is what lets the model checker precompute per-Büchi-state admit
+// bitsets and walk the product with plain array indexing (see
+// DESIGN.md).
 package lts
 
 import (
@@ -177,9 +182,11 @@ const DefaultMaxStates = 1 << 20
 // States are represented as rank-sorted vectors of hash-consed component
 // IDs (the FlattenPar leaves), so a successor is multiset surgery —
 // remove the acting components, splice in their cached replacements —
-// followed by one probe of the exploration's state table; no successor
-// type tree is ever built or walked. Per-component steps and per-pair
-// synchronisations come from the semantics' typelts.Cache. When sem
+// and one probe of the exploration's state table finds it from that edit
+// alone. No successor type tree is ever built or walked, and a
+// successor's vector is built only when the state is new. Per-component
+// steps and per-pair synchronisations come from the semantics'
+// typelts.Cache, through the exploration's rank table. When sem
 // carries a cache, it is reused (and extended), so repeated explorations
 // of overlapping systems — the six Fig. 9 properties of one system, say
 // — share their per-component work. The cache is safe for concurrent use, so explorations running on
@@ -230,7 +237,7 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 		b.l.Sym = &SymInfo{S: s}
 	}
 	if por := opts.PartialOrder; por != nil && b.sym == nil {
-		b.por = newPORState(por, b.sem)
+		b.por = newPORState(por, b.sem, &b.ranks)
 		// Default proviso predicate: Explore makes ample decisions in
 		// state-number order, so a state is decided iff its number
 		// precedes the current one. The incremental engine overrides
@@ -260,32 +267,33 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 
 // builder holds the mutable state of one exploration: the LTS under
 // construction (whose arena holds the state vectors), the state table
-// indexing that arena, and the dense label index. It is used by one
-// goroutine.
+// indexing that arena, the rank table and the dense label index. It is
+// used by one goroutine.
 type builder struct {
 	sem       *typelts.Semantics
 	l         *LTS
 	table     stateTable
+	ranks     rankTable
 	labelIdx  map[typelts.LabelKey]int32
 	maxStates int
-	// rank maps a component ID to its dense per-exploration rank,
-	// assigned in first-encounter order. State vectors are sorted by
-	// rank — NOT by interner ID value, whose assignment order is
-	// scheduler-dependent when concurrent explorations intern fresh
-	// successor types into one shared cache. Ordering by rank makes
-	// iteration order — and therefore proposal order, state numbering and
-	// the CSR arrays — independent of the interner's ID assignment order,
-	// which is what keeps an exploration over a shared cache
-	// deterministic (see DESIGN.md). Ranks are unique, so the rank-sorted
-	// vector is also the canonical key of the multiset.
-	rank map[types.ID]int32
-	// rankScratch buffers the ranks during orderComps and peekSeen;
-	// succBuf holds the successor vectors of the expansion in progress
-	// (each proposal's succ is a window of it); canonBuf receives
-	// symmetry representatives.
+	// rankScratch buffers the ranks during orderComps and materialise;
+	// succBuf receives the successor vector materialise builds;
+	// canonBuf receives symmetry representatives.
 	rankScratch []int32
 	succBuf     []types.ID
 	canonBuf    []types.ID
+
+	// The state being expanded (expandState): its vector, the rank of
+	// each position, and the sum of its hash terms, which findEdit
+	// adjusts by each proposal's edit. firstPos[r] is one plus the first
+	// position holding rank r during the sync sweep, and zero otherwise.
+	// nextAt holds, while findEdit compares a proposal in place, the
+	// parent position each of its replacements goes before.
+	cur      []types.ID
+	curRanks []int32
+	curSum   uint64
+	firstPos []int32
+	nextAt   []int
 
 	// ctx is polled between expansions; a cancelled context aborts the
 	// exploration with an error wrapping ctx.Err(). progress, when
@@ -330,39 +338,162 @@ func newBuilder(sem *typelts.Semantics, maxStates int) *builder {
 		sem:       sem,
 		l:         &LTS{Initial: 0, start: make([]int32, 1, 64), compStart: make([]int32, 1, 64), in: sem.Cache.Interner()},
 		table:     newStateTable(),
+		ranks:     rankTable{sem: sem, idx: make(map[types.ID]int32, 64)},
 		labelIdx:  make(map[typelts.LabelKey]int32, 16),
 		maxStates: maxStates,
-		rank:      make(map[types.ID]int32, 64),
 	}
 }
 
-// rankOf returns the builder-local rank of a component ID, assigning
-// the next dense rank on first encounter.
-func (b *builder) rankOf(id types.ID) int32 {
-	if r, ok := b.rank[id]; ok {
+// rankTable is the per-exploration table of components, indexed by the
+// dense rank each component gets on first encounter in a registered
+// state. State vectors are sorted by rank — NOT by interner ID value,
+// whose assignment order is scheduler-dependent when concurrent
+// explorations intern fresh successor types into one shared cache.
+// Ordering by rank makes iteration order — and therefore proposal order,
+// state numbering and the CSR arrays — independent of the interner's ID
+// assignment order, which is what keeps an exploration over a shared
+// cache deterministic (see DESIGN.md). Ranks are unique, so the
+// rank-sorted vector is also the canonical key of the multiset.
+//
+// Per rank the table keeps what expansion asks of a component, fetched
+// once per exploration rather than once per state: its typelts entry,
+// its Y-limited solo steps, and the ranks it may synchronise with. A row
+// is fetched when the first state holding it is expanded, so components
+// of states that are only discovered cost no typelts work.
+type rankTable struct {
+	sem  *typelts.Semantics
+	idx  map[types.ID]int32
+	rows []rankRow
+}
+
+// rankRow is the rank table's row of one component.
+type rankRow struct {
+	id types.ID
+	// comp is the component's typelts entry (nil until fetched) and solo
+	// its steps that survive the Y-limitation.
+	comp *typelts.Component
+	solo []move
+	// partners are the fetched ranks whose component an output of this
+	// one may meet (typelts.MaySync), ascending; the list grows as rows
+	// are fetched.
+	partners []partner
+}
+
+// partner is one entry of a partner list: the input side's rank and the
+// pair's synchronisations, looked up on first use.
+type partner struct {
+	rank    int32
+	fetched bool
+	moves   []move
+}
+
+// move is one step a row offers, solo or with a partner: the typelts
+// step and the index of its label in the LTS's alphabet, -1 until an
+// edge first carries it (register).
+type move struct {
+	st  *typelts.CompStep
+	lid int32
+	// next is st.Next with its ranks, sorted by rank; it is set once
+	// every component of st.Next has a rank (rankNext).
+	next []rankedID
+}
+
+// rankedID is a component ID with its rank.
+type rankedID struct {
+	id   types.ID
+	rank int32
+}
+
+// movesOf wraps steps as moves with no label index yet.
+func movesOf(steps []typelts.CompStep) []move {
+	ms := make([]move, len(steps))
+	for k := range steps {
+		ms[k] = move{st: &steps[k], lid: -1}
+	}
+	return ms
+}
+
+// rankOf returns the rank of a component ID, assigning the next dense
+// rank on first encounter.
+func (t *rankTable) rankOf(id types.ID) int32 {
+	if r, ok := t.idx[id]; ok {
 		return r
 	}
-	r := int32(len(b.rank))
-	b.rank[id] = r
+	r := int32(len(t.rows))
+	t.idx[id] = r
+	t.rows = append(t.rows, rankRow{id: id})
 	return r
+}
+
+// fetch returns the row of rank r, fetching its typelts entry on first
+// use and entering it into the partner lists: its own, from every
+// fetched rank in ascending order, and every fetched rank's, at its
+// place.
+func (t *rankTable) fetch(r int32) *rankRow {
+	row := &t.rows[r]
+	if row.comp != nil {
+		return row
+	}
+	c := t.sem.Component(row.id)
+	row.comp = c
+	for k := range c.Steps {
+		if t.sem.KeepLabel(c.Steps[k].Label) {
+			row.solo = append(row.solo, move{st: &c.Steps[k], lid: -1})
+		}
+	}
+	for q := range t.rows {
+		o := &t.rows[q]
+		if o.comp == nil {
+			continue
+		}
+		if typelts.MaySync(&c.Ports, &o.comp.Ports) {
+			row.partners = append(row.partners, partner{rank: int32(q)})
+		}
+		if int32(q) != r && typelts.MaySync(&o.comp.Ports, &c.Ports) {
+			k, _ := slices.BinarySearchFunc(o.partners, r, func(p partner, r int32) int { return int(p.rank - r) })
+			o.partners = slices.Insert(o.partners, k, partner{rank: r})
+		}
+	}
+	return row
+}
+
+// syncs returns the synchronisations of an output of rank x with an
+// input of rank y, both fetched: none unless y is on x's partner list,
+// and otherwise the pair's typelts.SyncSteps, looked up once.
+func (t *rankTable) syncs(x, y int32) []move {
+	ps := t.rows[x].partners
+	k, ok := slices.BinarySearchFunc(ps, y, func(p partner, y int32) int { return int(p.rank - y) })
+	if !ok {
+		return nil
+	}
+	return t.partnerMoves(x, &ps[k])
+}
+
+// partnerMoves returns the synchronisations of an output of rank x with
+// its partner p, looking them up on first use.
+func (t *rankTable) partnerMoves(x int32, p *partner) []move {
+	if !p.fetched {
+		p.moves = movesOf(t.sem.SyncSteps(t.rows[x].id, t.rows[p.rank].id))
+		p.fetched = true
+	}
+	return p.moves
 }
 
 // orderComps assigns ranks to every ID (in slice order, so new
 // components are ranked in deterministic encounter order) and sorts the
-// slice by rank. Each rank is looked up once into a scratch slice and
-// the two are co-sorted — multisets arrive mostly sorted (the kept
-// parent components already are), so the insertion sort is near-linear
-// and compares plain ints.
+// slice by rank.
 func (b *builder) orderComps(ids []types.ID) {
 	rs := b.rankScratch[:0]
 	for _, id := range ids {
-		rs = append(rs, b.rankOf(id))
+		rs = append(rs, b.ranks.rankOf(id))
 	}
 	b.rankScratch = rs
 	sortByRanks(ids, rs)
 }
 
-// sortByRanks co-sorts ids with their ranks rs.
+// sortByRanks co-sorts ids with their ranks rs. Multisets arrive mostly
+// sorted (the kept parent components already are), so the insertion
+// sort is near-linear and compares plain ints.
 func sortByRanks(ids []types.ID, rs []int32) {
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
@@ -380,7 +511,13 @@ func (b *builder) internState(comps []types.ID, size int64) int32 {
 	if s >= 0 {
 		return s
 	}
-	s = int32(b.l.Len())
+	return b.addState(comps, at, tag, size)
+}
+
+// addState copies a new state's vector into the arena and records it at
+// the empty table slot a probe returned.
+func (b *builder) addState(comps []types.ID, at int, tag uint32, size int64) int32 {
+	s := int32(b.l.Len())
 	b.l.comps = append(b.l.comps, comps...)
 	b.l.compStart = append(b.l.compStart, int32(len(b.l.comps)))
 	b.table.insert(at, tag, s)
@@ -403,23 +540,22 @@ func (b *builder) internLabel(key typelts.LabelKey, lab typelts.Label) int32 {
 // beginState resets the per-state edge dedup.
 func (b *builder) beginState() { b.dedupActive = false }
 
-// addEdge appends (lid → dst) unless the current state already has it.
-// perm is the symmetry permutation recorded for the edge (0 = identity;
-// always 0 without symmetry). When a duplicate (label, dst) pair is
-// dropped, the first recorded permutation stands — any recorded
-// permutation maps the canonical destination back to *a* raw successor
-// of the source under that label, which is all the lift needs.
-func (b *builder) addEdge(from int32, lid, dst, perm int32) {
+// addEdge appends (lid → dst) unless the current state already has it;
+// an edge to a state that was new (fresh) cannot be a duplicate, so it
+// skips the check. perm is the symmetry permutation recorded for the
+// edge (0 = identity; always 0 without symmetry). When a duplicate
+// (label, dst) pair is dropped, the first recorded permutation stands —
+// any recorded permutation maps the canonical destination back to *a*
+// raw successor of the source under that label, which is all the lift
+// needs.
+func (b *builder) addEdge(from int32, lid, dst, perm int32, fresh bool) {
 	e := Edge{Label: lid, Dst: dst}
 	if !b.dedupActive {
-		seg := b.l.edges[from:]
-		for _, x := range seg {
-			if x == e {
-				return
-			}
+		if !fresh && slices.Contains(b.l.edges[from:], e) {
+			return
 		}
 		b.appendEdge(e, perm)
-		if len(seg)+1 >= dedupThreshold {
+		if len(b.l.edges)-int(from) >= dedupThreshold {
 			b.dedupActive = true
 			if b.dedup == nil {
 				b.dedup = make(map[Edge]struct{}, 2*dedupThreshold)
@@ -432,8 +568,10 @@ func (b *builder) addEdge(from int32, lid, dst, perm int32) {
 		}
 		return
 	}
-	if _, ok := b.dedup[e]; ok {
-		return
+	if !fresh {
+		if _, ok := b.dedup[e]; ok {
+			return
+		}
 	}
 	b.dedup[e] = struct{}{}
 	b.appendEdge(e, perm)
@@ -449,44 +587,175 @@ func (b *builder) appendEdge(e Edge, perm int32) {
 }
 
 // register is the shared successor-registration path of both engines
-// (Explore and Incremental): order the multiset by builder rank,
-// canonicalise it to its orbit representative when symmetry is active,
-// intern state and label, and splice the edge — recording the
-// canonicalisation permutation alongside. Everything order-sensitive
+// (Explore and Incremental): find the proposal's successor, intern it
+// and its label, and splice the edge. Without symmetry the successor is
+// found from the edit alone (findEdit); only a new state is built,
+// ranked and sorted. Under symmetry the successor is built and
+// canonicalised to its orbit representative, and the canonicalisation
+// permutation is recorded with the edge. Everything order-sensitive
 // (ranks, state numbers, label indices, permutation table indices) is
 // assigned here.
 func (b *builder) register(from int32, p proposal) {
-	succ := p.succ
-	b.orderComps(succ)
-	var perm int32
-	size := int64(1)
-	if b.sym != nil {
+	var dst, perm int32
+	fresh := false
+	if b.sym == nil {
+		var at int
+		var tag uint32
+		if dst, at, tag = b.findEdit(p); dst < 0 {
+			dst, fresh = b.addState(b.materialise(p), at, tag, 1), true
+		}
+	} else {
+		succ := b.materialise(p)
 		var canon []types.ID
+		var size int64
 		canon, perm, size = b.sym.canonicalise(succ, b.canonBuf)
 		if perm != 0 {
 			b.canonBuf = canon
 			succ = canon
 			b.orderComps(succ)
 		}
+		n := b.l.Len()
+		dst = b.internState(succ, size)
+		fresh = int(dst) == n
 	}
-	dst := b.internState(succ, size)
-	lid := b.internLabel(p.key, p.lab)
-	b.addEdge(from, lid, dst, perm)
+	lid := p.m.lid
+	if lid < 0 {
+		lid = b.internLabel(p.m.st.Key, p.m.st.Label)
+		p.m.lid = lid
+	}
+	b.addEdge(from, lid, dst, perm, fresh)
 }
 
-// propose appends one edge proposal of the state comps: its successor
-// vector — comps without positions i and j, plus the acting components'
-// replacements st.Next — is spliced into succBuf.
-func (b *builder) propose(comps []types.ID, i, j int, st *typelts.CompStep) {
-	lo := len(b.succBuf)
-	for k, c := range comps {
-		if k != i && k != j {
-			b.succBuf = append(b.succBuf, c)
+// materialise builds the successor vector of a proposal in succBuf, rank
+// sorted: the parent's vector without the acting positions, then the
+// replacements, ranked in that order (so new components are ranked in
+// deterministic encounter order).
+func (b *builder) materialise(p proposal) []types.ID {
+	succ, rs := b.succBuf[:0], b.rankScratch[:0]
+	for k, c := range b.cur {
+		if k != int(p.i) && k != int(p.j) {
+			succ = append(succ, c)
+			rs = append(rs, b.curRanks[k])
 		}
 	}
-	b.succBuf = append(b.succBuf, st.Next...)
-	hi := len(b.succBuf)
-	b.props = append(b.props, proposal{succ: b.succBuf[lo:hi:hi], key: st.Key, lab: st.Label, i: int32(i), j: int32(j)})
+	for _, id := range p.m.st.Next {
+		succ = append(succ, id)
+		rs = append(rs, b.ranks.rankOf(id))
+	}
+	b.succBuf, b.rankScratch = succ, rs
+	sortByRanks(succ, rs)
+	return succ
+}
+
+// findEdit probes the state table for a proposal's successor without
+// building it. The successor's hash is the parent's term sum minus the
+// acting components' terms plus the replacements' (see statetable.go),
+// and a candidate is compared in place against the parent with the edit
+// applied (sameAsEdit). A replacement with no rank is in no registered
+// state, so then no candidate can match and the probe only looks for the
+// empty slot where the successor belongs. It returns what find returns.
+func (b *builder) findEdit(p proposal) (state int32, at int, tag uint32) {
+	sum, n := b.curSum-compTerm(b.cur[p.i]), len(b.cur)-1
+	if p.j >= 0 {
+		sum -= compTerm(b.cur[p.j])
+		n--
+	}
+	for _, id := range p.m.st.Next {
+		sum += compTerm(id)
+	}
+	n += len(p.m.st.Next)
+	h := stateHash(sum, n)
+	t := &b.table
+	t.reserve(b.l)
+	tag, mask := uint32(h>>32), len(t.slots)-1
+	ranked := 0 // 1: the replacements are ranked and sorted; -1: one has no rank
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		sl := t.slots[i]
+		if sl.state == 0 {
+			return -1, i, tag
+		}
+		if sl.tag != tag {
+			continue
+		}
+		if ranked == 0 {
+			ranked = b.rankNext(p.m)
+		}
+		if ranked > 0 && b.sameAsEdit(b.l.StateComps(int(sl.state-1)), p, n) {
+			return sl.state - 1, i, tag
+		}
+	}
+}
+
+// rankNext places a move's replacements for the state being expanded:
+// it sorts them by rank (once per move, as soon as all of them have a
+// rank) and fills nextAt with the parent position each one goes before.
+// It reports 1, or -1 when a replacement has no rank yet.
+func (b *builder) rankNext(m *move) int {
+	if len(m.next) != len(m.st.Next) {
+		for _, id := range m.st.Next {
+			if _, ok := b.ranks.idx[id]; !ok {
+				return -1
+			}
+		}
+		next := make([]rankedID, len(m.st.Next))
+		for k, id := range m.st.Next {
+			next[k] = rankedID{id, b.ranks.idx[id]}
+			for q := k; q > 0 && next[q].rank < next[q-1].rank; q-- {
+				next[q], next[q-1] = next[q-1], next[q]
+			}
+		}
+		m.next = next
+	}
+	at := b.nextAt[:0]
+	for _, x := range m.next {
+		k, _ := slices.BinarySearch(b.curRanks, x.rank)
+		at = append(at, k)
+	}
+	b.nextAt = at
+	return 1
+}
+
+// sameAsEdit reports whether the n-component state vector v is the
+// successor of proposal p: the parent's vector without the acting
+// positions, with the rank-sorted replacements inserted at their places
+// (rankNext). It compares the parent's runs between those cut points in
+// bulk.
+func (b *builder) sameAsEdit(v []types.ID, p proposal, n int) bool {
+	if len(v) != n {
+		return false
+	}
+	comps := b.cur
+	i, j := int(p.i), int(p.j)
+	k, w, q := 0, 0, 0
+	for {
+		stop := len(comps)
+		if i >= k {
+			stop = min(stop, i)
+		}
+		if j >= k {
+			stop = min(stop, j)
+		}
+		if q < len(b.nextAt) {
+			stop = min(stop, b.nextAt[q])
+		}
+		if !slices.Equal(comps[k:stop], v[w:w+stop-k]) {
+			return false
+		}
+		w += stop - k
+		k = stop
+		switch {
+		case q < len(b.nextAt) && b.nextAt[q] == k:
+			if v[w] != p.m.next[q].id {
+				return false
+			}
+			w++
+			q++
+		case k == len(comps):
+			return true
+		default: // k is an acting position
+			k++
+		}
+	}
 }
 
 // completeRun appends the run-completion self-loop of an edge-less state
@@ -510,18 +779,17 @@ func (b *builder) finishState(next int, from int32) {
 	b.l.start = append(b.l.start, int32(len(b.l.edges)))
 }
 
-// proposal is one candidate edge of a state (expandState): the
-// successor component vector (a window of the builder's succBuf, not yet
-// rank-sorted or registered) plus the transition label and its compact
-// identity. builder.expand turns proposals into states and CSR edges.
+// proposal is one candidate edge of the state being expanded
+// (expandState), as an edit of its vector: the acting positions and the
+// move, whose step's Next replaces them and whose label the edge
+// carries. No successor vector is built for it; register and the cycle
+// proviso's probe find the successor from the edit (findEdit).
 type proposal struct {
-	succ []types.ID
-	key  typelts.LabelKey
-	lab  typelts.Label
+	m *move
 	// i and j are the acting positions in the parent's component
 	// multiset (j is -1 for an interleaving step). The ample-set
 	// computation of partial-order reduction derives its independence
-	// relation from them; plain registration ignores them.
+	// relation from them too.
 	i, j int32
 }
 
@@ -529,49 +797,60 @@ type proposal struct {
 // in the canonical per-state edge order: interleaving steps of each
 // component (Y-limited), then pairwise synchronisations — an output of
 // component i meeting an input of component j ≠ i (τ labels always
-// survive the Y-limitation). The pairs are visited in ascending (i, j)
-// order, but only those whose port summaries can meet (syncSteps) cost a
-// SyncSteps lookup: the component entries the interleaving loop fetches
-// carry the summaries, and the filter never drops a pair with a step, so
-// the proposal list is exactly the one of an unfiltered k(k−1) sweep.
+// survive the Y-limitation) — in ascending (i, j) order. Everything per
+// component comes from its rank table row. The sync sweep walks, for
+// each component with an output, only its partner ranks (the ranks its
+// ports may meet), and of those only the ones present in the state:
+// the state is rank-sorted, so ascending partner ranks are ascending
+// positions, and the proposal list is exactly the one of a k(k−1) sweep
+// over every ordered pair.
 func (b *builder) expandState(comps []types.ID) {
-	b.props, b.succBuf = b.props[:0], b.succBuf[:0]
-	var buf [32]*typelts.Component // on the stack for up to 32 components
-	entries := buf[:0]
-	for i := range comps {
-		c := b.sem.Component(comps[i])
-		entries = append(entries, c)
-		for k := range c.Steps {
-			if b.sem.KeepLabel(c.Steps[k].Label) {
-				b.propose(comps, i, -1, &c.Steps[k])
-			}
+	b.props = b.props[:0]
+	t := &b.ranks
+	rs := b.curRanks[:0]
+	var sum uint64
+	for _, id := range comps {
+		rs = append(rs, t.idx[id]) // every component of a registered state is ranked
+		sum += compTerm(id)
+	}
+	b.cur, b.curRanks, b.curSum = comps, rs, sum
+	for i, r := range rs {
+		solo := t.fetch(r).solo
+		for k := range solo {
+			b.props = append(b.props, proposal{m: &solo[k], i: int32(i), j: -1})
 		}
 	}
-	for i, ci := range entries {
-		if !ci.Ports.HasOut {
+	if len(b.firstPos) < len(t.rows) {
+		b.firstPos = append(b.firstPos, make([]int32, len(t.rows)-len(b.firstPos))...)
+	}
+	for i := len(rs) - 1; i >= 0; i-- {
+		b.firstPos[rs[i]] = int32(i) + 1
+	}
+	for i, r := range rs {
+		row := &t.rows[r]
+		if !row.comp.Ports.HasOut {
 			continue
 		}
-		for j, cj := range entries {
-			if i == j {
+		for k := range row.partners {
+			pt := &row.partners[k]
+			j := int(b.firstPos[pt.rank]) - 1
+			if j < 0 {
 				continue
 			}
-			steps := syncSteps(b.sem, ci, cj)
-			for k := range steps {
-				b.propose(comps, i, j, &steps[k])
+			for ; j < len(rs) && rs[j] == pt.rank; j++ {
+				if j == i {
+					continue
+				}
+				moves := t.partnerMoves(r, pt)
+				for s := range moves {
+					b.props = append(b.props, proposal{m: &moves[s], i: int32(i), j: int32(j)})
+				}
 			}
 		}
 	}
-}
-
-// syncSteps returns the synchronisations of an output of component x
-// with an input of component y. It is the one "may synchronise" test of
-// exploration and partial-order reduction: a pair whose port summaries
-// cannot meet (typelts.MaySync) has no step and skips the memo lookup.
-func syncSteps(sem *typelts.Semantics, x, y *typelts.Component) []typelts.CompStep {
-	if !typelts.MaySync(&x.Ports, &y.Ports) {
-		return nil
+	for _, r := range rs {
+		b.firstPos[r] = 0
 	}
-	return sem.SyncSteps(x.ID, y.ID)
 }
 
 // expand settles state s, starting at edge offset from: it proposes
@@ -585,7 +864,7 @@ func (b *builder) expand(s int, from int32) {
 	b.porCur = int32(s)
 	b.expandState(comps)
 	if b.por != nil {
-		if sel := b.por.ample(comps, b.props, b.fresh); sel != nil {
+		if sel := b.por.ample(comps, b.curRanks, b.props, b.fresh); sel != nil {
 			for _, k := range sel {
 				b.register(from, b.props[k])
 			}

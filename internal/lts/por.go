@@ -87,12 +87,9 @@ const maxAmpleSeeds = 64
 type porState struct {
 	spec *POR
 	sem  *typelts.Semantics
-
-	// canSync memoises, per unordered component-ID pair, whether the two
-	// components can synchronise in either direction (+1 yes, -1 no).
-	// Synchronisation enabledness is a pure function of the two IDs, so
-	// the memo is exploration-global.
-	canSync map[[2]types.ID]int8
+	// ranks is the exploration's rank table, whose partner lists answer
+	// which components can synchronise (syncable).
+	ranks *rankTable
 
 	// descs memoises the context-free descendant closure per component
 	// ID (see desc).
@@ -105,32 +102,41 @@ type porState struct {
 	posProps [][]int32 // position → indices of touching proposals
 }
 
-func newPORState(spec *POR, sem *typelts.Semantics) *porState {
-	return &porState{spec: spec, sem: sem, canSync: make(map[[2]types.ID]int8, 256), descs: make(map[types.ID][]types.ID, 64)}
+func newPORState(spec *POR, sem *typelts.Semantics, ranks *rankTable) *porState {
+	return &porState{spec: spec, sem: sem, ranks: ranks, descs: make(map[types.ID][]types.ID, 64)}
 }
 
 func (p *porState) visible(l typelts.Label) bool {
 	return p.spec.Visible != nil && p.spec.Visible(l)
 }
 
-// syncable reports whether components x and y can synchronise in either
-// direction, memoised per unordered pair. It asks syncSteps, so the port
-// summaries decide first and the answer stays exact.
-func (p *porState) syncable(x, y types.ID) bool {
-	k := [2]types.ID{x, y}
-	if k[0] > k[1] {
-		k[0], k[1] = k[1], k[0]
+// syncable reports whether component x and the component of rank y (a
+// component of the state being expanded) can synchronise in either
+// direction. It reads the same partner relation the sync sweep walks
+// (rankTable.syncs), so exploration and ample-set independence share
+// one definition of "may synchronise", and the answer is exact. A
+// descendant x that no registered state holds yet has no rank; its
+// entry is compared with y's directly, through the same port test and
+// the same SyncSteps memo.
+func (p *porState) syncable(x types.ID, y int32) bool {
+	t := p.ranks
+	if rx, ok := t.idx[x]; ok {
+		t.fetch(rx)
+		return len(t.syncs(rx, y)) > 0 || len(t.syncs(y, rx)) > 0
 	}
-	if v, ok := p.canSync[k]; ok {
-		return v > 0
+	cx, cy := p.sem.Component(x), t.rows[y].comp
+	return len(syncSteps(p.sem, cx, cy)) > 0 || len(syncSteps(p.sem, cy, cx)) > 0
+}
+
+// syncSteps returns the synchronisations of an output of component x
+// with an input of component y: none when their port summaries cannot
+// meet (typelts.MaySync, the test partner lists are built with), and
+// otherwise the SyncSteps memo.
+func syncSteps(sem *typelts.Semantics, x, y *typelts.Component) []typelts.CompStep {
+	if !typelts.MaySync(&x.Ports, &y.Ports) {
+		return nil
 	}
-	v := int8(-1)
-	cx, cy := p.sem.Component(x), p.sem.Component(y)
-	if len(syncSteps(p.sem, cx, cy)) > 0 || len(syncSteps(p.sem, cy, cx)) > 0 {
-		v = 1
-	}
-	p.canSync[k] = v
-	return v > 0
+	return sem.SyncSteps(x.ID, y.ID)
 }
 
 // fresh is the cycle proviso (C3) the ample selection filters
@@ -143,38 +149,25 @@ func (p *porState) syncable(x, y types.ID) bool {
 // fully expanded state — consider the last state of a cycle to make its
 // decision; its cycle successor decided earlier, so the check fired and
 // the state expanded fully.
-func (b *builder) fresh(succ []types.ID) bool {
-	num, ok := b.peekSeen(succ)
+func (b *builder) fresh(p proposal) bool {
+	num, ok := b.peekSeen(p)
 	return !ok || (num != b.porCur && !b.porExpanded(num))
 }
 
-// peekSeen returns the state number of the successor multiset if it is
-// already discovered: a plain probe of the state table that registers
-// nothing and assigns no ranks. A component without a rank belongs to
-// no registered state, so such a successor is unseen at once; otherwise
-// succ is sorted by rank in place, which is exactly the order register
-// gives it later.
-func (b *builder) peekSeen(succ []types.ID) (int32, bool) {
-	rs := b.rankScratch[:0]
-	for _, id := range succ {
-		r, ok := b.rank[id]
-		if !ok {
-			return 0, false
-		}
-		rs = append(rs, r)
-	}
-	b.rankScratch = rs
-	sortByRanks(succ, rs)
-	num, _, _ := b.table.find(b.l, succ)
+// peekSeen returns the state number of a proposal's successor if it is
+// already discovered. It is the probe register makes (findEdit), so it
+// builds no vector, registers nothing and assigns no ranks.
+func (b *builder) peekSeen(p proposal) (int32, bool) {
+	num, _, _ := b.findEdit(p)
 	return num, num >= 0
 }
 
 // ample returns the indices (in canonical proposal order) of a valid
-// ample subset of props at the state with component multiset comps, or
-// nil when the state must be fully expanded. fresh is the cycle-proviso
-// filter: a candidate set with a non-fresh successor is discarded (and
-// another seed tried).
-func (p *porState) ample(comps []types.ID, props []proposal, fresh func(succ []types.ID) bool) []int32 {
+// ample subset of props at the state with component multiset comps,
+// whose ranks are rs, or nil when the state must be fully expanded.
+// fresh is the cycle-proviso filter: a candidate set with a non-fresh
+// successor is discarded (and another seed tried).
+func (p *porState) ample(comps []types.ID, rs []int32, props []proposal, fresh func(proposal) bool) []int32 {
 	if len(props) < 2 {
 		return nil
 	}
@@ -211,13 +204,13 @@ func (p *porState) ample(comps []types.ID, props []proposal, fresh func(succ []t
 		tries = maxAmpleSeeds
 	}
 	for seed := 0; seed < tries; seed++ {
-		sel := p.closure(comps, props, seed)
+		sel := p.closure(comps, rs, props, seed)
 		if sel == nil {
 			continue
 		}
 		ok := false // weak (safety) proviso: ∃ fresh selected successor
 		for _, k := range sel {
-			if fresh(props[k].succ) {
+			if fresh(props[k]) {
 				ok = true
 				if !p.spec.Liveness {
 					break
@@ -242,8 +235,7 @@ func (p *porState) ample(comps []types.ID, props []proposal, fresh func(succ []t
 // future can synchronise with a protected component. Returns the ample
 // proposal indices in ascending order, or nil when the closure covers
 // everything (no reduction) or meets a visible label.
-func (p *porState) closure(comps []types.ID, props []proposal, seed int) []int32 {
-	n := len(comps)
+func (p *porState) closure(comps []types.ID, rs []int32, props []proposal, seed int) []int32 {
 	for i := range p.inC {
 		p.inC[i] = false
 	}
@@ -263,7 +255,7 @@ func (p *porState) closure(comps []types.ID, props []proposal, seed int) []int32
 		if p.inAmple[k] {
 			return true
 		}
-		if p.visible(props[k].lab) {
+		if p.visible(props[k].m.st.Label) {
 			return false
 		}
 		p.inAmple[k] = true
@@ -291,7 +283,7 @@ func (p *porState) closure(comps []types.ID, props []proposal, seed int) []int32
 				return nil
 			}
 		}
-		if !p.ruleB(comps, n) {
+		if !p.ruleB(comps, rs) {
 			break
 		}
 	}
@@ -325,7 +317,8 @@ func (p *porState) closure(comps []types.ID, props []proposal, seed int) []int32
 // function of the component ID, so the closure is memoised for the
 // whole exploration and the per-state cost is a handful of indexed
 // set probes.
-func (p *porState) ruleB(comps []types.ID, n int) bool {
+func (p *porState) ruleB(comps []types.ID, rs []int32) bool {
+	n := len(comps)
 	grew := false
 	for q := 0; q < n; q++ {
 		if p.inC[q] {
@@ -334,7 +327,7 @@ func (p *porState) ruleB(comps []types.ID, n int) bool {
 		hit := false
 		for _, id := range p.desc(comps[q]) {
 			for pos := 0; pos < n && !hit; pos++ {
-				if p.inC[pos] && p.syncable(id, comps[pos]) {
+				if p.inC[pos] && p.syncable(id, rs[pos]) {
 					hit = true
 				}
 			}

@@ -96,7 +96,7 @@ func TestStateTableCollisions(t *testing.T) {
 	for i, c := range cases {
 		want[i] = explore(c.sys, c.opts)
 	}
-	lts.SetHashVector(t, func([]types.ID) uint64 { return 0 })
+	lts.CollideStateHashes(t)
 	for i, c := range cases {
 		if got := explore(c.sys, c.opts); got != want[i] {
 			t.Errorf("case %d (%s): exploration changed when every vector hashes alike", i, c.sys.Name)
