@@ -74,7 +74,7 @@ commands:
           file, statically extract the protocol from the Go source
           first — FAIL witnesses then carry file:line positions
   lint    run the Go-source extractor for diagnostics only (exit 1 on
-          any finding); also available standalone as cmd/effpilint
+          any finding or load error)
   lts     explore and print the type-level transition system
 
 common flags:
@@ -90,8 +90,7 @@ verify flags:
   -early         stop exploring as soon as a violation is found
   -symmetry MODE off | on — explore orbit representatives under the
                  system's channel permutation group: classes of
-                 interchangeable channel bundles and rotations of
-                 ring-shaped bundles (verdicts unchanged,
+                 interchangeable channel bundles (verdicts unchanged,
                  counterexamples permutation-lifted to concrete runs
                  and replay-validated)
   -por MODE      off | on — partial-order reduction: explore only an
@@ -214,7 +213,7 @@ func cmdVerify(args []string) error {
 	open := fs.Bool("open", false, "open-process mode (default: closed composition)")
 	maxStates := fs.Int("max", 0, "state bound (0 = default)")
 	early := fs.Bool("early", false, "early-exit mode: stop exploring as soon as a violation is found (on-the-fly checking; non-usage, deadlock-free and reactive)")
-	symmetry := fs.String("symmetry", "off", "exploration-time symmetry reduction: off | on (orbit representatives under interchangeable-bundle and ring-rotation groups; verdicts unchanged, witnesses permutation-lifted and replay-validated; where it engages: DESIGN.md §batch)")
+	symmetry := fs.String("symmetry", "off", "exploration-time symmetry reduction: off | on (orbit representatives under interchangeable-bundle classes; verdicts unchanged, witnesses permutation-lifted and replay-validated; where it engages: DESIGN.md §batch)")
 	por := fs.String("por", "off", "exploration-time partial-order reduction: off | on (ample transition subsets; verdicts unchanged, witnesses replay-validated; where it engages: DESIGN.md §batch)")
 	width := fs.Int("width", 100, "truncate printed witness states to this width (0 = full)")
 	pkgMode := fs.Bool("pkg", false, "treat arguments as Go package directories and statically extract the protocol (implied by a directory or ./... argument)")
@@ -331,8 +330,8 @@ func verifyPackages(patterns []string, propName, channels, from, to string, open
 	return nil
 }
 
-// cmdLint runs the extractor for its diagnostics only: `effpi lint` is
-// the in-CLI flavour of cmd/effpilint. Exit status 1 on any finding.
+// cmdLint runs the extractor for its diagnostics only. Exit status 1 on
+// any finding or load error.
 func cmdLint(args []string) error {
 	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {

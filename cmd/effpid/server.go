@@ -305,10 +305,10 @@ type verifyRequest struct {
 	EarlyExit bool `json:"early_exit,omitempty"`
 	// Symmetry selects exploration-time symmetry reduction: "off"
 	// (default) or "on" (orbit representatives under the system's
-	// channel permutation group — interchangeable-bundle classes and
-	// ring rotations; verdicts identical, FAIL witnesses
-	// permutation-lifted to concrete runs and replay-validated). Any
-	// other value is a 400 naming the valid modes.
+	// channel permutation group — interchangeable-bundle classes;
+	// verdicts identical, FAIL witnesses permutation-lifted to concrete
+	// runs and replay-validated). Any other value is a 400 naming the
+	// valid modes.
 	Symmetry string `json:"symmetry,omitempty"`
 	// PartialOrder selects exploration-time partial-order reduction:
 	// "off" (default) or "on" (ample transition subsets from the type

@@ -48,7 +48,7 @@ import (
 
 func main() {
 	suite := flag.String("suite", "fig9", "fig9 | all | large | payment | philos | pingpong | ring")
-	symmetry := flag.Bool("symmetry", false, "explore orbit representatives under each system's channel permutation group — interchangeable-bundle classes and ring rotations (verdicts unchanged; cells gain states_explored)")
+	symmetry := flag.Bool("symmetry", false, "explore orbit representatives under each system's channel permutation group — interchangeable-bundle classes (verdicts unchanged; cells gain states_explored)")
 	por := flag.Bool("por", false, "explore ample transition subsets per state (partial-order reduction; verdicts unchanged, eligible cells gain partial_order/states_explored)")
 	propFilter := flag.String("props", "", "comma-separated property kinds to run (default: all six Fig. 9 columns)")
 	jsonPath := flag.String("json", "", "write the table as JSON to PATH")

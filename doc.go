@@ -49,16 +49,12 @@
 // effpi verify, "-symmetry" in mcbench, "symmetry": "on" in effpid
 // requests — shrinks the *exploration* itself: closed systems are
 // analysed for a channel permutation group, the direct product of
-// symmetric groups over classes of interchangeable channel bundles
-// and cyclic rotation groups over ring-shaped bundles (channels in a
-// co-mention cycle whose binding types and resident shapes are
-// shift-invariant — the Dining fork ring), and the BFS canonicalises
-// every successor to an orbit representative under that group, so
-// symmetric interleavings are never materialised
+// symmetric groups over classes of interchangeable channel bundles,
+// and the BFS canonicalises every successor to an orbit representative
+// under that group, so symmetric interleavings are never materialised
 // (Outcome.StatesExplored representatives cover Outcome.States
 // concrete states; the 12-pair ping-pong row explores 234 in place of
-// 531 441, the 8-philosopher Dining ring 833 necklaces in place of
-// 6 560). Every orbit edge records its canonicalising permutation; a
+// 531 441). Every orbit edge records its canonicalising permutation; a
 // FAIL's orbit counterexample is rewritten into a concrete run by
 // composing those permutations and re-validated by the replay oracle
 // before it is returned. Symmetry composes with WithEarlyExit, and
@@ -78,8 +74,8 @@
 // — effpid's "go_source" requests and the "pos" witness field).
 // Constructs outside the extractable fragment produce positioned
 // GoDiagnostics — τ-widened over-approximations where sound, refusals
-// where not, never a silently wrong term; "effpi lint" and
-// cmd/effpilint surface them standalone. Dependencies are typechecked
+// where not, never a silently wrong term; "effpi lint" surfaces them
+// standalone. Dependencies are typechecked
 // once per process: the first extraction pays the standard-library and
 // module typecheck (~0.7 s), later ones take milliseconds and still see
 // every edit to a dependency. See DESIGN.md §Go-source frontend.

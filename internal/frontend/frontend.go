@@ -32,7 +32,7 @@ import (
 	"effpi/internal/types"
 )
 
-// Diagnostic codes. The set is part of the tool contract: effpilint
+// Diagnostic codes. The set is part of the tool contract: `effpi lint`
 // output and the fixture tests pin code, position and message.
 const (
 	// CodeNonConstChannel: a channel position (Send.Ch, Recv.Ch, Tell,

@@ -214,10 +214,11 @@ func BenchmarkExploreRing16x4POR(b *testing.B) {
 	})
 }
 
-// BenchmarkExploreDining8Rotational covers canonicalised registration:
-// the 6 560-state ring explored on 833 necklaces.
-func BenchmarkExploreDining8Rotational(b *testing.B) {
-	s := systems.DiningPhilosophers(8, true)
+// BenchmarkExplorePingPong10Symmetric covers canonicalised
+// registration: the 59 049-state sweep explored on its orbits under the
+// interchangeable pairs.
+func BenchmarkExplorePingPong10Symmetric(b *testing.B) {
+	s := systems.PingPongPairs(10, false)
 	benchExplore(b, s, func(sem *typelts.Semantics) lts.Options {
 		return lts.Options{Symmetry: lts.DetectSymmetry(sem.Cache, s.Type, nil)}
 	})

@@ -9,27 +9,15 @@ package lts
 // The group is detected statically (DetectSymmetry) and described by
 // generators, never materialised. Environment channels are partitioned
 // into *bundles* — channels co-mentioned by a root component, closed
-// under union-find — and two generator families are recognised:
+// under union-find — and *classes* of interchangeable bundles are
+// recognised: bundles with identical profiles (channel binding types
+// plus the canonical shapes of their resident root components, both up
+// to a positional renaming of the bundle's own channels) may be swapped
+// wholesale, contributing the full symmetric group of the class.
 //
-//   - *Classes* of interchangeable bundles: bundles with identical
-//     profiles (channel binding types plus the canonical shapes of their
-//     resident root components, both up to a positional renaming of the
-//     bundle's own channels) may be swapped wholesale, contributing the
-//     full symmetric group of the class.
-//   - *Rings*: a single bundle whose channels form a simple cycle in the
-//     co-mention graph of its residents (each resident touches at most
-//     two of the bundle's channels, every channel exactly two edges),
-//     where the shift-by-one renaming maps every channel's binding type
-//     and the multiset of resident shapes onto themselves — the Dining
-//     fork ring. Such a bundle contributes the cyclic group C_n of
-//     rotations along the cycle.
-//
-// The group G is the direct product of these factors (they move disjoint
-// channels), represented by permutation vectors: one slot per class
-// bundle holding its image bundle, one slot per ring holding a rotation
-// amount. Composition is functional on class slots and additive (mod
-// ring length) on ring slots, so the witness lift's permutation algebra
-// is uniform across both generator families.
+// The group G is the direct product of these symmetric groups (they move
+// disjoint bundles), represented by permutation vectors: one slot per
+// class bundle holding its image bundle. Composition is functional.
 //
 // Soundness rests on a confinement invariant: in a closed, witness-only
 // exploration that passes the static gate, every reachable component
@@ -81,15 +69,12 @@ type Symmetry struct {
 	in  *types.Interner
 	mu  sync.Mutex
 
-	// bundles[b] lists slot b's channels: slots below firstRing are class
-	// bundles (channels in first-mention order, members of some class),
-	// slots at or above it are rings (channels in cyclic order). ph[i] is
-	// the placeholder variable standing for position i while a component
-	// is abstracted away from its slot ("\x00"-prefixed, so it can never
-	// collide with a source binder or environment name).
-	bundles   [][]string
-	firstRing int32
-	ph        []string
+	// bundles[b] lists class bundle b's channels in first-mention order.
+	// ph[i] is the placeholder variable standing for position i while a
+	// component is abstracted away from its bundle ("\x00"-prefixed, so it
+	// can never collide with a source binder or environment name).
+	bundles [][]string
+	ph      []string
 	// chanBundle maps a permutable channel to its slot.
 	chanBundle map[string]int32
 	// classes lists each class's member bundles in first-mention order.
@@ -111,8 +96,6 @@ type Symmetry struct {
 	fixed    []types.ID
 	ordBuf   []int32
 	permBuf  []int32
-	rotA     []types.ID
-	rotB     []types.ID
 }
 
 // residence places one component: the permutable bundle whose channels
@@ -133,21 +116,17 @@ const (
 type reifyKey struct {
 	abst   types.ID
 	bundle int32
-	// rot is the cyclic offset applied while reifying onto a ring slot
-	// (always 0 for class bundles): position p reifies onto channel
-	// (p+rot) mod n.
-	rot int32
 }
 
 // DetectSymmetry analyses a closed system and returns its channel
 // permutation group — the direct product of the symmetric groups of
-// interchangeable-bundle classes and the cyclic rotation groups of ring
-// bundles — or nil when no usable symmetry exists. pinned lists
-// environment channels that must never be permuted — the verifier pins
-// every channel its property observes, which is what keeps the orbit
-// LTS property-equivalent to the concrete one. A pinned channel freezes
-// its whole bundle, so a ring containing any observed channel yields no
-// rotation (a rotation moves every ring channel).
+// interchangeable-bundle classes — or nil when no usable symmetry
+// exists. pinned lists environment channels that must never be permuted
+// — the verifier pins every channel its property observes, which is
+// what keeps the orbit LTS property-equivalent to the concrete one. A
+// pinned channel freezes its whole bundle. Components that share
+// channels around a ring (the Dining forks) fuse into one bundle with
+// nothing to swap it with, so a ring yields no group.
 //
 // The detection is all-or-nothing per bundle and conservative overall:
 // any construction the confinement argument does not cover (non-variable
@@ -347,7 +326,6 @@ func DetectSymmetry(cache *typelts.Cache, init types.Type, pinned []string) *Sym
 		abstRank:   map[types.ID]int32{},
 		permIdx:    map[string]int32{},
 	}
-	inClass := make([]bool, len(bundleChans))
 	for _, p := range profileOrder {
 		members := profiles[p]
 		if len(members) < 2 {
@@ -355,7 +333,6 @@ func DetectSymmetry(cache *typelts.Cache, init types.Type, pinned []string) *Sym
 		}
 		var cls []int32
 		for _, bi := range members {
-			inClass[bi] = true
 			nb := int32(len(s.bundles))
 			names := make([]string, len(bundleChans[bi]))
 			for pos, ci := range bundleChans[bi] {
@@ -367,86 +344,12 @@ func DetectSymmetry(cache *typelts.Cache, init types.Type, pinned []string) *Sym
 		}
 		s.classes = append(s.classes, cls)
 	}
-	s.firstRing = int32(len(s.bundles))
-
-	// Rotational symmetry: an unfrozen bundle that joined no class may
-	// still be a ring — channels in a simple co-mention cycle whose
-	// shift-by-one is an automorphism. The shift generates C_n, so one
-	// generator check (binding types all equal, resident-shape multiset
-	// invariant under the shift) covers the whole cyclic group.
-	for bi, bc := range bundleChans {
-		if bundleFrozen[bi] || inClass[bi] {
-			continue
-		}
-		order := ringOrder(bc, residents[bi], rootChans)
-		if order == nil {
-			continue
-		}
-		n := len(order)
-		// The shift renames every ring channel, so the environment stays
-		// fixed only when the channels' binding types coincide. (Bindings
-		// never mention channels here — that froze the bundle above.)
-		bind0, _ := env.Lookup(mention[order[0]])
-		same := true
-		for _, ci := range order[1:] {
-			bind, _ := env.Lookup(mention[ci])
-			if types.Canon(bind) != types.Canon(bind0) {
-				same = false
-				break
-			}
-		}
-		if !same {
-			continue
-		}
-		// Initial-state invariance: the residents' shapes, abstracted to
-		// cyclic positions, must form a multiset the shift maps onto
-		// itself. (Dining's fixed variant fails exactly here: philosopher
-		// 0's swapped fork order has no rotated twin.)
-		var shapes, shifted []string
-		for _, ri := range residents[bi] {
-			t := roots[ri]
-			for p, ci := range order {
-				t = types.Subst(t, mention[ci], types.Var{Name: ph[p]})
-			}
-			shapes = append(shapes, types.Canon(t))
-			// Two-phase shift ph[p] → ph[(p+1) mod n] through fresh
-			// temporaries, so the simultaneous renaming never collides.
-			t2 := t
-			for p := range order {
-				t2 = types.Subst(t2, ph[p], types.Var{Name: fmt.Sprintf("\x00shift%d", p)})
-			}
-			for p := range order {
-				t2 = types.Subst(t2, fmt.Sprintf("\x00shift%d", p), types.Var{Name: ph[(p+1)%n]})
-			}
-			shifted = append(shifted, types.Canon(t2))
-		}
-		sort.Strings(shapes)
-		sort.Strings(shifted)
-		invariant := true
-		for i := range shapes {
-			if shapes[i] != shifted[i] {
-				invariant = false
-				break
-			}
-		}
-		if !invariant {
-			continue
-		}
-		slot := int32(len(s.bundles))
-		names := make([]string, n)
-		for p, ci := range order {
-			names[p] = mention[ci]
-			s.chanBundle[mention[ci]] = slot
-		}
-		s.bundles = append(s.bundles, names)
-	}
-
-	if len(s.classes) == 0 && int(s.firstRing) == len(s.bundles) {
+	if len(s.classes) == 0 {
 		return nil
 	}
 	identity := make([]int32, len(s.bundles))
-	for i := int32(0); i < s.firstRing; i++ {
-		identity[i] = i
+	for i := range identity {
+		identity[i] = int32(i)
 	}
 	s.perms = [][]int32{identity}
 	s.permIdx[packPerm(identity)] = 0
@@ -454,72 +357,6 @@ func DetectSymmetry(cache *typelts.Cache, init types.Type, pinned []string) *Sym
 	s.contents = make([][]types.ID, len(s.bundles))
 	s.permBuf = make([]int32, len(s.bundles))
 	return s
-}
-
-// ringOrder recognises a single Hamiltonian cycle in the co-mention
-// graph of one bundle: vertices are the bundle's channels, and every
-// resident root mentioning exactly two of them contributes an edge. It
-// returns the channels (as mention indices) in cyclic order, or nil when
-// the bundle is not a simple ring — a resident touching three or more
-// channels, a vertex of degree ≠ 2, or a 2-regular graph that splits
-// into several cycles. Rings need at least three channels: with two, no
-// simple cycle exists, so the degenerate shared-pair bundle stays
-// symmetry-free.
-func ringOrder(bc []int, residents []int, rootChans [][]int) []int {
-	n := len(bc)
-	if n < 3 {
-		return nil
-	}
-	pos := make(map[int]int, n)
-	for p, ci := range bc {
-		pos[ci] = p
-	}
-	adj := make([][]int, n)
-	addEdge := func(u, v int) {
-		for _, w := range adj[u] {
-			if w == v {
-				return
-			}
-		}
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-	}
-	for _, ri := range residents {
-		chs := rootChans[ri]
-		if len(chs) > 2 {
-			return nil
-		}
-		if len(chs) == 2 {
-			addEdge(pos[chs[0]], pos[chs[1]])
-		}
-	}
-	for _, a := range adj {
-		if len(a) != 2 {
-			return nil
-		}
-	}
-	order := make([]int, 0, n)
-	prev, cur := -1, 0
-	for {
-		order = append(order, bc[cur])
-		next := adj[cur][0]
-		if next == prev {
-			next = adj[cur][1]
-		}
-		prev, cur = cur, next
-		if cur == 0 {
-			break
-		}
-		if len(order) == n {
-			return nil
-		}
-	}
-	if len(order) != n {
-		// The walk closed before visiting every channel: several disjoint
-		// cycles, not one ring.
-		return nil
-	}
-	return order
 }
 
 // envTypes lists every environment binding type, in Names order.
@@ -538,23 +375,14 @@ func (s *Symmetry) NumBundles() int { return len(s.bundles) }
 // NumClasses reports the number of interchangeability classes.
 func (s *Symmetry) NumClasses() int { return len(s.classes) }
 
-// NumRings reports the number of ring slots (cyclic group factors).
-func (s *Symmetry) NumRings() int { return len(s.bundles) - int(s.firstRing) }
-
-// Perm returns the permutation table entry p: on class slots the image
-// bundle, on ring slots the rotation amount. The returned slice is
-// owned by the Symmetry; callers must not mutate it.
-func (s *Symmetry) Perm(p int32) []int32 { return s.perms[p] }
-
 // SameInterner reports whether the group was detected over in — the
 // precondition for applying its permutations to component IDs of another
 // exploration (witness lifting walks a fresh concrete exploration, which
 // must share the interner).
 func (s *Symmetry) SameInterner(in *types.Interner) bool { return s.in == in }
 
-// Compose interns the composition p∘q (apply q, then p): functional on
-// class slots ((p∘q)[b] = p[q[b]]), additive modulo the ring length on
-// ring slots — rotations of one ring commute.
+// Compose interns the composition p∘q (apply q, then p):
+// (p∘q)[b] = p[q[b]].
 func (s *Symmetry) Compose(p, q int32) int32 {
 	if p == 0 {
 		return q
@@ -567,19 +395,12 @@ func (s *Symmetry) Compose(p, q int32) int32 {
 	pp, qq := s.perms[p], s.perms[q]
 	out := s.permBuf
 	for b := range out {
-		if int32(b) >= s.firstRing {
-			out[b] = (pp[b] + qq[b]) % int32(len(s.bundles[b]))
-		} else {
-			out[b] = pp[qq[b]]
-		}
+		out[b] = pp[qq[b]]
 	}
 	return s.internPerm(out)
 }
 
-// Invert interns the inverse permutation of p. The two slot regions
-// never collide: a class slot's image is itself a class bundle (classes
-// permute within themselves, so pp[b] < firstRing), while a ring slot
-// inverts in place.
+// Invert interns the inverse permutation of p.
 func (s *Symmetry) Invert(p int32) int32 {
 	if p == 0 {
 		return 0
@@ -589,12 +410,7 @@ func (s *Symmetry) Invert(p int32) int32 {
 	pp := s.perms[p]
 	out := s.permBuf
 	for b := range out {
-		if int32(b) >= s.firstRing {
-			n := int32(len(s.bundles[b]))
-			out[b] = (n - pp[b]) % n
-		} else {
-			out[pp[b]] = int32(b)
-		}
+		out[pp[b]] = int32(b)
 	}
 	return s.internPerm(out)
 }
@@ -615,16 +431,10 @@ func (s *Symmetry) PermuteComps(p int32, comps []types.ID) ([]types.ID, bool) {
 			return nil, false
 		case r.bundle == resFixed:
 			out = append(out, id)
-		case r.bundle >= s.firstRing:
-			if rot := perm[r.bundle]; rot == 0 {
-				out = append(out, id)
-			} else {
-				out = append(out, s.reify(r.abst, r.bundle, rot))
-			}
 		case perm[r.bundle] == r.bundle:
 			out = append(out, id)
 		default:
-			out = append(out, s.reify(r.abst, perm[r.bundle], 0))
+			out = append(out, s.reify(r.abst, perm[r.bundle]))
 		}
 	}
 	return out, true
@@ -660,9 +470,8 @@ func (s *Symmetry) PermuteLabel(p int32, lab typelts.Label) typelts.Label {
 }
 
 // chanMap materialises (and memoises) the channel renaming of a
-// permutation: for every class bundle b with p[b] ≠ b, b's i-th channel
-// maps to p[b]'s i-th channel; for every ring slot with rotation r ≠ 0,
-// the channel at cyclic position i maps to the one at (i+r) mod n.
+// permutation: for every bundle b with p[b] ≠ b, b's i-th channel maps
+// to p[b]'s i-th channel.
 func (s *Symmetry) chanMap(p int32) map[string]string {
 	for int(p) >= len(s.chanMaps) {
 		s.chanMaps = append(s.chanMaps, nil)
@@ -672,17 +481,6 @@ func (s *Symmetry) chanMap(p int32) map[string]string {
 	}
 	m := map[string]string{}
 	for b, dst := range s.perms[p] {
-		if int32(b) >= s.firstRing {
-			if dst == 0 {
-				continue
-			}
-			names := s.bundles[b]
-			n := int32(len(names))
-			for pos := int32(0); pos < n; pos++ {
-				m[names[pos]] = names[(pos+dst)%n]
-			}
-			continue
-		}
 		if int32(b) == dst {
 			continue
 		}
@@ -730,18 +528,15 @@ func (s *Symmetry) residence(id types.ID) residence {
 }
 
 // reify renames an abstract shape onto a bundle's channels, position p
-// landing on channel (p+rot) mod n — rot is always 0 for class bundles
-// and selects the rotation for ring slots (memoised).
-func (s *Symmetry) reify(abst types.ID, bundle, rot int32) types.ID {
-	key := reifyKey{abst: abst, bundle: bundle, rot: rot}
+// landing on the bundle's p-th channel (memoised).
+func (s *Symmetry) reify(abst types.ID, bundle int32) types.ID {
+	key := reifyKey{abst: abst, bundle: bundle}
 	if id, ok := s.reifyMemo[key]; ok {
 		return id
 	}
-	names := s.bundles[bundle]
-	n := int32(len(names))
 	t := s.in.TypeOf(abst)
-	for pos := int32(0); pos < n; pos++ {
-		t = s.in.Subst(t, s.ph[pos], types.Var{Name: names[(pos+rot)%n]})
+	for pos, ch := range s.bundles[bundle] {
+		t = s.in.Subst(t, s.ph[pos], types.Var{Name: ch})
 	}
 	id := s.in.Intern(t)
 	s.reifyMemo[key] = id
@@ -824,24 +619,17 @@ func (s *Symmetry) equalContents(a, b int32) bool {
 
 // canonicalise maps a component multiset to its orbit representative.
 // Within each class, bundle contents are stably sorted into canonical
-// order and reified back onto the class's bundles; each ring is turned
-// to the rotation whose sorted content vector is lexicographically
-// minimal by abstract rank (ties keep the smallest rotation, so a
-// rotation-fixed ring stays put). The two decisions are independent —
-// the group is a direct product on disjoint channels — so the pass
-// first decides the full permutation, then builds the representative.
-// It returns the canonical multiset (built in buf's storage when it
-// differs from the input), the interned permutation π with
-// canonical = π(input) — (input, 0) when the state is already canonical
-// or cannot be placed — and |orbit(input)|, the number of distinct
-// concrete states the canonical state represents. The orbit size is the
-// product over classes of the multinomial counting the distinct
+// order and reified back onto the class's bundles; the classes move
+// disjoint bundles, so the pass first decides the full permutation,
+// then builds the representative. It returns the canonical multiset
+// (built in buf's storage when it differs from the input), the interned
+// permutation π with canonical = π(input) — (input, 0) when the state
+// is already canonical or cannot be placed — and |orbit(input)|, the
+// number of distinct concrete states the canonical state represents:
+// the product over classes of the multinomial counting the distinct
 // assignments of the class's content multisets to its bundles (the
-// equal runs of the sorted order), times n/|stabiliser| for each ring of
-// length n: the rotations tying for the minimum are a coset of the
-// stabiliser, a subgroup of C_n, so the division is exact
-// (orbit–stabiliser). It saturates at MaxInt64, and is 1 for a state
-// that cannot be placed.
+// equal runs of the sorted order). It saturates at MaxInt64, and is 1
+// for a state that cannot be placed.
 func (s *Symmetry) canonicalise(comps, buf []types.ID) ([]types.ID, int32, int64) {
 	if !s.fillContents(comps) {
 		return comps, 0, 1
@@ -879,14 +667,6 @@ func (s *Symmetry) canonicalise(comps, buf []types.ID) ([]types.ID, int32, int64
 			perm[cls[o[j]]] = cls[j]
 		}
 	}
-	for slot := s.firstRing; slot < int32(len(s.bundles)); slot++ {
-		rot, ties := s.bestRotation(slot)
-		size = satMul(size, int64(len(s.bundles[slot]))/ties)
-		perm[slot] = rot
-		if rot != 0 {
-			identity = false
-		}
-	}
 	s.ordBuf = ord
 	if identity {
 		return comps, 0, size
@@ -898,84 +678,11 @@ func (s *Symmetry) canonicalise(comps, buf []types.ID) ([]types.ID, int32, int64
 		base += len(cls)
 		for j, dst := range cls {
 			for _, abst := range s.contents[cls[o[j]]] {
-				out = append(out, s.reify(abst, dst, 0))
+				out = append(out, s.reify(abst, dst))
 			}
 		}
 	}
-	for slot := s.firstRing; slot < int32(len(s.bundles)); slot++ {
-		for _, abst := range s.contents[slot] {
-			out = append(out, s.reify(abst, slot, perm[slot]))
-		}
-	}
 	return out, s.internPerm(perm), size
-}
-
-// bestRotation returns the rotation r minimising the ring slot's sorted
-// content vector — the reifications of the slot's resident shapes at
-// rotation r, ordered and compared by abstract rank. Because the shapes
-// of a rotated state at rotation r coincide with the original state's
-// at rotation r+d, two states of one orbit enumerate the same candidate
-// set and pick the same minimum, which is what makes the lex-min
-// representative canonical. Ranks are first-encounter and assigned here
-// on the registration side (rotations ascending, contents in sorted
-// order), so the choice never depends on interner ID values.
-// O(n²·|contents|) per state with n the ring length. It
-// also returns the number of rotations tying for the minimum.
-func (s *Symmetry) bestRotation(slot int32) (best int32, ties int64) {
-	n := int32(len(s.bundles[slot]))
-	ties = 1
-	s.rotA = s.buildRotation(slot, 0, s.rotA[:0])
-	for r := int32(1); r < n; r++ {
-		s.rotB = s.buildRotation(slot, r, s.rotB[:0])
-		if s.lessVec(s.rotB, s.rotA) {
-			best, ties = r, 1
-			s.rotA, s.rotB = s.rotB, s.rotA
-		} else if s.equalVec(s.rotB, s.rotA) {
-			ties++
-		}
-	}
-	return best, ties
-}
-
-// buildRotation appends the ring slot's contents reified at rotation
-// rot, rank-registered and sorted by rank.
-func (s *Symmetry) buildRotation(slot, rot int32, buf []types.ID) []types.ID {
-	for _, abst := range s.contents[slot] {
-		id := s.reify(abst, slot, rot)
-		s.rankOfAbst(id)
-		buf = append(buf, id)
-	}
-	s.sortByRank(buf)
-	return buf
-}
-
-func (s *Symmetry) sortByRank(c []types.ID) {
-	for i := 1; i < len(c); i++ {
-		for j := i; j > 0 && s.abstRank[c[j]] < s.abstRank[c[j-1]]; j-- {
-			c[j], c[j-1] = c[j-1], c[j]
-		}
-	}
-}
-
-// lessVec lexicographically compares two equal-length rank-sorted
-// vectors by abstract rank.
-func (s *Symmetry) lessVec(a, b []types.ID) bool {
-	for i := range a {
-		ra, rb := s.abstRank[a[i]], s.abstRank[b[i]]
-		if ra != rb {
-			return ra < rb
-		}
-	}
-	return false
-}
-
-func (s *Symmetry) equalVec(a, b []types.ID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // internPerm interns a permutation vector, returning its dense table

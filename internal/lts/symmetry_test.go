@@ -82,6 +82,14 @@ func TestDetectSymmetryDegenerate(t *testing.T) {
 	if DetectSymmetry(typelts.NewCache(sem.Env, false), t0, nil) != nil {
 		t.Error("detection must require a witness-only cache")
 	}
+
+	// A fork ring, uniform or fixed, fuses into one bundle: no group.
+	for _, fixed := range []bool{false, true} {
+		semR, tR := ringFixture(5, fixed)
+		if DetectSymmetry(semR.Cache, tR, nil) != nil {
+			t.Errorf("fixed=%v: a ring must have no symmetry", fixed)
+		}
+	}
 }
 
 func tvIn(ch string) types.Type {
@@ -228,11 +236,9 @@ func TestSymmetricExploreHostileInternOrder(t *testing.T) {
 
 // ringFixture builds an n-philosopher dining ring over fork channels
 // f0..f(n-1): each fork is offered and retaken on its own channel, each
-// philosopher takes its two neighbouring forks in ring order — the
-// canonical rotational-symmetry shape (uniform, deadlock-prone
-// variant). fixed=true swaps philosopher 0's fork order (the classic
-// deadlock fix), which breaks the rotation: the co-mention graph is
-// still a cycle, but philosopher 0's shape has no rotated twin.
+// philosopher takes its two neighbouring forks in ring order (the
+// uniform, deadlock-prone variant). fixed=true swaps philosopher 0's
+// fork order, the classic deadlock fix.
 func ringFixture(n int, fixed bool) (*typelts.Semantics, types.Type) {
 	env := types.NewEnv()
 	unit := types.Unit{}
@@ -266,191 +272,9 @@ func ringFixture(n int, fixed bool) (*typelts.Semantics, types.Type) {
 	return sem, types.ParOf(comps...)
 }
 
-func TestDetectSymmetryRing(t *testing.T) {
-	sem, t0 := ringFixture(5, false)
-	sym := DetectSymmetry(sem.Cache, t0, nil)
-	if sym == nil {
-		t.Fatal("no symmetry detected on a uniform 5-ring")
-	}
-	if got := sym.NumClasses(); got != 0 {
-		t.Errorf("classes = %d, want 0 (one fused bundle, nothing to swap)", got)
-	}
-	if got := sym.NumRings(); got != 1 {
-		t.Errorf("rings = %d, want 1", got)
-	}
-	if got := sym.NumBundles(); got != 1 {
-		t.Errorf("bundles = %d, want 1", got)
-	}
-
-	// The symmetry-broken variant's co-mention graph is the same cycle,
-	// but the shape multiset is not shift-invariant: no group.
-	semF, tF := ringFixture(5, true)
-	if DetectSymmetry(semF.Cache, tF, nil) != nil {
-		t.Error("symmetry-broken ring must have no rotation group")
-	}
-
-	// Observing any fork freezes the whole ring — a rotation moves every
-	// ring channel, so nothing survives pinning.
-	semP, tP := ringFixture(5, false)
-	if DetectSymmetry(semP.Cache, tP, []string{"f0"}) != nil {
-		t.Error("ring with a pinned channel must have no rotation group")
-	}
-}
-
-// TestRingExploreCollapsesAndCovers is the rotational analogue of the
-// bundle-class soundness check: the quotient explores necklace
-// representatives whose orbit sizes tile the concrete reachable set
-// exactly.
-func TestRingExploreCollapsesAndCovers(t *testing.T) {
-	sem, t0 := ringFixture(5, false)
-	full, err := Explore(sem, t0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sym := DetectSymmetry(sem.Cache, t0, nil)
-	if sym == nil {
-		t.Fatal("no symmetry detected")
-	}
-	red, err := Explore(sem, t0, Options{Symmetry: sym})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.Sym == nil {
-		t.Fatal("symmetric exploration did not record SymInfo")
-	}
-	if red.Len()*4 > full.Len() {
-		t.Errorf("ring exploration has %d states, full has %d — expected ≥4× collapse",
-			red.Len(), full.Len())
-	}
-	if got, want := red.Covered(), int64(full.Len()); got != want {
-		t.Errorf("covered = %d, want %d (orbit sizes must tile the concrete space)", got, want)
-	}
-}
-
-// TestRingExploreDeterministic is TestSymmetricExploreDeterministic for
-// the rotation canonicaliser.
-func TestRingExploreDeterministic(t *testing.T) {
-	sem, t0 := ringFixture(5, false)
-	sym := DetectSymmetry(sem.Cache, t0, nil)
-	if sym == nil {
-		t.Fatal("no symmetry detected")
-	}
-	lone, err := Explore(sem, t0, Options{Symmetry: sym})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := symFingerprint(lone)
-	sem2, t2 := ringFixture(5, false)
-	opts := func(s *typelts.Semantics) Options { return Options{Symmetry: DetectSymmetry(s.Cache, t2, nil)} }
-	for i, got := range exploreConcurrently(t, onSharedCache(sem2, 4), t2, opts, symFingerprint) {
-		if got != want {
-			t.Fatalf("exploration %d: ring fingerprint differs from a lone exploration", i)
-		}
-	}
-}
-
-// TestRingHostileInternOrder replays the hostile interner-order attack
-// against the rotation canonicaliser: its lex-min choice is defined by
-// first-encounter ranks assigned on the registration side, never by
-// interner ID values, so pre-interning the component population in
-// adversarial orders must not change a byte.
-func TestRingHostileInternOrder(t *testing.T) {
-	sem, t0 := ringFixture(5, false)
-	symBase := DetectSymmetry(sem.Cache, t0, nil)
-	baseline, err := Explore(sem, t0, Options{Symmetry: symBase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := symFingerprint(baseline)
-
-	semFull, tFull := ringFixture(5, false)
-	full, err := Explore(semFull, tFull, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var comps []types.Type
-	seen := map[string]bool{}
-	for s := range full.Len() {
-		for _, c := range types.FlattenPar(full.StateType(s)) {
-			key := types.Canon(c)
-			if !seen[key] {
-				seen[key] = true
-				comps = append(comps, c)
-			}
-		}
-	}
-
-	for trial := 0; trial < 3; trial++ {
-		sem2, t2 := ringFixture(5, false)
-		in := sem2.Cache.Interner()
-		switch trial {
-		case 0: // reversed
-			for i := len(comps) - 1; i >= 0; i-- {
-				in.Intern(comps[i])
-			}
-		case 1: // rotated
-			for i := range comps {
-				in.Intern(comps[(i+len(comps)/2)%len(comps)])
-			}
-		case 2: // interleaved from both ends
-			for i, j := 0, len(comps)-1; i <= j; i, j = i+1, j-1 {
-				in.Intern(comps[j])
-				in.Intern(comps[i])
-			}
-		}
-		sym := DetectSymmetry(sem2.Cache, t2, nil)
-		m, err := Explore(sem2, t2, Options{Symmetry: sym})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := symFingerprint(m); got != want {
-			t.Fatalf("trial %d: ring fingerprint differs under hostile intern order", trial)
-		}
-	}
-}
-
-// TestRingPermOps runs the permutation-algebra round-trip on cyclic
-// permutations: Compose is additive and Invert negates modulo the ring
-// length, and both component multisets and labels survive the
-// round-trip — the contract the ρ-composition witness lift depends on.
-func TestRingPermOps(t *testing.T) {
-	sem, t0 := ringFixture(5, false)
-	sym := DetectSymmetry(sem.Cache, t0, nil)
-	m, err := Explore(sem, t0, Options{Symmetry: sym})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawNonIdentity := false
-	for s := 0; s < m.Len(); s++ {
-		for k, e := range m.Out(s) {
-			p := m.EdgePerm(s, k)
-			if p != 0 {
-				sawNonIdentity = true
-			}
-			inv := sym.Invert(p)
-			if got := sym.Compose(p, inv); got != 0 {
-				t.Fatalf("p∘p⁻¹ = perm %d, want identity", got)
-			}
-			dst := m.StateComps(int(e.Dst))
-			if _, ok := sym.PermuteComps(inv, dst); !ok {
-				t.Fatalf("edge %d/%d: destination components cannot be un-permuted", s, k)
-			}
-			lab := m.Labels[e.Label]
-			back := sym.PermuteLabel(p, sym.PermuteLabel(inv, lab))
-			if back.Key() != lab.Key() {
-				t.Fatalf("label %s does not round-trip through perm %d (got %s)", lab.Key(), p, back.Key())
-			}
-		}
-	}
-	if !sawNonIdentity {
-		t.Error("no non-identity edge permutation recorded — the ring never rotated")
-	}
-}
-
-// TestDetectSymmetryMixed exercises the direct product: a uniform ring
-// alongside interchangeable ping-pong pairs yields one symmetric-group
-// class and one cyclic factor, and their joint quotient still tiles the
-// concrete space.
+// TestDetectSymmetryMixed puts a uniform ring alongside interchangeable
+// ping-pong pairs: the pairs form one class, the ring stays fixed, and
+// the quotient still tiles the concrete space.
 func TestDetectSymmetryMixed(t *testing.T) {
 	buildMixed := func() (*typelts.Semantics, types.Type) {
 		semR, tR := ringFixture(4, false)
@@ -472,8 +296,8 @@ func TestDetectSymmetryMixed(t *testing.T) {
 	if got := sym.NumClasses(); got != 1 {
 		t.Errorf("classes = %d, want 1 (the three pairs)", got)
 	}
-	if got := sym.NumRings(); got != 1 {
-		t.Errorf("rings = %d, want 1", got)
+	if got := sym.NumBundles(); got != 3 {
+		t.Errorf("bundles = %d, want 3 (the ring is not permuted)", got)
 	}
 	full, err := Explore(sem, t0, Options{})
 	if err != nil {
@@ -489,7 +313,7 @@ func TestDetectSymmetryMixed(t *testing.T) {
 		t.Errorf("mixed exploration has %d states, full has %d — no collapse", red.Len(), full.Len())
 	}
 	if got, want := red.Covered(), int64(full.Len()); got != want {
-		t.Errorf("covered = %d, want %d (direct-product orbit sizes must tile the space)", got, want)
+		t.Errorf("covered = %d, want %d (orbit sizes must tile the space)", got, want)
 	}
 }
 

@@ -9,6 +9,12 @@ package verify
 // finished. No task ever waits for another while holding a slot, and
 // width 1 is a plain loop in input order. Every exploration runs on the
 // one shared transition cache.
+//
+// A deadline holds at every phase boundary: after each exploration,
+// before each check and each on-the-fly search, and before a FAIL is
+// lifted and replayed, the batch fails with an error wrapping the
+// context's error once the context is done or its deadline has passed.
+// Exploration and the checker also poll the context as they run.
 
 import (
 	"context"
@@ -184,6 +190,37 @@ type exploration struct {
 	took time.Duration
 }
 
+// The phase boundaries at which a batch checks its deadline.
+const (
+	afterExplore = "after exploration"
+	beforeCheck  = "before check"
+	beforeEarly  = "before on-the-fly search"
+	beforeLift   = "before witness lift"
+)
+
+// expiredAt, when set, names a boundary whose deadline check reports
+// context.DeadlineExceeded as if the deadline had just passed. Only
+// tests set it (export_test.go).
+var expiredAt string
+
+// deadline returns an error wrapping the context's error once ctx is
+// done or its deadline has passed. Reading the clock, not only
+// ctx.Err(), keeps the deadline when the runtime fires the context's
+// timer late under load.
+func deadline(ctx context.Context, at string) error {
+	err := ctx.Err()
+	if d, ok := ctx.Deadline(); err == nil && ok && !time.Now().Before(d) {
+		err = context.DeadlineExceeded
+	}
+	if at == expiredAt {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		return fmt.Errorf("verify: stopped %s: %w", at, err)
+	}
+	return nil
+}
+
 // task is one unit of executor work; first is the lowest property index
 // whose outcome depends on it.
 type task struct {
@@ -327,6 +364,9 @@ func (b *batch) explore(ctx context.Context, x *exploration) {
 		MaxStates: b.opts.MaxStates, Progress: b.opts.Progress,
 		Symmetry: b.symmetry(x), PartialOrder: x.por,
 	})
+	if x.err == nil {
+		x.err = deadline(ctx, afterExplore)
+	}
 	x.took = time.Since(start)
 }
 
@@ -334,6 +374,10 @@ func (b *batch) explore(ctx context.Context, x *exploration) {
 func (b *batch) verifyEarly(ctx context.Context, x *exploration) {
 	start := time.Now()
 	i := x.members[0]
+	if err := deadline(ctx, beforeEarly); err != nil {
+		b.fail(i, err)
+		return
+	}
 	o, err := verifyOnTheFly(ctx, b.request(i), b.semantics(x.obs), b.symmetry(x), x.por)
 	if err != nil {
 		b.fail(i, err)
@@ -348,6 +392,10 @@ func (b *batch) verifyEarly(ctx context.Context, x *exploration) {
 func (b *batch) check(ctx context.Context, i int, x *exploration) {
 	if x.err != nil {
 		b.fail(i, x.err)
+		return
+	}
+	if err := deadline(ctx, beforeCheck); err != nil {
+		b.fail(i, err)
 		return
 	}
 	start := time.Now()

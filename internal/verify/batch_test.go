@@ -1,12 +1,15 @@
 package verify
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"effpi/internal/lts"
+	"effpi/internal/typelts"
 	"effpi/internal/types"
 )
 
@@ -305,5 +308,67 @@ func TestVerifyAllEngineStateBound(t *testing.T) {
 		if len(outs) != failAt {
 			t.Errorf("width %d: %d outcomes before the bound, want %d", w, len(outs), failAt)
 		}
+	}
+}
+
+// lateTimer is a context whose deadline has passed but whose timer has
+// not fired yet, as under CPU load: Err is still nil.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestDeadlineAtEveryBoundary expires the deadline at each phase
+// boundary in turn. The first property, deadlock-freedom, FAILs, so
+// every boundary lies on its path: the batch must fail with a timeout
+// error and no outcome, at widths 1 and 2, and the transition cache it
+// leaves behind must give byte-identical results afterwards. A deadline
+// that has passed before its timer fires must stop the batch too.
+func TestDeadlineAtEveryBoundary(t *testing.T) {
+	env, sys, props := miniPhilosophers()
+	render := func(outs []*Outcome) string {
+		var b strings.Builder
+		for _, o := range outs {
+			b.WriteString(renderOutcome(o) + "\n")
+		}
+		return b.String()
+	}
+	// Under early exit deadlock-freedom is searched on the fly; without
+	// it, all six properties share one exploration.
+	cases := []struct {
+		at    string
+		early bool
+	}{{afterExplore, false}, {beforeCheck, false}, {beforeEarly, true}, {beforeLift, false}, {beforeLift, true}}
+	for _, c := range cases {
+		for _, w := range []int{1, 2} {
+			opts := Options{EarlyExit: c.early, Parallelism: w}
+			ref, err := VerifyAllWith(env, sys, props, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Cache = typelts.NewCache(env, true)
+			name := fmt.Sprintf("%s/early=%v/width=%d", c.at, c.early, w)
+			t.Run(name, func(t *testing.T) {
+				ExpireDeadlineAt(t, c.at)
+				outs, err := VerifyAllContext(context.Background(), env, sys, props, opts)
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("error %v, want the deadline", err)
+				}
+				if len(outs) != 0 {
+					t.Errorf("%d outcomes, want none", len(outs))
+				}
+			})
+			outs, err := VerifyAllWith(env, sys, props, opts)
+			if err != nil {
+				t.Fatalf("%s: reusing the cache: %v", name, err)
+			}
+			if got, want := render(outs), render(ref); got != want {
+				t.Errorf("%s: reusing the cache changed the outcomes:\n%s\nwant:\n%s", name, got, want)
+			}
+		}
+	}
+
+	outs, err := VerifyAllContext(lateTimer{context.Background()}, env, sys, props, Options{})
+	if !errors.Is(err, context.DeadlineExceeded) || len(outs) != 0 {
+		t.Errorf("late timer: %d outcomes, error %v; want none and the deadline", len(outs), err)
 	}
 }

@@ -2,17 +2,15 @@ package verify
 
 // Exploration-time symmetry reduction (Options.Symmetry): the verifier
 // detects the channel permutation group of a closed system — the direct
-// product of symmetric groups over interchangeable-bundle classes and
-// cyclic rotation groups over ring bundles (lts.DetectSymmetry, pinning
-// every channel the property observes) — explores the orbit LTS instead
-// of the concrete one, and — on FAIL — lifts the orbit counterexample
-// back to a concrete run by composing the permutations recorded on the
-// orbit edges, re-validating the result with the PR 3 replay oracle. A
-// lift that fails to produce a violating concrete run is an internal
-// error, never a verdict. The lift is group-agnostic: it only ever
-// composes, inverts and applies recorded permutations, so cyclic
-// factors ride through the identical ρ-composition walk as bundle
-// swaps.
+// product of symmetric groups over interchangeable-bundle classes
+// (lts.DetectSymmetry, pinning every channel the property observes) —
+// explores the orbit LTS instead of the concrete one, and — on FAIL —
+// lifts the orbit counterexample back to a concrete run by composing
+// the permutations recorded on the orbit edges, re-validating the result
+// with the PR 3 replay oracle. A lift that fails to produce a violating
+// concrete run is an internal error, never a verdict. The lift is
+// group-agnostic: it only ever composes, inverts and applies recorded
+// permutations.
 //
 // Soundness of the orbit check: the group G is an automorphism group of
 // the concrete LTS (every π ∈ G maps reachable states to reachable
@@ -46,8 +44,8 @@ const (
 	SymmetryOff SymmetryMode = iota
 	// SymmetryOn canonicalises every explored state to its orbit
 	// representative under the system's channel permutation group —
-	// interchangeable-bundle classes and ring rotations
-	// (lts.DetectSymmetry) — pinning every observed channel. Verdicts are
+	// interchangeable-bundle classes (lts.DetectSymmetry) — pinning
+	// every observed channel. Verdicts are
 	// identical to SymmetryOff; every FAIL's witness is lifted to a
 	// concrete run and re-validated by Replay. Where it engages is
 	// planBatch's routing rule.

@@ -201,10 +201,14 @@ func VerifyContext(ctx context.Context, req Request) (*Outcome, error) {
 // it: a witness over an orbit LTS is first lifted to a concrete run, and
 // a witness found on any reduced space — orbits, or an ample-reduced
 // edge-subset whose runs are already concrete — is only reported once
-// the replay oracle confirms a genuine concrete violation.
+// the replay oracle confirms a genuine concrete violation. It checks the
+// deadline first.
 func finishFail(ctx context.Context, req Request, sem *typelts.Semantics, m *lts.LTS, out *Outcome) error {
 	if out.Holds {
 		return nil
+	}
+	if err := deadline(ctx, beforeLift); err != nil {
+		return err
 	}
 	symmetric := m.Sym != nil && out.Witness != nil
 	if symmetric {
