@@ -87,17 +87,9 @@ verify flags:
   -from x -to y  forwarding source/target; reactive/responsive use -from
   -open          treat the program as open (environment may interact on
                  the probe channels); default is closed-composition mode
-  -early         stop exploring as soon as a violation is found
-  -symmetry MODE off | on — explore orbit representatives under the
-                 system's channel permutation group: classes of
-                 interchangeable channel bundles (verdicts unchanged,
-                 counterexamples permutation-lifted to concrete runs
-                 and replay-validated)
-  -por MODE      off | on — partial-order reduction: explore only an
-                 ample subset of each state's transitions (verdicts
-                 unchanged, counterexamples are concrete runs of the
-                 reduced space, replay-validated)
-                 where -early, -symmetry and -por engage: DESIGN.md §batch
+  -early         on-the-fly checking; see DESIGN.md §The batch engine
+  -symmetry MODE off | on symmetry reduction; see DESIGN.md §The batch engine
+  -por MODE      off | on partial-order reduction; see DESIGN.md §The batch engine
   -width N       truncate printed witness states to N runes (default
                  100, 0 = full)
 
@@ -212,9 +204,9 @@ func cmdVerify(args []string) error {
 	to := fs.String("to", "", "target channel")
 	open := fs.Bool("open", false, "open-process mode (default: closed composition)")
 	maxStates := fs.Int("max", 0, "state bound (0 = default)")
-	early := fs.Bool("early", false, "early-exit mode: stop exploring as soon as a violation is found (on-the-fly checking; non-usage, deadlock-free and reactive)")
-	symmetry := fs.String("symmetry", "off", "exploration-time symmetry reduction: off | on (orbit representatives under interchangeable-bundle classes; verdicts unchanged, witnesses permutation-lifted and replay-validated; where it engages: DESIGN.md §batch)")
-	por := fs.String("por", "off", "exploration-time partial-order reduction: off | on (ample transition subsets; verdicts unchanged, witnesses replay-validated; where it engages: DESIGN.md §batch)")
+	early := fs.Bool("early", false, "on-the-fly checking; see DESIGN.md §The batch engine")
+	symmetry := fs.String("symmetry", "off", "off | on symmetry reduction; see DESIGN.md §The batch engine")
+	por := fs.String("por", "off", "off | on partial-order reduction; see DESIGN.md §The batch engine")
 	width := fs.Int("width", 100, "truncate printed witness states to this width (0 = full)")
 	pkgMode := fs.Bool("pkg", false, "treat arguments as Go package directories and statically extract the protocol (implied by a directory or ./... argument)")
 	if err := fs.Parse(args); err != nil {

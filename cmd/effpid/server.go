@@ -300,21 +300,11 @@ type verifyRequest struct {
 	// explorations and checks run at once (0 = server default; each
 	// exploration is serial, and verdicts are identical at any value).
 	Parallelism int `json:"parallelism,omitempty"`
-	// EarlyExit selects on-the-fly checking. Where early_exit, symmetry
-	// and partial_order engage is one planner rule (DESIGN.md §batch).
+	// EarlyExit selects on-the-fly checking; see DESIGN.md §The batch engine.
 	EarlyExit bool `json:"early_exit,omitempty"`
-	// Symmetry selects exploration-time symmetry reduction: "off"
-	// (default) or "on" (orbit representatives under the system's
-	// channel permutation group — interchangeable-bundle classes;
-	// verdicts identical, FAIL witnesses permutation-lifted to concrete
-	// runs and replay-validated). Any other value is a 400 naming the
-	// valid modes.
+	// Symmetry is "off" or "on" (else 400) symmetry reduction; see DESIGN.md §The batch engine.
 	Symmetry string `json:"symmetry,omitempty"`
-	// PartialOrder selects exploration-time partial-order reduction:
-	// "off" (default) or "on" (ample transition subsets from the type
-	// semantics' independence relation; verdicts identical, FAIL
-	// witnesses are concrete runs of the reduced space and
-	// replay-validated).
+	// PartialOrder is "off" or "on" (else 400) partial-order reduction; see DESIGN.md §The batch engine.
 	PartialOrder string `json:"partial_order,omitempty"`
 	// TimeoutMS caps this request's service time (0 = server default;
 	// capped by the server's -max-timeout). The clock starts when the

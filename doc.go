@@ -20,7 +20,7 @@
 // exploration and model-checking pass is cancellable and
 // deadline-aware through the context; errors are structured
 // (*ParseError, *TypeError, *BoundExceededError), and progress streams
-// through WithProgress / WithEventChannel. The implementation lives
+// through WithProgress. The implementation lives
 // under internal/ (see DESIGN.md for the module map) and is not
 // importable — the façade re-exports everything the executables under
 // cmd/ (effpi, effpid, savina, mcbench) and external consumers need.
@@ -41,25 +41,9 @@
 // SHA-256 of its rendering). Every
 // witness is replay-validated before it is shown: the run is re-executed
 // against the explored transition system and the property's Büchi
-// automaton (Replay), so a reported FAIL is a checkable artifact. The
-// "-early" flag of effpi verify (WithEarlyExit here) stops exploring as
-// soon as a violation exists (on-the-fly checking; see DESIGN.md).
+// automaton (Replay), so a reported FAIL is a checkable artifact.
 //
-// Symmetry reduction: WithSymmetry(SymmetryOn) — "-symmetry on" in
-// effpi verify, "-symmetry" in mcbench, "symmetry": "on" in effpid
-// requests — shrinks the *exploration* itself: closed systems are
-// analysed for a channel permutation group, the direct product of
-// symmetric groups over classes of interchangeable channel bundles,
-// and the BFS canonicalises every successor to an orbit representative
-// under that group, so symmetric interleavings are never materialised
-// (Outcome.StatesExplored representatives cover Outcome.States
-// concrete states; the 12-pair ping-pong row explores 234 in place of
-// 531 441). Every orbit edge records its canonicalising permutation; a
-// FAIL's orbit counterexample is rewritten into a concrete run by
-// composing those permutations and re-validated by the replay oracle
-// before it is returned. Symmetry composes with WithEarlyExit, and
-// falls back to the concrete pipeline for open
-// (non-Closed) properties; see DESIGN.md §symmetry.
+// Reducers (WithEarlyExit, WithSymmetry, WithPartialOrder): DESIGN.md §The batch engine.
 //
 // Go-source frontend: FromPackages (and ExtractGoSource for a single
 // in-memory file) statically extracts behavioural types from Go
@@ -79,20 +63,4 @@
 // once per process: the first extraction pays the standard-library and
 // module typecheck (~0.7 s), later ones take milliseconds and still see
 // every edit to a dependency. See DESIGN.md §Go-source frontend.
-//
-// Partial-order reduction: WithPartialOrder(PartialOrderOn) — "-por on"
-// in effpi verify, "-por" in mcbench, "partial_order": "on" in effpid
-// requests — prunes the exploration along the other axis: per state the
-// engine registers only an ample subset of the enabled transitions
-// (computed from the independence of their participating components,
-// with the property's visible actions protected), so commuting
-// interleavings of independent components are explored in one canonical
-// order and the dropped diamond states are never materialised. Ample
-// sets only drop edges, so a FAIL's counterexample is already a
-// concrete run — it is re-validated by the replay oracle before it is
-// returned, no lifting needed; Outcome.States and
-// Outcome.StatesExplored both count the reduced space. Where it engages
-// is one planner rule (DESIGN.md §batch engine); see DESIGN.md
-// §partial-order for the ample conditions and the Dining-shaped
-// negative result.
 package effpi

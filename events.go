@@ -46,32 +46,26 @@ type Event struct {
 	Witness *Witness
 }
 
-// emit delivers an event to the session's sinks. The callback runs
-// synchronously on the emitting goroutine; the channel send blocks until
-// the consumer is ready (use a buffered channel or a draining goroutine).
-// Exploration progress can be emitted from the batch executor's
-// goroutines, which explore a batch's groups side by side, so delivery
-// is serialised through the session's mutex (emitMu) — sinks never run
-// concurrently with themselves.
+// emit delivers an event to the session's WithProgress callback, which
+// runs synchronously on the emitting goroutine. Exploration progress can
+// be emitted from the batch executor's goroutines, which explore a
+// batch's groups side by side, so delivery is serialised through the
+// session's mutex (emitMu) — the callback never runs concurrently with
+// itself.
 func (s *Session) emit(ev Event) {
-	if s.opt.progress == nil && s.opt.events == nil {
+	if s.opt.progress == nil {
 		return
 	}
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	if s.opt.progress != nil {
-		s.opt.progress(ev)
-	}
-	if s.opt.events != nil {
-		s.opt.events <- ev
-	}
+	s.opt.progress(ev)
 }
 
-// progressHook adapts the session's event sinks to the exploration-level
-// progress callback, or nil when no sink is configured (so the engines
-// skip the callback entirely).
+// progressHook adapts the session's callback to the exploration-level
+// progress callback, or nil when no callback is configured (so the
+// engines skip the callback entirely).
 func (s *Session) progressHook(prop *Property) func(ExploreProgress) {
-	if s.opt.progress == nil && s.opt.events == nil {
+	if s.opt.progress == nil {
 		return nil
 	}
 	return func(p ExploreProgress) {

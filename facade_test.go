@@ -193,33 +193,22 @@ func TestWorkspaceEviction(t *testing.T) {
 }
 
 // TestSessionEvents: the streaming event interface delivers property
-// lifecycle events and exploration progress, and the channel sink sees
-// the same stream as the callback.
+// lifecycle events and exploration progress.
 func TestSessionEvents(t *testing.T) {
 	ctx := context.Background()
 	ws := NewWorkspace()
 	sys := Fig9Systems()[5] // Dining philos. (5, deadlock)
 
 	var cbEvents []Event
-	ch := make(chan Event, 4096)
 	sess, err := ws.NewSessionFromType(sys.Env, sys.Type,
 		WithParallelism(1),
-		WithProgress(func(ev Event) { cbEvents = append(cbEvents, ev) }),
-		WithEventChannel(ch))
+		WithProgress(func(ev Event) { cbEvents = append(cbEvents, ev) }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o, err := sess.Verify(ctx, sys.Props[0])
 	if err != nil {
 		t.Fatal(err)
-	}
-	close(ch)
-	var chEvents []Event
-	for ev := range ch {
-		chEvents = append(chEvents, ev)
-	}
-	if len(cbEvents) != len(chEvents) {
-		t.Errorf("callback saw %d events, channel %d", len(cbEvents), len(chEvents))
 	}
 	counts := map[EventKind]int{}
 	var sawFinalProgress bool

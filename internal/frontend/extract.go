@@ -255,7 +255,8 @@ func extractEntry(pkg *loadedPackage, modPath string, fn *ast.FuncDecl, diags *[
 	for name, ref := range x.sentinels {
 		lookup[name] = x.resolveElem(ref, map[*elemRef]bool{})
 	}
-	t = substSentinels(t, lookup)
+	// Sentinel names are never bound, so replacing them ignores binders.
+	t = types.ReplaceVars(t, lookup)
 
 	env := types.NewEnv()
 	for _, ci := range x.chans {

@@ -138,38 +138,6 @@ func (x *extractor) resolveElem(e *elemRef, seen map[*elemRef]bool) types.Type {
 	return types.Unit{}
 }
 
-// substSentinels replaces elem sentinels by their solved types.
-func substSentinels(t types.Type, lookup map[string]types.Type) types.Type {
-	sub := func(u types.Type) types.Type { return substSentinels(u, lookup) }
-	switch v := t.(type) {
-	case types.Var:
-		if r, ok := lookup[v.Name]; ok {
-			return r
-		}
-		return v
-	case types.Union:
-		return types.Union{L: sub(v.L), R: sub(v.R)}
-	case types.Pi:
-		return types.Pi{Var: v.Var, Dom: sub(v.Dom), Cod: sub(v.Cod)}
-	case types.Rec:
-		return types.Rec{Var: v.Var, Body: sub(v.Body)}
-	case types.ChanIO:
-		return types.ChanIO{Elem: sub(v.Elem)}
-	case types.ChanI:
-		return types.ChanI{Elem: sub(v.Elem)}
-	case types.ChanO:
-		return types.ChanO{Elem: sub(v.Elem)}
-	case types.Out:
-		return types.Out{Ch: sub(v.Ch), Payload: sub(v.Payload), Cont: sub(v.Cont)}
-	case types.In:
-		return types.In{Ch: sub(v.Ch), Cont: sub(v.Cont)}
-	case types.Par:
-		return types.Par{L: sub(v.L), R: sub(v.R)}
-	default:
-		return t
-	}
-}
-
 // mapGoType maps a Go type to the effpi payload type it models:
 //
 //   - bool → bool, string/error → str, numeric → int

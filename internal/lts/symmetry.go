@@ -89,7 +89,7 @@ type Symmetry struct {
 	abstRank  map[types.ID]int32
 	permIdx   map[string]int32
 	perms     [][]int32
-	chanMaps  []map[string]string
+	chanMaps  []map[string]types.Type
 
 	// Scratch buffers reused across canonicalise calls.
 	contents [][]types.ID
@@ -181,10 +181,9 @@ func DetectSymmetry(cache *typelts.Cache, init types.Type, pinned []string) *Sym
 	rootChans := make([][]int, len(roots))
 	for i, r := range roots {
 		var local []int
-		seenLocal := map[int]bool{}
-		walkFreeVarOccurrences(r, nil, func(n string) {
+		for _, n := range types.FreeVarsInOrder(r) {
 			if !isChan[n] {
-				return
+				continue
 			}
 			ci, ok := chanIdx[n]
 			if !ok {
@@ -193,11 +192,8 @@ func DetectSymmetry(cache *typelts.Cache, init types.Type, pinned []string) *Sym
 				mention = append(mention, n)
 				parent = append(parent, ci)
 			}
-			if !seenLocal[ci] {
-				seenLocal[ci] = true
-				local = append(local, ci)
-			}
-		})
+			local = append(local, ci)
+		}
 		rootChans[i] = local
 		for k := 1; k < len(local); k++ {
 			ra, rb := find(local[0]), find(local[k])
@@ -353,7 +349,7 @@ func DetectSymmetry(cache *typelts.Cache, init types.Type, pinned []string) *Sym
 	}
 	s.perms = [][]int32{identity}
 	s.permIdx[packPerm(identity)] = 0
-	s.chanMaps = []map[string]string{nil}
+	s.chanMaps = []map[string]types.Type{nil}
 	s.contents = make([][]types.ID, len(s.bundles))
 	s.permBuf = make([]int32, len(s.bundles))
 	return s
@@ -442,7 +438,10 @@ func (s *Symmetry) PermuteComps(p int32, comps []types.ID) ([]types.ID, bool) {
 
 // PermuteLabel applies permutation p to a transition label by renaming
 // the channels of every moved bundle inside its type components.
-// Payload-free labels (τ-choice, ✔, ⊠) are invariant.
+// Payload-free labels (τ-choice, ✔, ⊠) are invariant. The renaming
+// ignores binders (types.ReplaceVars), and capture is impossible by
+// construction: DetectSymmetry freezes any bundle whose channels collide
+// with a binder name, so neither sources nor targets are ever bound.
 func (s *Symmetry) PermuteLabel(p int32, lab typelts.Label) typelts.Label {
 	if p == 0 {
 		return lab
@@ -455,14 +454,14 @@ func (s *Symmetry) PermuteLabel(p int32, lab typelts.Label) typelts.Label {
 	}
 	switch l := lab.(type) {
 	case typelts.Output:
-		return typelts.Output{Subject: renameFree(l.Subject, m), Payload: renameFree(l.Payload, m)}
+		return typelts.Output{Subject: types.ReplaceVars(l.Subject, m), Payload: types.ReplaceVars(l.Payload, m)}
 	case typelts.Input:
-		return typelts.Input{Subject: renameFree(l.Subject, m), Payload: renameFree(l.Payload, m)}
+		return typelts.Input{Subject: types.ReplaceVars(l.Subject, m), Payload: types.ReplaceVars(l.Payload, m)}
 	case typelts.Comm:
 		return typelts.Comm{
-			Sender:   renameFree(l.Sender, m),
-			Receiver: renameFree(l.Receiver, m),
-			Payload:  renameFree(l.Payload, m),
+			Sender:   types.ReplaceVars(l.Sender, m),
+			Receiver: types.ReplaceVars(l.Receiver, m),
+			Payload:  types.ReplaceVars(l.Payload, m),
 		}
 	default:
 		return lab
@@ -472,20 +471,20 @@ func (s *Symmetry) PermuteLabel(p int32, lab typelts.Label) typelts.Label {
 // chanMap materialises (and memoises) the channel renaming of a
 // permutation: for every bundle b with p[b] ≠ b, b's i-th channel maps
 // to p[b]'s i-th channel.
-func (s *Symmetry) chanMap(p int32) map[string]string {
+func (s *Symmetry) chanMap(p int32) map[string]types.Type {
 	for int(p) >= len(s.chanMaps) {
 		s.chanMaps = append(s.chanMaps, nil)
 	}
 	if m := s.chanMaps[p]; m != nil {
 		return m
 	}
-	m := map[string]string{}
+	m := map[string]types.Type{}
 	for b, dst := range s.perms[p] {
 		if int32(b) == dst {
 			continue
 		}
 		for pos, ch := range s.bundles[b] {
-			m[ch] = s.bundles[dst][pos]
+			m[ch] = types.Var{Name: s.bundles[dst][pos]}
 		}
 	}
 	s.chanMaps[p] = m
@@ -744,95 +743,56 @@ func satAdd(a, b int64) int64 {
 // environment witness for its domain — so witness-only early input only
 // ever substitutes environment variables into channel positions.
 func subjectsSafe(env *types.Env, t types.Type) bool {
-	ok := true
-	checkSubject := func(sub types.Type) {
-		for _, leaf := range types.FlattenUnion(sub) {
-			if _, isVar := leaf.(types.Var); !isVar {
-				ok = false
-			}
+	switch t := t.(type) {
+	case types.Out:
+		if !subjectIsVars(t.Ch) {
+			return false
+		}
+	case types.In:
+		if !subjectIsVars(t.Ch) {
+			return false
+		}
+		pi, isPi := t.Cont.(types.Pi)
+		if !isPi {
+			// [T→i] anchors its binder analysis on the syntactic Π.
+			return false
+		}
+		if !subjectsSafe(env, pi.Dom) {
+			return false
+		}
+		if pi.Var != "" && occursInChanPos(pi.Cod, pi.Var) && len(env.Witnesses(pi.Dom)) == 0 {
+			return false
+		}
+		return subjectsSafe(env, pi.Cod)
+	}
+	return types.EachChild(t, func(c types.Type) bool { return subjectsSafe(env, c) })
+}
+
+// subjectIsVars reports whether every union leaf of a channel subject is
+// a variable.
+func subjectIsVars(sub types.Type) bool {
+	for _, leaf := range types.FlattenUnion(sub) {
+		if _, isVar := leaf.(types.Var); !isVar {
+			return false
 		}
 	}
-	var walk func(types.Type)
-	walk = func(t types.Type) {
-		if !ok {
-			return
-		}
-		switch t := t.(type) {
-		case types.Union:
-			walk(t.L)
-			walk(t.R)
-		case types.Pi:
-			walk(t.Dom)
-			walk(t.Cod)
-		case types.Rec:
-			walk(t.Body)
-		case types.ChanIO:
-			walk(t.Elem)
-		case types.ChanI:
-			walk(t.Elem)
-		case types.ChanO:
-			walk(t.Elem)
-		case types.Par:
-			walk(t.L)
-			walk(t.R)
-		case types.Out:
-			checkSubject(t.Ch)
-			walk(t.Payload)
-			walk(t.Cont)
-		case types.In:
-			checkSubject(t.Ch)
-			pi, isPi := t.Cont.(types.Pi)
-			if !isPi {
-				// [T→i] anchors its binder analysis on the syntactic Π.
-				ok = false
-				return
-			}
-			walk(pi.Dom)
-			if pi.Var != "" && occursInChanPos(pi.Cod, pi.Var) && !hasEnvWitness(env, pi.Dom) {
-				ok = false
-				return
-			}
-			walk(pi.Cod)
-		}
-	}
-	walk(t)
-	return ok
+	return true
 }
 
 // occursInChanPos reports whether the free variable v occurs in some
 // In/Out channel position of t.
 func occursInChanPos(t types.Type, v string) bool {
 	switch t := t.(type) {
-	case types.Union:
-		return occursInChanPos(t.L, v) || occursInChanPos(t.R, v)
 	case types.Pi:
 		if t.Var == v {
 			return occursInChanPos(t.Dom, v)
 		}
-		return occursInChanPos(t.Dom, v) || occursInChanPos(t.Cod, v)
-	case types.Rec:
-		return occursInChanPos(t.Body, v)
-	case types.ChanIO:
-		return occursInChanPos(t.Elem, v)
-	case types.ChanI:
-		return occursInChanPos(t.Elem, v)
-	case types.ChanO:
-		return occursInChanPos(t.Elem, v)
-	case types.Par:
-		return occursInChanPos(t.L, v) || occursInChanPos(t.R, v)
 	case types.Out:
-		if subjectMentions(t.Ch, v) {
-			return true
-		}
-		return occursInChanPos(t.Payload, v) || occursInChanPos(t.Cont, v)
+		return subjectMentions(t.Ch, v) || occursInChanPos(t.Payload, v) || occursInChanPos(t.Cont, v)
 	case types.In:
-		if subjectMentions(t.Ch, v) {
-			return true
-		}
-		return occursInChanPos(t.Cont, v)
-	default:
-		return false
+		return subjectMentions(t.Ch, v) || occursInChanPos(t.Cont, v)
 	}
+	return !types.EachChild(t, func(c types.Type) bool { return !occursInChanPos(c, v) })
 }
 
 func subjectMentions(sub types.Type, v string) bool {
@@ -844,122 +804,10 @@ func subjectMentions(sub types.Type, v string) bool {
 	return false
 }
 
-// hasEnvWitness reports whether some environment variable is a subtype
-// of dom — the Thm. 4.10 footnote condition under which witness-only
-// early input drops the anonymous instance.
-func hasEnvWitness(env *types.Env, dom types.Type) bool {
-	for _, n := range env.Names() {
-		if types.Subtype(env, types.Var{Name: n}, dom) {
-			return true
-		}
-	}
-	return false
-}
-
 // collectBinders records every Π-binder name in t.
 func collectBinders(t types.Type, out map[string]bool) {
-	switch t := t.(type) {
-	case types.Union:
-		collectBinders(t.L, out)
-		collectBinders(t.R, out)
-	case types.Pi:
-		if t.Var != "" {
-			out[t.Var] = true
-		}
-		collectBinders(t.Dom, out)
-		collectBinders(t.Cod, out)
-	case types.Rec:
-		collectBinders(t.Body, out)
-	case types.ChanIO:
-		collectBinders(t.Elem, out)
-	case types.ChanI:
-		collectBinders(t.Elem, out)
-	case types.ChanO:
-		collectBinders(t.Elem, out)
-	case types.Out:
-		collectBinders(t.Ch, out)
-		collectBinders(t.Payload, out)
-		collectBinders(t.Cont, out)
-	case types.In:
-		collectBinders(t.Ch, out)
-		collectBinders(t.Cont, out)
-	case types.Par:
-		collectBinders(t.L, out)
-		collectBinders(t.R, out)
+	if pi, ok := t.(types.Pi); ok && pi.Var != "" {
+		out[pi.Var] = true
 	}
-}
-
-// walkFreeVarOccurrences visits every free Var occurrence of t in
-// pre-order (deterministic first-mention order, unlike FreeVars' map).
-func walkFreeVarOccurrences(t types.Type, bound []string, visit func(string)) {
-	switch t := t.(type) {
-	case types.Var:
-		for _, b := range bound {
-			if b == t.Name {
-				return
-			}
-		}
-		visit(t.Name)
-	case types.Union:
-		walkFreeVarOccurrences(t.L, bound, visit)
-		walkFreeVarOccurrences(t.R, bound, visit)
-	case types.Pi:
-		walkFreeVarOccurrences(t.Dom, bound, visit)
-		if t.Var != "" {
-			bound = append(bound, t.Var)
-		}
-		walkFreeVarOccurrences(t.Cod, bound, visit)
-	case types.Rec:
-		walkFreeVarOccurrences(t.Body, bound, visit)
-	case types.ChanIO:
-		walkFreeVarOccurrences(t.Elem, bound, visit)
-	case types.ChanI:
-		walkFreeVarOccurrences(t.Elem, bound, visit)
-	case types.ChanO:
-		walkFreeVarOccurrences(t.Elem, bound, visit)
-	case types.Out:
-		walkFreeVarOccurrences(t.Ch, bound, visit)
-		walkFreeVarOccurrences(t.Payload, bound, visit)
-		walkFreeVarOccurrences(t.Cont, bound, visit)
-	case types.In:
-		walkFreeVarOccurrences(t.Ch, bound, visit)
-		walkFreeVarOccurrences(t.Cont, bound, visit)
-	case types.Par:
-		walkFreeVarOccurrences(t.L, bound, visit)
-		walkFreeVarOccurrences(t.R, bound, visit)
-	}
-}
-
-// renameFree renames free variable occurrences of t along m. Capture is
-// impossible by construction: DetectSymmetry freezes any bundle whose
-// channels collide with a binder name, so neither sources nor targets
-// are ever bound in t.
-func renameFree(t types.Type, m map[string]string) types.Type {
-	switch t := t.(type) {
-	case types.Var:
-		if to, ok := m[t.Name]; ok {
-			return types.Var{Name: to}
-		}
-		return t
-	case types.Union:
-		return types.Union{L: renameFree(t.L, m), R: renameFree(t.R, m)}
-	case types.Pi:
-		return types.Pi{Var: t.Var, Dom: renameFree(t.Dom, m), Cod: renameFree(t.Cod, m)}
-	case types.Rec:
-		return types.Rec{Var: t.Var, Body: renameFree(t.Body, m)}
-	case types.ChanIO:
-		return types.ChanIO{Elem: renameFree(t.Elem, m)}
-	case types.ChanI:
-		return types.ChanI{Elem: renameFree(t.Elem, m)}
-	case types.ChanO:
-		return types.ChanO{Elem: renameFree(t.Elem, m)}
-	case types.Out:
-		return types.Out{Ch: renameFree(t.Ch, m), Payload: renameFree(t.Payload, m), Cont: renameFree(t.Cont, m)}
-	case types.In:
-		return types.In{Ch: renameFree(t.Ch, m), Cont: renameFree(t.Cont, m)}
-	case types.Par:
-		return types.Par{L: renameFree(t.L, m), R: renameFree(t.R, m)}
-	default:
-		return t
-	}
+	types.EachChild(t, func(c types.Type) bool { collectBinders(c, out); return true })
 }

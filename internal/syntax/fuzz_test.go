@@ -10,6 +10,7 @@ package syntax
 // plain test suite.
 
 import (
+	"slices"
 	"testing"
 
 	"effpi/internal/systems"
@@ -61,6 +62,53 @@ func FuzzParseType(f *testing.F) {
 		}
 		if again := PrintType(back); again != printed {
 			t.Fatalf("print not stable: %q vs %q", printed, again)
+		}
+	})
+}
+
+// FuzzTypeTraversal checks the one traversal of the type syntax
+// (types.EachChild / MapChildren) on parsed types: mapping with the
+// identity rebuilds an equal type, MapChildren visits what EachChild
+// visits, the ordered free-variable walk and OccursFree agree with
+// FreeVars, substituting a variable for itself and replacing variables along an
+// empty map change nothing.
+func FuzzTypeTraversal(f *testing.F) {
+	for _, c := range typeSpotChecks {
+		f.Add(c.src)
+	}
+	for _, sys := range systems.Fig9Systems()[:4] {
+		f.Add(PrintType(sys.Type))
+	}
+	var identity func(types.Type) types.Type
+	identity = func(t types.Type) types.Type { return types.MapChildren(t, identity) }
+	f.Fuzz(func(t *testing.T, src string) {
+		ty, err := ParseType(src)
+		if err != nil {
+			return
+		}
+		if got := identity(ty); got != ty || !types.Equal(got, ty) {
+			t.Fatalf("identity map changed %s into %s", ty, got)
+		}
+		var each, mapped []types.Type
+		types.EachChild(ty, func(c types.Type) bool { each = append(each, c); return true })
+		types.MapChildren(ty, func(c types.Type) types.Type { mapped = append(mapped, c); return c })
+		if !slices.Equal(each, mapped) {
+			t.Fatalf("EachChild visits %v, MapChildren %v", each, mapped)
+		}
+		ordered, fv := types.FreeVarsInOrder(ty), types.FreeVars(ty)
+		if len(ordered) != len(fv) {
+			t.Fatalf("FreeVarsInOrder = %v, FreeVars = %v", ordered, fv)
+		}
+		for _, x := range ordered {
+			if !fv[x] || !types.OccursFree(ty, x) {
+				t.Fatalf("FreeVarsInOrder = %v, FreeVars = %v, OccursFree(%s) = %v", ordered, fv, x, types.OccursFree(ty, x))
+			}
+			if got := types.Subst(ty, x, types.Var{Name: x}); !types.Equal(got, ty) {
+				t.Fatalf("Subst(%s, %s, %s) = %s", ty, x, x, got)
+			}
+		}
+		if got := types.ReplaceVars(ty, nil); got != ty {
+			t.Fatalf("ReplaceVars with an empty map changed %s into %s", ty, got)
 		}
 	})
 }

@@ -153,7 +153,7 @@ func inferLam(env *types.Env, t term.Lam) (types.Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	if thunk && isUnit(t.Ann) && !types.FreeVars(bodyT)[bound] {
+	if thunk && isUnit(t.Ann) && !types.OccursFree(bodyT, bound) {
 		return types.Thunk(bodyT), nil
 	}
 	return types.Pi{Var: bound, Dom: t.Ann, Cod: bodyT}, nil
@@ -204,7 +204,7 @@ func inferLet(env *types.Env, t term.Let) (types.Type, error) {
 	// definitions), substituting it would not eliminate the variable;
 	// fall back to the annotation, which is closed w.r.t. x.
 	u := boundT
-	if types.FreeVars(u)[bv] {
+	if types.OccursFree(u, bv) {
 		u = t.Ann
 	}
 	return types.Subst(bodyT, bv, u), nil
@@ -359,7 +359,7 @@ func resolveThunk(env *types.Env, t types.Type) (types.Pi, error) {
 	if err != nil {
 		return types.Pi{}, err
 	}
-	if pi.Var != "" && types.FreeVars(pi.Cod)[pi.Var] {
+	if pi.Var != "" && types.OccursFree(pi.Cod, pi.Var) {
 		return types.Pi{}, fmt.Errorf("continuation %s is not a thunk: it depends on its parameter", t)
 	}
 	if !isUnit(pi.Dom) {

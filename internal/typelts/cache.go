@@ -379,12 +379,8 @@ func insertID(ids []types.ID, id types.ID) []types.ID {
 // — so a missing or mismatched cache is a caller bug and panics
 // (lts.Explore always attaches a compatible one).
 func (s *Semantics) Component(cid types.ID) *Component {
-	if cs, ok := s.l1comp[cid]; ok {
-		return cs
-	}
 	c := s.mustCache()
 	if cs, ok := c.lookupComp(cid); ok {
-		s.l1compStore(cid, cs)
 		return cs
 	}
 	saved := s.depthHit
@@ -399,7 +395,6 @@ func (s *Semantics) Component(cid types.ID) *Component {
 	cs.Ports = s.portsOf(cs.Steps)
 	if !s.depthHit {
 		cs = c.storeComp(cid, cs) // first-write-wins: adopt the winner
-		s.l1compStore(cid, cs)
 	}
 	s.depthHit = s.depthHit || saved
 	return cs
@@ -411,32 +406,14 @@ func (s *Semantics) ComponentSteps(cid types.ID) []CompStep {
 	return s.Component(cid).Steps
 }
 
-func (s *Semantics) l1compStore(cid types.ID, cs *Component) {
-	if s.l1comp == nil {
-		s.l1comp = make(map[types.ID]*Component, 64)
-	}
-	s.l1comp[cid] = cs
-}
-
-func (s *Semantics) l1syncStore(key [2]types.ID, ss []CompStep) {
-	if s.l1sync == nil {
-		s.l1sync = make(map[[2]types.ID][]CompStep, 64)
-	}
-	s.l1sync[key] = ss
-}
-
 // SyncSteps returns the synchronisations [T→iox]/[T→io] between an
 // output of component ci and an input of component cj, memoised per
 // ordered component pair. Next holds the flattened successors of both
 // components. Like ComponentSteps, it requires a compatible cache.
 func (s *Semantics) SyncSteps(ci, cj types.ID) []CompStep {
 	key := [2]types.ID{ci, cj}
-	if ss, ok := s.l1sync[key]; ok {
-		return ss
-	}
 	c := s.mustCache()
 	if ss, ok := c.lookupSync(key); ok {
-		s.l1syncStore(key, ss)
 		return ss
 	}
 	saved := s.depthHit
@@ -466,7 +443,6 @@ func (s *Semantics) SyncSteps(ci, cj types.ID) []CompStep {
 	}
 	if !s.depthHit {
 		ss = c.storeSync(key, ss) // first-write-wins: adopt the winner
-		s.l1syncStore(key, ss)
 	}
 	s.depthHit = s.depthHit || saved
 	return ss

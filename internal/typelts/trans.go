@@ -45,14 +45,6 @@ type Semantics struct {
 	// the current raw computation; such (truncated) results are not
 	// admitted into the cache.
 	depthHit bool
-	// l1comp/l1sync are the goroutine-local L1 in front of the shared
-	// cache's lock-striped maps: exploration looks the same few hundred
-	// distinct components and pairs up tens of thousands of times, so
-	// serving repeats from an unsynchronised local map keeps the hot
-	// loop lock-free. Entries are immutable and shared with the L2
-	// cache, so caching them locally is safe.
-	l1comp map[types.ID]*Component
-	l1sync map[[2]types.ID][]CompStep
 }
 
 // Transitions returns all labelled transitions of t (Fig. 6), after
@@ -196,11 +188,8 @@ func (s *Semantics) inSteps(t types.In, depth int) []Step {
 		return nil
 	}
 	var candidates []types.Type
-	for _, name := range s.Env.Names() {
-		v := types.Var{Name: name}
-		if types.Subtype(s.Env, v, pi.Dom) {
-			candidates = append(candidates, v)
-		}
+	for _, name := range s.Env.Witnesses(pi.Dom) {
+		candidates = append(candidates, types.Var{Name: name})
 	}
 	if !s.WitnessOnly || len(candidates) == 0 {
 		candidates = append([]types.Type{pi.Dom}, candidates...)

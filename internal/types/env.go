@@ -115,6 +115,19 @@ func (e *Env) Names() []string {
 	return out
 }
 
+// Witnesses returns, in insertion order, the variables x ∈ dom(Γ) with
+// Γ ⊢ x̱ ⩽ t: the environment witnesses of t, which early input ([T→i])
+// may receive in place of an anonymous t-typed value.
+func (e *Env) Witnesses(t Type) []string {
+	var out []string
+	for _, n := range e.Names() {
+		if Subtype(e, Var{Name: n}, t) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // Len returns |dom(Γ)|.
 func (e *Env) Len() int {
 	if e == nil {

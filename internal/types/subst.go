@@ -20,90 +20,60 @@ func FreshName(base string) string {
 // Def. 3.1. The substitution is capture-avoiding: Π-binders whose variable
 // occurs free in s are α-renamed first.
 func Subst(t Type, x string, s Type) Type {
-	if !FreeVars(t)[x] {
+	if !OccursFree(t, x) {
 		return t
 	}
 	return subst(t, x, s)
 }
 
-func subst(t Type, x string, s Type) Type {
+// OccursFree reports whether the term variable x occurs free in t:
+// x ∈ fv(t), without building the set.
+func OccursFree(t Type, x string) bool {
 	switch t := t.(type) {
 	case Var:
-		if t.Name == x {
+		return t.Name == x
+	case Pi:
+		if t.Var == x {
+			return OccursFree(t.Dom, x)
+		}
+	}
+	return !EachChild(t, func(c Type) bool { return !OccursFree(c, x) })
+}
+
+func subst(t Type, x string, s Type) Type {
+	switch u := t.(type) {
+	case Var:
+		if u.Name == x {
 			return s
 		}
 		return t
-	case Union:
-		return Union{L: subst(t.L, x, s), R: subst(t.R, x, s)}
 	case Pi:
-		if t.Var == x {
+		if u.Var == x {
 			// x is shadowed in the codomain.
-			return Pi{Var: t.Var, Dom: subst(t.Dom, x, s), Cod: t.Cod}
+			return Pi{Var: u.Var, Dom: subst(u.Dom, x, s), Cod: u.Cod}
 		}
-		if t.Var == "" {
-			// Thunk: no binder, substitute everywhere.
-			return Pi{Var: "", Dom: subst(t.Dom, x, s), Cod: subst(t.Cod, x, s)}
+		if u.Var != "" && OccursFree(s, u.Var) {
+			fresh := FreshName(u.Var)
+			t = Pi{Var: fresh, Dom: u.Dom, Cod: subst(u.Cod, u.Var, Var{Name: fresh})}
 		}
-		cod := t.Cod
-		v := t.Var
-		if FreeVars(s)[v] {
-			fresh := FreshName(v)
-			cod = subst(cod, v, Var{Name: fresh})
-			v = fresh
-		}
-		return Pi{Var: v, Dom: subst(t.Dom, x, s), Cod: subst(cod, x, s)}
-	case Rec:
-		return Rec{Var: t.Var, Body: subst(t.Body, x, s)}
-	case ChanIO:
-		return ChanIO{Elem: subst(t.Elem, x, s)}
-	case ChanI:
-		return ChanI{Elem: subst(t.Elem, x, s)}
-	case ChanO:
-		return ChanO{Elem: subst(t.Elem, x, s)}
-	case Out:
-		return Out{Ch: subst(t.Ch, x, s), Payload: subst(t.Payload, x, s), Cont: subst(t.Cont, x, s)}
-	case In:
-		return In{Ch: subst(t.Ch, x, s), Cont: subst(t.Cont, x, s)}
-	case Par:
-		return Par{L: subst(t.L, x, s), R: subst(t.R, x, s)}
-	default:
-		return t
 	}
+	return MapChildren(t, func(c Type) Type { return subst(c, x, s) })
 }
 
 // SubstRec returns t with every free occurrence of the recursion variable
 // name replaced by s. It is used to unfold µ-types.
 func SubstRec(t Type, name string, s Type) Type {
-	switch t := t.(type) {
+	switch u := t.(type) {
 	case RecVar:
-		if t.Name == name {
+		if u.Name == name {
 			return s
 		}
-		return t
-	case Union:
-		return Union{L: SubstRec(t.L, name, s), R: SubstRec(t.R, name, s)}
-	case Pi:
-		return Pi{Var: t.Var, Dom: SubstRec(t.Dom, name, s), Cod: SubstRec(t.Cod, name, s)}
 	case Rec:
-		if t.Var == name {
+		if u.Var == name {
 			return t
 		}
-		return Rec{Var: t.Var, Body: SubstRec(t.Body, name, s)}
-	case ChanIO:
-		return ChanIO{Elem: SubstRec(t.Elem, name, s)}
-	case ChanI:
-		return ChanI{Elem: SubstRec(t.Elem, name, s)}
-	case ChanO:
-		return ChanO{Elem: SubstRec(t.Elem, name, s)}
-	case Out:
-		return Out{Ch: SubstRec(t.Ch, name, s), Payload: SubstRec(t.Payload, name, s), Cont: SubstRec(t.Cont, name, s)}
-	case In:
-		return In{Ch: SubstRec(t.Ch, name, s), Cont: SubstRec(t.Cont, name, s)}
-	case Par:
-		return Par{L: SubstRec(t.L, name, s), R: SubstRec(t.R, name, s)}
-	default:
-		return t
 	}
+	return MapChildren(t, func(c Type) Type { return SubstRec(c, name, s) })
 }
 
 // Unfold performs one step of equi-recursive unfolding:

@@ -17,6 +17,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -220,100 +221,132 @@ func FlattenPar(t Type) []Type {
 	}
 }
 
+// EachChild calls f on each immediate subterm of t, in order — L,R of
+// ∨ and p[…]; Dom,Cod of Π; Body of µ; Elem of the channel types;
+// Ch,Payload,Cont of o[…]; Ch,Cont of i[…] — until f returns false. It
+// reports whether every call returned true. EachChild and MapChildren
+// are the one place that knows each constructor's subterms: a walker
+// handles the constructors it treats specially and hands the rest here.
+func EachChild(t Type, f func(Type) bool) bool {
+	switch t := t.(type) {
+	case Union:
+		return f(t.L) && f(t.R)
+	case Pi:
+		return f(t.Dom) && f(t.Cod)
+	case Rec:
+		return f(t.Body)
+	case ChanIO:
+		return f(t.Elem)
+	case ChanI:
+		return f(t.Elem)
+	case ChanO:
+		return f(t.Elem)
+	case Out:
+		return f(t.Ch) && f(t.Payload) && f(t.Cont)
+	case In:
+		return f(t.Ch) && f(t.Cont)
+	case Par:
+		return f(t.L) && f(t.R)
+	}
+	return true
+}
+
+// MapChildren returns t rebuilt with each immediate subterm c replaced
+// by f(c), calling f in EachChild's order. A type without subterms is
+// returned as is.
+func MapChildren(t Type, f func(Type) Type) Type {
+	switch t := t.(type) {
+	case Union:
+		return Union{L: f(t.L), R: f(t.R)}
+	case Pi:
+		return Pi{Var: t.Var, Dom: f(t.Dom), Cod: f(t.Cod)}
+	case Rec:
+		return Rec{Var: t.Var, Body: f(t.Body)}
+	case ChanIO:
+		return ChanIO{Elem: f(t.Elem)}
+	case ChanI:
+		return ChanI{Elem: f(t.Elem)}
+	case ChanO:
+		return ChanO{Elem: f(t.Elem)}
+	case Out:
+		return Out{Ch: f(t.Ch), Payload: f(t.Payload), Cont: f(t.Cont)}
+	case In:
+		return In{Ch: f(t.Ch), Cont: f(t.Cont)}
+	case Par:
+		return Par{L: f(t.L), R: f(t.R)}
+	}
+	return t
+}
+
 // FreeVars returns the set of free term variables (Var) of t.
 func FreeVars(t Type) map[string]bool {
 	fv := make(map[string]bool)
-	freeVars(t, map[string]bool{}, fv)
+	walkFreeVars(t, nil, func(n string) { fv[n] = true })
 	return fv
 }
 
-func freeVars(t Type, bound map[string]bool, out map[string]bool) {
+// FreeVarsInOrder returns the free term variables of t in the order of
+// their first mention, without repeats.
+func FreeVarsInOrder(t Type) []string {
+	var out []string
+	walkFreeVars(t, nil, func(n string) {
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	})
+	return out
+}
+
+// walkFreeVars calls visit on every free term-variable occurrence of t,
+// in pre-order; bound lists the Π-binders above t.
+func walkFreeVars(t Type, bound []string, visit func(string)) {
 	switch t := t.(type) {
 	case Var:
-		if !bound[t.Name] {
-			out[t.Name] = true
+		if !slices.Contains(bound, t.Name) {
+			visit(t.Name)
 		}
-	case Union:
-		freeVars(t.L, bound, out)
-		freeVars(t.R, bound, out)
+		return
 	case Pi:
-		freeVars(t.Dom, bound, out)
-		if t.Var == "" {
-			freeVars(t.Cod, bound, out)
+		if t.Var != "" {
+			walkFreeVars(t.Dom, bound, visit)
+			walkFreeVars(t.Cod, append(bound, t.Var), visit)
 			return
 		}
-		inner := copySet(bound)
-		inner[t.Var] = true
-		freeVars(t.Cod, inner, out)
-	case Rec:
-		freeVars(t.Body, bound, out)
-	case ChanIO:
-		freeVars(t.Elem, bound, out)
-	case ChanI:
-		freeVars(t.Elem, bound, out)
-	case ChanO:
-		freeVars(t.Elem, bound, out)
-	case Out:
-		freeVars(t.Ch, bound, out)
-		freeVars(t.Payload, bound, out)
-		freeVars(t.Cont, bound, out)
-	case In:
-		freeVars(t.Ch, bound, out)
-		freeVars(t.Cont, bound, out)
-	case Par:
-		freeVars(t.L, bound, out)
-		freeVars(t.R, bound, out)
 	}
+	EachChild(t, func(c Type) bool { walkFreeVars(c, bound, visit); return true })
 }
 
 // FreeRecVars returns the set of free recursion variables (RecVar) of t.
 func FreeRecVars(t Type) map[string]bool {
 	fv := make(map[string]bool)
-	freeRecVars(t, map[string]bool{}, fv)
+	freeRecVars(t, nil, fv)
 	return fv
 }
 
-func freeRecVars(t Type, bound map[string]bool, out map[string]bool) {
+func freeRecVars(t Type, bound []string, out map[string]bool) {
 	switch t := t.(type) {
 	case RecVar:
-		if !bound[t.Name] {
+		if !slices.Contains(bound, t.Name) {
 			out[t.Name] = true
 		}
-	case Union:
-		freeRecVars(t.L, bound, out)
-		freeRecVars(t.R, bound, out)
-	case Pi:
-		freeRecVars(t.Dom, bound, out)
-		freeRecVars(t.Cod, bound, out)
+		return
 	case Rec:
-		inner := copySet(bound)
-		inner[t.Var] = true
-		freeRecVars(t.Body, inner, out)
-	case ChanIO:
-		freeRecVars(t.Elem, bound, out)
-	case ChanI:
-		freeRecVars(t.Elem, bound, out)
-	case ChanO:
-		freeRecVars(t.Elem, bound, out)
-	case Out:
-		freeRecVars(t.Ch, bound, out)
-		freeRecVars(t.Payload, bound, out)
-		freeRecVars(t.Cont, bound, out)
-	case In:
-		freeRecVars(t.Ch, bound, out)
-		freeRecVars(t.Cont, bound, out)
-	case Par:
-		freeRecVars(t.L, bound, out)
-		freeRecVars(t.R, bound, out)
+		bound = append(bound, t.Var)
 	}
+	EachChild(t, func(c Type) bool { freeRecVars(c, bound, out); return true })
 }
 
-func copySet(s map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(s)+1)
-	for k, v := range s {
-		c[k] = v
+// ReplaceVars returns t with every Var occurrence whose name m maps
+// replaced by its image. It does not look at binders, so a caller must
+// know that no key is bound in t and that no image can be captured.
+func ReplaceVars(t Type, m map[string]Type) Type {
+	if v, ok := t.(Var); ok {
+		if r, ok := m[v.Name]; ok {
+			return r
+		}
+		return t
 	}
-	return c
+	return MapChildren(t, func(c Type) Type { return ReplaceVars(c, m) })
 }
 
 // Canon renders t to a canonical string: parallel compositions are

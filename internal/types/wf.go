@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the well-formedness judgements of Fig. 4:
 //
@@ -283,30 +286,18 @@ func occursNegative(t Type, name string, neg bool) bool {
 	switch t := t.(type) {
 	case RecVar:
 		return neg && t.Name == name
-	case Union:
-		return occursNegative(t.L, name, neg) || occursNegative(t.R, name, neg)
 	case Pi:
 		return occursBoth(t.Dom, name) || occursNegative(t.Cod, name, neg)
 	case Rec:
 		if t.Var == name {
 			return false
 		}
-		return occursNegative(t.Body, name, neg)
 	case ChanIO:
 		return occursBoth(t.Elem, name)
-	case ChanI:
-		return occursNegative(t.Elem, name, neg)
 	case ChanO:
 		return occursNegative(t.Elem, name, !neg)
-	case Out:
-		return occursNegative(t.Ch, name, neg) || occursNegative(t.Payload, name, neg) || occursNegative(t.Cont, name, neg)
-	case In:
-		return occursNegative(t.Ch, name, neg) || occursNegative(t.Cont, name, neg)
-	case Par:
-		return occursNegative(t.L, name, neg) || occursNegative(t.R, name, neg)
-	default:
-		return false
 	}
+	return !EachChild(t, func(c Type) bool { return !occursNegative(c, name, neg) })
 }
 
 func occursBoth(t Type, name string) bool {
@@ -335,68 +326,31 @@ func copyKindMap(m map[string]Kind) map[string]Kind {
 // input or output constructor. Guarded types have decidable µ-calculus
 // model checking.
 func CheckGuarded(t Type) error {
-	return checkGuarded(t, map[string]bool{})
+	return checkGuarded(t, nil)
 }
 
-// checkGuarded walks t; unguarded maps recursion variables to true when
-// they have not yet been crossed by an i[...]/o[...] constructor.
-func checkGuarded(t Type, unguarded map[string]bool) error {
+// checkGuarded walks t; unguarded lists the recursion variables bound
+// above t that no i[...]/o[...] constructor has crossed yet.
+func checkGuarded(t Type, unguarded []string) error {
 	switch t := t.(type) {
 	case RecVar:
-		if unguarded[t.Name] {
+		if slices.Contains(unguarded, t.Name) {
 			return fmt.Errorf("recursion variable %s occurs unguarded (not under i[...] or o[...])", t.Name)
 		}
 		return nil
 	case Rec:
-		inner := copySet(unguarded)
-		inner[t.Var] = true
-		return checkGuarded(t.Body, inner)
-	case Union:
-		if err := checkGuarded(t.L, unguarded); err != nil {
-			return err
-		}
-		return checkGuarded(t.R, unguarded)
-	case Par:
-		if err := checkGuarded(t.L, unguarded); err != nil {
-			return err
-		}
-		return checkGuarded(t.R, unguarded)
-	case Out:
-		// The continuation (and channel/payload) are guarded by the output.
-		return checkGuardedAll(unguardAll(unguarded), t.Ch, t.Payload, t.Cont)
-	case In:
-		return checkGuardedAll(unguardAll(unguarded), t.Ch, t.Cont)
-	case Pi:
-		if err := checkGuarded(t.Dom, unguarded); err != nil {
-			return err
-		}
-		return checkGuarded(t.Cod, unguarded)
-	case ChanIO:
-		return checkGuarded(t.Elem, unguarded)
-	case ChanI:
-		return checkGuarded(t.Elem, unguarded)
-	case ChanO:
-		return checkGuarded(t.Elem, unguarded)
-	default:
-		return nil
+		unguarded = append(unguarded, t.Var)
+	case Out, In:
+		// Every subterm of an output or input, the continuation included,
+		// is guarded by it.
+		unguarded = nil
 	}
-}
-
-func checkGuardedAll(unguarded map[string]bool, ts ...Type) error {
-	for _, t := range ts {
-		if err := checkGuarded(t, unguarded); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func unguardAll(unguarded map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(unguarded))
-	for k := range unguarded {
-		c[k] = false
-	}
-	return c
+	var err error
+	EachChild(t, func(c Type) bool {
+		err = checkGuarded(c, unguarded)
+		return err == nil
+	})
+	return err
 }
 
 // CheckFiniteControl enforces the implementation restriction of §5.1
@@ -408,41 +362,27 @@ func CheckFiniteControl(t Type) error {
 }
 
 func checkFiniteControl(t Type, underRec bool) error {
-	switch t := t.(type) {
+	switch u := t.(type) {
 	case Par:
 		if underRec {
 			return fmt.Errorf("parallel composition under recursion is not supported by the verifier (paper §5.1, limitation 2)")
 		}
-		if err := checkFiniteControl(t.L, underRec); err != nil {
-			return err
-		}
-		return checkFiniteControl(t.R, underRec)
 	case Rec:
-		return checkFiniteControl(t.Body, true)
-	case Union:
-		if err := checkFiniteControl(t.L, underRec); err != nil {
-			return err
-		}
-		return checkFiniteControl(t.R, underRec)
+		underRec = true
 	case Out:
-		if err := checkFiniteControl(t.Payload, underRec); err != nil {
+		// The channel subject names a channel and spawns nothing, so only
+		// the payload and the continuation are walked.
+		if err := checkFiniteControl(u.Payload, underRec); err != nil {
 			return err
 		}
-		return checkFiniteControl(t.Cont, underRec)
+		return checkFiniteControl(u.Cont, underRec)
 	case In:
-		return checkFiniteControl(t.Cont, underRec)
-	case Pi:
-		if err := checkFiniteControl(t.Dom, underRec); err != nil {
-			return err
-		}
-		return checkFiniteControl(t.Cod, underRec)
-	case ChanIO:
-		return checkFiniteControl(t.Elem, underRec)
-	case ChanI:
-		return checkFiniteControl(t.Elem, underRec)
-	case ChanO:
-		return checkFiniteControl(t.Elem, underRec)
-	default:
-		return nil
+		return checkFiniteControl(u.Cont, underRec)
 	}
+	var err error
+	EachChild(t, func(c Type) bool {
+		err = checkFiniteControl(c, underRec)
+		return err == nil
+	})
+	return err
 }

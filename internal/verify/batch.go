@@ -11,9 +11,10 @@ package verify
 // one shared transition cache.
 //
 // A deadline holds at every phase boundary: after each exploration,
-// before each check and each on-the-fly search, and before a FAIL is
-// lifted and replayed, the batch fails with an error wrapping the
-// context's error once the context is done or its deadline has passed.
+// before each check and each on-the-fly search, before a FAIL is lifted
+// and replayed, and after each check before its outcome is recorded, the
+// batch fails with an error wrapping the context's error once the
+// context is done or its deadline has passed.
 // Exploration and the checker also poll the context as they run.
 
 import (
@@ -196,6 +197,7 @@ const (
 	beforeCheck  = "before check"
 	beforeEarly  = "before on-the-fly search"
 	beforeLift   = "before witness lift"
+	afterCheck   = "after check"
 )
 
 // expiredAt, when set, names a boundary whose deadline check reports
@@ -418,6 +420,9 @@ func (b *batch) check(ctx context.Context, i int, x *exploration) {
 			out.Counterexample, out.Witness = res.Counterexample, DecodeWitness(m, res.Witness)
 			err = finishFail(ctx, req, b.semantics(x.obs), m, out)
 		}
+	}
+	if err == nil {
+		err = deadline(ctx, afterCheck)
 	}
 	if err != nil {
 		b.fail(i, err)

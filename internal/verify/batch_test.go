@@ -337,7 +337,8 @@ func TestDeadlineAtEveryBoundary(t *testing.T) {
 	cases := []struct {
 		at    string
 		early bool
-	}{{afterExplore, false}, {beforeCheck, false}, {beforeEarly, true}, {beforeLift, false}, {beforeLift, true}}
+	}{{afterExplore, false}, {beforeCheck, false}, {beforeEarly, true}, {beforeLift, false}, {beforeLift, true},
+		{afterCheck, false}, {afterCheck, true}}
 	for _, c := range cases {
 		for _, w := range []int{1, 2} {
 			opts := Options{EarlyExit: c.early, Parallelism: w}

@@ -14,6 +14,7 @@ package verify
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -274,6 +275,9 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 			return nil, err
 		}
 	}
+	if err := deadline(ctx, afterCheck); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -309,20 +313,12 @@ func ObservablesFor(env *types.Env, p Property) ([]string, error) {
 		return base, nil
 	}
 	out := append([]string{}, base...)
-	seen := map[string]bool{}
-	for _, x := range base {
-		seen[x] = true
-	}
 	cap, ok := types.ResolveChan(env, types.Var{Name: p.From})
 	if !ok || !cap.In {
 		return out, nil
 	}
-	for _, w := range env.Names() {
-		if seen[w] {
-			continue
-		}
-		if types.Subtype(env, types.Var{Name: w}, cap.Payload) {
-			seen[w] = true
+	for _, w := range env.Witnesses(cap.Payload) {
+		if !slices.Contains(base, w) {
 			out = append(out, w)
 		}
 	}
@@ -349,28 +345,8 @@ func Admissible(env *types.Env, t types.Type) error {
 }
 
 func containsProc(t types.Type) bool {
-	switch t := t.(type) {
-	case types.Proc:
+	if _, ok := t.(types.Proc); ok {
 		return true
-	case types.Union:
-		return containsProc(t.L) || containsProc(t.R)
-	case types.Pi:
-		return containsProc(t.Dom) || containsProc(t.Cod)
-	case types.Rec:
-		return containsProc(t.Body)
-	case types.ChanIO:
-		return containsProc(t.Elem)
-	case types.ChanI:
-		return containsProc(t.Elem)
-	case types.ChanO:
-		return containsProc(t.Elem)
-	case types.Out:
-		return containsProc(t.Ch) || containsProc(t.Payload) || containsProc(t.Cont)
-	case types.In:
-		return containsProc(t.Ch) || containsProc(t.Cont)
-	case types.Par:
-		return containsProc(t.L) || containsProc(t.R)
-	default:
-		return false
 	}
+	return !types.EachChild(t, func(c types.Type) bool { return !containsProc(c) })
 }

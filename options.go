@@ -19,7 +19,6 @@ type sessionOptions struct {
 	// the session verifies.
 	closed   *bool
 	progress func(Event)
-	events   chan<- Event
 	// smap, when non-nil, maps extracted actions back to source
 	// positions (WithSourceMap / frontend extraction).
 	smap *SourceMap
@@ -58,11 +57,7 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithEarlyExit selects on-the-fly checking: exploration stops as soon
-// as a violation is found. Verdicts are identical to the full
-// pipeline's.
-// Which explorations it engages on is decided once per batch by the
-// engine's planner (internal/verify planBatch; DESIGN.md §batch).
+// WithEarlyExit selects on-the-fly checking; see DESIGN.md §The batch engine.
 func WithEarlyExit(v bool) Option {
 	return func(o *sessionOptions) error {
 		o.earlyExit = v
@@ -70,19 +65,7 @@ func WithEarlyExit(v bool) Option {
 	}
 }
 
-// WithSymmetry selects exploration-time symmetry reduction (SymmetryOn):
-// states are canonicalised to orbit representatives of the system's
-// channel-bundle automorphism group (interchangeable replicas of one
-// component shape), so n interchangeable processes cost the engine a
-// phase-count state space instead of a phase-vector one — the n-pair
-// ping-pong benchmarks drop from 3^n states to O(n²). Verdicts, the
-// concrete Outcome.States count, and witness replays are identical to
-// SymmetryOff (the default); Outcome.StatesExplored reports the orbit
-// representatives actually explored, and every failing property's
-// counterexample is lifted through the recorded permutations back to a
-// concrete run and machine-re-checked by the replay oracle before it is
-// returned. Which explorations it engages on is decided once per batch by the
-// engine's planner (internal/verify planBatch; DESIGN.md §batch).
+// WithSymmetry selects symmetry reduction; see DESIGN.md §The batch engine.
 func WithSymmetry(m SymmetryMode) Option {
 	return func(o *sessionOptions) error {
 		if m != SymmetryOff && m != SymmetryOn {
@@ -93,20 +76,7 @@ func WithSymmetry(m SymmetryMode) Option {
 	}
 }
 
-// WithPartialOrder selects exploration-time partial-order reduction
-// (PartialOrderOn): each explored state registers only an ample subset
-// of its enabled transitions, computed from the independence relation of
-// the type semantics with the property's visible labels excluded —
-// commuting interleavings of independent components collapse into one
-// canonical corridor, so compositions whose conflict graph falls apart
-// into independent clusters (the n-pair ping-pong benchmarks) shrink
-// from 3^n states to a near-linear corridor. Verdicts are identical to
-// PartialOrderOff (the default); Outcome.StatesExplored reports the
-// reduced state count, and every failing property's counterexample —
-// already a concrete run, since ample sets only drop edges — is
-// machine-re-checked by the replay oracle before it is returned.
-// Which explorations it engages on is decided once per batch by the
-// engine's planner (internal/verify planBatch; DESIGN.md §batch).
+// WithPartialOrder selects partial-order reduction; see DESIGN.md §The batch engine.
 func WithPartialOrder(m PartialOrderMode) Option {
 	return func(o *sessionOptions) error {
 		if m != PartialOrderOff && m != PartialOrderOn {
@@ -136,16 +106,6 @@ func WithClosed(v bool) Option {
 func WithProgress(fn func(Event)) Option {
 	return func(o *sessionOptions) error {
 		o.progress = fn
-		return nil
-	}
-}
-
-// WithEventChannel streams progress events into ch. Sends block until
-// the consumer is ready: use a buffered channel or a dedicated draining
-// goroutine, and do not close ch while the session is in use.
-func WithEventChannel(ch chan<- Event) Option {
-	return func(o *sessionOptions) error {
-		o.events = ch
 		return nil
 	}
 }
