@@ -80,8 +80,8 @@ func exploreFixtures() []struct {
 
 // ltsFingerprint renders the determinism-relevant content of an LTS:
 // state order (by canonical form), dense alphabet order (by label key),
-// and the raw CSR arrays. Two LTSes with equal fingerprints are the same
-// transition system with the same numbering.
+// and every state's edges in order. Two LTSes with equal fingerprints
+// are the same transition system with the same numbering.
 func ltsFingerprint(m *LTS) string {
 	out := fmt.Sprintf("initial=%d truncated=%v\n", m.Initial, m.Truncated)
 	for i := range m.Len() {
@@ -90,9 +90,11 @@ func ltsFingerprint(m *LTS) string {
 	for i, l := range m.Labels {
 		out += fmt.Sprintf("L%d %s\n", i, l.Key())
 	}
-	out += fmt.Sprintf("start=%v\n", m.start)
-	for _, e := range m.edges {
-		out += fmt.Sprintf("e %d %d\n", e.Label, e.Dst)
+	for s := range m.Len() {
+		out += fmt.Sprintf("out %d\n", s)
+		for _, e := range m.Out(s) {
+			out += fmt.Sprintf("e %d %d\n", e.Label, e.Dst)
+		}
 	}
 	return out
 }
@@ -293,19 +295,18 @@ func TestAddEdgeDedupHighDegree(t *testing.T) {
 	b := newBuilder(sem, DefaultMaxStates)
 	// Seed two real states so dst indices are valid.
 	b.internState(sem.InternLeaves(t0), 1)
-	b.beginState()
-	from := int32(0)
 	total := 3 * dedupThreshold
+	b.beginState(total)
 	for round := 0; round < 2; round++ { // second round: all duplicates
 		for k := 0; k < total; k++ {
 			lab := typelts.Output{Subject: types.Var{Name: fmt.Sprintf("v%d", k)}, Payload: types.Str{}}
-			b.addEdge(from, b.internLabel(sem.Cache.LabelKeyOf(lab), lab), 0, 0, false)
+			b.addEdge(b.internLabel(sem.Cache.LabelKeyOf(lab), lab), 0, 0, false)
 		}
 	}
-	if got := len(b.l.edges); got != total {
+	if got := b.l.NumEdges(); got != total {
 		t.Fatalf("edges = %d, want %d (duplicates must be dropped above the dedup threshold)", got, total)
 	}
-	for k, e := range b.l.edges {
+	for k, e := range b.stateEdges() {
 		if int(e.Label) != k {
 			t.Fatalf("edge %d has label %d: insertion order must be preserved", k, e.Label)
 		}

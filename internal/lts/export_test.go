@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"effpi/internal/typelts"
 	"effpi/internal/types"
@@ -15,6 +16,52 @@ import (
 func CollideStateHashes(t testing.TB) {
 	hashMask = 0
 	t.Cleanup(func() { hashMask = ^uint64(0) })
+}
+
+// SetChunkGeometry sets the chunk geometry of the LTS arrays for the
+// rest of the test: a first chunk of 1<<first elements, doubling up to
+// 1<<cap. An LTS must be read under the geometry it was built with.
+func SetChunkGeometry(t testing.TB, first, cap int) {
+	f, c := chunkFirstLog, chunkCapLog
+	chunkFirstLog, chunkCapLog = first, cap
+	t.Cleanup(func() { chunkFirstLog, chunkCapLog = f, c })
+}
+
+// Chunks returns the number of chunks of the LTS's arena and of its
+// edges, not counting the slots an oversized chunk spans.
+func Chunks(l *LTS) (comps, edges int) {
+	return chunkCount(&l.comps), chunkCount(&l.edges)
+}
+
+func chunkCount[T any](c *chunked[T]) int {
+	n := 0
+	for _, ch := range c.chunks {
+		if ch != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// KeptBytes returns the bytes the LTS's own arrays hold: every chunk and
+// chunk list of its arena, edges, offsets and edge permutations at full
+// capacity, its alphabet and its orbit sizes.
+func KeptBytes(l *LTS) int64 {
+	n := chunkedBytes(&l.comps) + chunkedBytes(&l.compStart) + chunkedBytes(&l.edges) + chunkedBytes(&l.start)
+	n += int64(cap(l.Labels)) * int64(unsafe.Sizeof(typelts.Label(nil)))
+	if l.Sym != nil {
+		n += chunkedBytes(&l.Sym.edgePerms) + int64(cap(l.Sym.OrbitSizes))*8
+	}
+	return n
+}
+
+func chunkedBytes[T any](c *chunked[T]) int64 {
+	var x T
+	n := int64(cap(c.chunks)) * int64(unsafe.Sizeof([]T(nil)))
+	for _, ch := range c.chunks {
+		n += int64(cap(ch)) * int64(unsafe.Sizeof(x))
+	}
+	return n
 }
 
 // ExpansionCheck counts what CheckExpansions compared.
@@ -63,9 +110,7 @@ func CheckExpansions(t testing.TB, sem *typelts.Semantics, init types.Type, opts
 		b := prepBuilder(context.Background(), sem, init, opts)
 		for s := 0; s < b.l.Len(); s++ {
 			check(b, s)
-			from := b.l.start[s]
-			b.expand(s, from)
-			b.finishState(s, from)
+			b.l.start.add(int32(b.expand(s)))
 		}
 		return n
 	}
@@ -74,7 +119,7 @@ func CheckExpansions(t testing.TB, sem *typelts.Semantics, init types.Type, opts
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if s < len(x.lo) && x.lo[s] >= 0 {
+		if _, ok := x.expansion(s); ok {
 			continue
 		}
 		check(x.b, s)

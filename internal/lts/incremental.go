@@ -30,13 +30,16 @@ import (
 // serial.
 type Incremental struct {
 	b *builder
-	// lo/hi are the per-state extents into the flat edge array, -1 when
-	// the state has not been expanded yet. A state's edges are contiguous
-	// because an expansion appends them all before returning.
-	lo, hi   []int32
+	// runs holds every discovered state's edge run, {-1, -1} while the
+	// state is not expanded. A state's edges are contiguous because an
+	// expansion appends them all, as one run, before returning.
+	runs     chunked[extent]
 	expanded int
 	err      error
 }
+
+// extent is the bounds of one state's edge run, for chunked.view.
+type extent struct{ lo, hi int32 }
 
 // NewIncremental prepares on-demand exploration of init under the given
 // semantics. MaxStates bounds the number of *discovered* states exactly as
@@ -53,16 +56,28 @@ func NewIncremental(sem *typelts.Semantics, init types.Type, opts Options) *Incr
 // their cached edges, so the explored fragment stays internally
 // consistent.
 func NewIncrementalContext(ctx context.Context, sem *typelts.Semantics, init types.Type, opts Options) *Incremental {
-	x := &Incremental{b: prepBuilder(ctx, sem, init, opts), lo: []int32{-1}, hi: []int32{-1}}
+	x := &Incremental{b: prepBuilder(ctx, sem, init, opts)}
+	x.grow()
 	if x.b.por != nil {
 		// The incremental engine expands states in checker-driven DFS
 		// order, not state-number order, so the cycle proviso's
 		// "already decided" predicate is the expansion map itself.
 		x.b.porExpanded = func(s int32) bool {
-			return int(s) < len(x.lo) && x.lo[s] >= 0
+			_, ok := x.expansion(int(s))
+			return ok
 		}
 	}
 	return x
+}
+
+// expansion returns the edge run of state s, and whether s was
+// expanded.
+func (x *Incremental) expansion(s int) (extent, bool) {
+	if s >= x.runs.n {
+		return extent{}, false
+	}
+	r := x.runs.at(s)
+	return r, r.lo >= 0
 }
 
 // Initial is the initial state index (always 0).
@@ -95,11 +110,8 @@ func (x *Incremental) StateComps(s int) []types.ID { return x.b.l.StateComps(s) 
 // Once the state bound is exceeded the error is sticky: the fragment
 // explored so far is no longer extended.
 func (x *Incremental) Succ(s int) ([]Edge, error) {
-	if s < len(x.lo) && x.lo[s] >= 0 {
-		// Three-index slice: the flat edge array is shared by every
-		// expanded state, so a caller append must reallocate instead of
-		// overwriting a neighbour's edges.
-		return x.b.l.edges[x.lo[s]:x.hi[s]:x.hi[s]], nil
+	if r, ok := x.expansion(s); ok {
+		return x.b.l.edges.view(int(r.lo), int(r.hi)), nil
 	}
 	if x.err != nil {
 		return nil, x.err
@@ -113,24 +125,21 @@ func (x *Incremental) Succ(s int) ([]Edge, error) {
 		x.err = x.b.boundExceeded()
 		return nil, x.err
 	}
-	from := int32(len(x.b.l.edges))
-	x.b.expand(s, from)
-	x.b.completeRun(s, from)
+	lo := x.b.expand(s)
 	x.grow() // expansion may have discovered new states
-	hi := int32(len(x.b.l.edges))
-	x.lo[s], x.hi[s] = from, hi
+	hi := x.b.l.edges.pos
+	x.runs.set(s, extent{int32(lo), int32(hi)})
 	x.expanded++
 	if x.expanded%progressStride == 0 {
 		x.b.report(x.expanded)
 	}
-	return x.b.l.edges[from:hi:hi], nil
+	return x.b.l.edges.view(lo, hi), nil
 }
 
-// grow pads the extent arrays to cover newly discovered states.
+// grow gives newly discovered states an unexpanded edge run.
 func (x *Incremental) grow() {
-	for len(x.lo) < x.b.l.Len() {
-		x.lo = append(x.lo, -1)
-		x.hi = append(x.hi, -1)
+	for x.runs.n < x.b.l.Len() {
+		x.runs.add(extent{-1, -1})
 	}
 }
 
@@ -140,15 +149,16 @@ func (x *Incremental) grow() {
 // discovered state was expanded, and Truncated if the state bound was
 // hit. Witness runs extracted by the checker only visit expanded states,
 // so they validate against the snapshot. The snapshot shares the
-// explorer's state arena: later expansions only append to it.
+// explorer's state arena (later expansions only append to it) and copies
+// the edges into state order.
 func (x *Incremental) Snapshot() *LTS {
 	src := x.b.l
 	n := src.Len()
 	l := &LTS{
 		Initial:   src.Initial,
 		Truncated: src.Truncated,
-		comps:     src.comps[:src.compStart[n]:src.compStart[n]],
-		compStart: src.compStart[: n+1 : n+1],
+		comps:     src.comps.frozen(),
+		compStart: src.compStart.frozen(),
 		in:        src.in,
 		root:      src.root,
 		Labels:    append([]typelts.Label{}, src.Labels...),
@@ -162,15 +172,20 @@ func (x *Incremental) Snapshot() *LTS {
 		}
 		l.Sym = sym
 	}
-	l.start = make([]int32, 1, n+1)
 	for s := 0; s < n; s++ {
-		if s < len(x.lo) && x.lo[s] >= 0 {
-			l.edges = append(l.edges, src.edges[x.lo[s]:x.hi[s]]...)
-			if sym != nil {
-				sym.edgePerms = append(sym.edgePerms, src.Sym.edgePerms[x.lo[s]:x.hi[s]]...)
-			}
+		r, ok := x.expansion(s)
+		if !ok {
+			l.start.add(int32(l.edges.pos))
+			continue
 		}
-		l.start = append(l.start, int32(len(l.edges)))
+		edges := src.edges.view(int(r.lo), int(r.hi))
+		l.edges.reserve(len(edges))
+		l.start.add(int32(l.edges.pos))
+		l.edges.pushAll(edges)
+		if sym != nil {
+			sym.edgePerms.reserve(len(edges))
+			sym.edgePerms.pushAll(src.Sym.edgePerms.view(int(r.lo), int(r.hi)))
+		}
 	}
 	l.Partial = x.expanded < n
 	return l

@@ -6,25 +6,27 @@
 // A state is a vector of hash-consed component IDs (the FlattenPar
 // leaves, interned in the semantics' types.Interner), sorted by the
 // exploration's own encounter rank. Each exploration owns its states:
-// the vectors live in one flat arena of the LTS, indexed by an
-// open-addressed table of state numbers (statetable.go), and the shared
-// interner never sees a whole state — a state's type is built only when
-// asked for (StateType). Each exploration also keeps a rank table: per
-// component, its typelts entry and the components it may synchronise
-// with, fetched once. A state is expanded through that table into
-// proposals, each an edit of the state's vector, and a successor is
-// found from its edit by an incremental hash; only a new state's vector
-// is ever built. Labels are interned into a dense per-LTS alphabet, and
-// edges live in one flat CSR-style array indexed by per-state offsets —
-// which is what lets the model checker precompute per-Büchi-state admit
-// bitsets and walk the product with plain array indexing (see
-// DESIGN.md).
+// the vectors live in the LTS's arena, indexed by an open-addressed
+// table of state numbers (statetable.go), and the shared interner never
+// sees a whole state — a state's type is built only when asked for
+// (StateType). Each exploration also keeps a rank table: per component,
+// its typelts entry and the components it may synchronise with, fetched
+// once. A state is expanded through that table into proposals, each an
+// edit of the state's vector, and a successor is found from its edit by
+// an incremental hash; only a new state's vector is ever built. Labels
+// are interned into a dense per-LTS alphabet, and edges are stored
+// CSR-style, one contiguous run per state — which is what lets the model
+// checker precompute per-Büchi-state admit bitsets and walk the product
+// with plain array indexing (see DESIGN.md). The arena, the edges and
+// their offsets grow in chunks that are never copied (chunked), so an
+// exploration allocates about what it keeps.
 package lts
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -51,10 +53,10 @@ type Edge struct {
 // self-loop so that all maximal runs are infinite (Def. 4.6 quantifies
 // over complete runs; see DESIGN.md §4.4).
 type LTS struct {
-	// comps is the state arena: state s is the component vector
-	// comps[compStart[s]:compStart[s+1]] (see StateComps).
-	comps     []types.ID
-	compStart []int32
+	// comps is the state arena: state s's component vector is the run of
+	// comps starting at index compStart[s] (see StateComps).
+	comps     chunked[types.ID]
+	compStart chunked[int32]
 	// in builds state types on demand (StateType); root, when non-nil,
 	// is state 0's type as the caller gave it.
 	in   *types.Interner
@@ -62,9 +64,11 @@ type LTS struct {
 	// Labels is the dense alphabet: one representative per distinct label
 	// (by Key), in first-seen order. Edge.Label indexes into it.
 	Labels []typelts.Label
-	// edges is the flat CSR edge array; state s owns edges[start[s]:start[s+1]].
-	edges []Edge
-	start []int32
+	// edges holds the edges in CSR form: state s owns the run of edges
+	// starting at index start[s] (see Out). start has an entry for every
+	// expanded state.
+	edges chunked[Edge]
+	start chunked[int32]
 	// Initial is the initial state index.
 	Initial int
 	// Truncated reports that exploration hit the state bound; verification
@@ -94,10 +98,10 @@ type SymInfo struct {
 	// RootPerm maps the caller's initial state onto the canonical root:
 	// state Initial = RootPerm(init).
 	RootPerm int32
-	// edgePerms[k] is the permutation π of edge k: the raw successor u
-	// of the edge's source representative satisfies dst = π(u). Aligned
-	// with the LTS's flat edge array.
-	edgePerms []int32
+	// edgePerms holds the permutation π of every edge at the edge's own
+	// index: the raw successor u of the edge's source representative
+	// satisfies dst = π(u).
+	edgePerms chunked[int32]
 	// OrbitSizes[s] is |orbit(s)| (1 when the canonicaliser fell back to
 	// the identity for lack of residence info). Aligned with the states.
 	OrbitSizes []int64
@@ -110,7 +114,7 @@ func (l *LTS) EdgePerm(s, k int) int32 {
 	if l.Sym == nil {
 		return 0
 	}
-	return l.Sym.edgePerms[int(l.start[s])+k]
+	return l.Sym.edgePerms.view(l.edgeRun(s))[k]
 }
 
 // Covered returns the number of concrete states the LTS represents: the
@@ -317,12 +321,14 @@ type builder struct {
 	porCur      int32
 	porExpanded func(int32) bool
 
-	// props is the proposal buffer each state is expanded into.
+	// props is the proposal buffer each state is expanded into; from is
+	// the index of the expanded state's first edge.
 	props []proposal
+	from  int
 
 	// Per-state edge dedup: linear scan while the out-degree is small,
 	// switching to a map once it crosses dedupThreshold (high-out-degree
-	// states would otherwise pay O(d²) rescans of l.edges[from:]).
+	// states would otherwise pay O(d²) rescans of their edges).
 	dedup       map[Edge]struct{}
 	dedupActive bool
 }
@@ -336,7 +342,7 @@ const dedupThreshold = 32
 func newBuilder(sem *typelts.Semantics, maxStates int) *builder {
 	return &builder{
 		sem:       sem,
-		l:         &LTS{Initial: 0, start: make([]int32, 1, 64), compStart: make([]int32, 1, 64), in: sem.Cache.Interner()},
+		l:         &LTS{Initial: 0, in: sem.Cache.Interner()},
 		table:     newStateTable(),
 		ranks:     rankTable{sem: sem, idx: make(map[types.ID]int32, 64)},
 		labelIdx:  make(map[typelts.LabelKey]int32, 16),
@@ -518,8 +524,7 @@ func (b *builder) internState(comps []types.ID, size int64) int32 {
 // the empty table slot a probe returned.
 func (b *builder) addState(comps []types.ID, at int, tag uint32, size int64) int32 {
 	s := int32(b.l.Len())
-	b.l.comps = append(b.l.comps, comps...)
-	b.l.compStart = append(b.l.compStart, int32(len(b.l.comps)))
+	b.l.addVector(comps)
 	b.table.insert(at, tag, s)
 	if b.sym != nil {
 		b.l.Sym.OrbitSizes = append(b.l.Sym.OrbitSizes, size)
@@ -537,8 +542,20 @@ func (b *builder) internLabel(key typelts.LabelKey, lab typelts.Label) int32 {
 	return i
 }
 
-// beginState resets the per-state edge dedup.
-func (b *builder) beginState() { b.dedupActive = false }
+// beginState opens the edge run of the state about to be expanded, with
+// room for at most n edges in one chunk, and resets the per-state edge
+// dedup.
+func (b *builder) beginState(n int) {
+	b.l.edges.reserve(n)
+	if b.sym != nil {
+		b.l.Sym.edgePerms.reserve(n)
+	}
+	b.from = b.l.edges.pos
+	b.dedupActive = false
+}
+
+// stateEdges returns the edges of the state being expanded so far.
+func (b *builder) stateEdges() []Edge { return b.l.edges.view(b.from, b.l.edges.pos) }
 
 // addEdge appends (lid → dst) unless the current state already has it;
 // an edge to a state that was new (fresh) cannot be a duplicate, so it
@@ -548,21 +565,21 @@ func (b *builder) beginState() { b.dedupActive = false }
 // any recorded permutation maps the canonical destination back to *a*
 // raw successor of the source under that label, which is all the lift
 // needs.
-func (b *builder) addEdge(from int32, lid, dst, perm int32, fresh bool) {
+func (b *builder) addEdge(lid, dst, perm int32, fresh bool) {
 	e := Edge{Label: lid, Dst: dst}
 	if !b.dedupActive {
-		if !fresh && slices.Contains(b.l.edges[from:], e) {
+		if !fresh && slices.Contains(b.stateEdges(), e) {
 			return
 		}
 		b.appendEdge(e, perm)
-		if len(b.l.edges)-int(from) >= dedupThreshold {
+		if b.l.edges.pos-b.from >= dedupThreshold {
 			b.dedupActive = true
 			if b.dedup == nil {
 				b.dedup = make(map[Edge]struct{}, 2*dedupThreshold)
 			} else {
 				clear(b.dedup)
 			}
-			for _, x := range b.l.edges[from:] {
+			for _, x := range b.stateEdges() {
 				b.dedup[x] = struct{}{}
 			}
 		}
@@ -577,12 +594,12 @@ func (b *builder) addEdge(from int32, lid, dst, perm int32, fresh bool) {
 	b.appendEdge(e, perm)
 }
 
-// appendEdge grows the flat edge array, keeping the per-edge
-// permutation array aligned when symmetry is active.
+// appendEdge appends an edge to the state's run, keeping the per-edge
+// permutations aligned when symmetry is active.
 func (b *builder) appendEdge(e Edge, perm int32) {
-	b.l.edges = append(b.l.edges, e)
+	b.l.edges.push(e)
 	if b.sym != nil {
-		b.l.Sym.edgePerms = append(b.l.Sym.edgePerms, perm)
+		b.l.Sym.edgePerms.push(perm)
 	}
 }
 
@@ -595,7 +612,7 @@ func (b *builder) appendEdge(e Edge, perm int32) {
 // permutation is recorded with the edge. Everything order-sensitive
 // (ranks, state numbers, label indices, permutation table indices) is
 // assigned here.
-func (b *builder) register(from int32, p proposal) {
+func (b *builder) register(p proposal) {
 	var dst, perm int32
 	fresh := false
 	if b.sym == nil {
@@ -623,7 +640,7 @@ func (b *builder) register(from int32, p proposal) {
 		lid = b.internLabel(p.m.st.Key, p.m.st.Label)
 		p.m.lid = lid
 	}
-	b.addEdge(from, lid, dst, perm, fresh)
+	b.addEdge(lid, dst, perm, fresh)
 }
 
 // materialise builds the successor vector of a proposal in succBuf, rank
@@ -759,24 +776,16 @@ func (b *builder) sameAsEdit(v []types.ID, p proposal, n int) bool {
 }
 
 // completeRun appends the run-completion self-loop of an edge-less state
-// (✔^ω for proper termination, ⊠^ω for deadlock). from is the index of
-// the state's first edge in the flat array; a state whose expansion
-// produced no edges gets exactly one completion edge.
-func (b *builder) completeRun(next int, from int32) {
-	if len(b.l.edges) == int(from) {
+// (✔^ω for proper termination, ⊠^ω for deadlock): a state whose
+// expansion produced no edges gets exactly one completion edge.
+func (b *builder) completeRun(next int) {
+	if b.l.edges.pos == b.from {
 		var lab typelts.Label = typelts.Stuck{}
 		if len(b.l.StateComps(next)) == 0 {
 			lab = typelts.Done{}
 		}
 		b.appendEdge(Edge{Label: b.internLabel(b.sem.Cache.LabelKeyOf(lab), lab), Dst: int32(next)}, 0)
 	}
-}
-
-// finishState completes the run for edge-less states and seals the
-// state's CSR extent.
-func (b *builder) finishState(next int, from int32) {
-	b.completeRun(next, from)
-	b.l.start = append(b.l.start, int32(len(b.l.edges)))
 }
 
 // proposal is one candidate edge of the state being expanded
@@ -853,27 +862,34 @@ func (b *builder) expandState(comps []types.ID) {
 	}
 }
 
-// expand settles state s, starting at edge offset from: it proposes
-// the state's edges (expandState) and, under partial-order reduction,
-// registers only an ample subset of them, otherwise every proposal, in
-// proposal order — the canonical per-state edge order shared by Explore
-// and the incremental engine.
-func (b *builder) expand(s int, from int32) {
+// expand settles state s: it proposes the state's edges (expandState),
+// opens the state's edge run with room for every proposal or the one
+// completion edge, so the run never straddles chunks, and under
+// partial-order reduction registers only an ample subset of the
+// proposals, otherwise every proposal, in proposal order — the canonical
+// per-state edge order shared by Explore and the incremental engine. A
+// state left without edges gets its completion edge (completeRun). It
+// returns the index of the state's first edge.
+func (b *builder) expand(s int) int {
 	comps := b.l.StateComps(s)
-	b.beginState()
 	b.porCur = int32(s)
 	b.expandState(comps)
+	b.beginState(max(len(b.props), 1))
+	var sel []int32
 	if b.por != nil {
-		if sel := b.por.ample(comps, b.curRanks, b.props, b.fresh); sel != nil {
-			for _, k := range sel {
-				b.register(from, b.props[k])
-			}
-			return
+		sel = b.por.ample(comps, b.curRanks, b.props, b.fresh)
+	}
+	if sel != nil {
+		for _, k := range sel {
+			b.register(b.props[k])
+		}
+	} else {
+		for _, p := range b.props {
+			b.register(p)
 		}
 	}
-	for _, p := range b.props {
-		b.register(from, p)
-	}
+	b.completeRun(s)
+	return b.from
 }
 
 // boundExceeded truncates the LTS and reports the state-bound error.
@@ -895,7 +911,7 @@ func (b *builder) cancelled() error {
 // whose successors are spliced).
 func (b *builder) report(expanded int) {
 	if b.progress != nil {
-		b.progress(Progress{States: b.l.Len(), Expanded: expanded, Edges: len(b.l.edges)})
+		b.progress(Progress{States: b.l.Len(), Expanded: expanded, Edges: b.l.NumEdges()})
 	}
 }
 
@@ -912,19 +928,17 @@ func (b *builder) exploreSerial() error {
 		if next%progressStride == 0 && next > 0 {
 			b.report(next)
 		}
-		from := b.l.start[next]
-		b.expand(next, from)
-		b.finishState(next, from)
+		b.l.start.add(int32(b.expand(next)))
 	}
 	b.report(b.l.Len())
 	return nil
 }
 
-// sealTruncated pads the offset array so Out stays in bounds for the
-// states that were discovered but never processed.
+// sealTruncated gives the states that were discovered but never
+// processed an empty edge run.
 func (l *LTS) sealTruncated() {
-	for len(l.start) < l.Len()+1 {
-		l.start = append(l.start, int32(len(l.edges)))
+	for l.start.n < l.Len() {
+		l.start.add(int32(l.edges.pos))
 	}
 }
 
@@ -933,13 +947,17 @@ func (l *LTS) sealTruncated() {
 // models; Explore is the production constructor. The states are interned
 // into a private interner, so StateType returns a ≡-equivalent type.
 func FromAdjacency(states []types.Type, adj [][]AdjEdge, initial int) *LTS {
-	l := &LTS{Initial: initial, start: make([]int32, 1, len(states)+1), compStart: make([]int32, 1, len(states)+1), in: types.NewInterner()}
+	l := &LTS{Initial: initial, in: types.NewInterner()}
 	labelIdx := map[string]int32{}
+	var ids []types.ID
 	for i := range states {
+		ids = ids[:0]
 		for _, c := range types.FlattenPar(states[i]) {
-			l.comps = append(l.comps, l.in.Intern(c))
+			ids = append(ids, l.in.Intern(c))
 		}
-		l.compStart = append(l.compStart, int32(len(l.comps)))
+		l.addVector(ids)
+		l.edges.reserve(len(adj[i]))
+		l.start.add(int32(l.edges.pos))
 		for _, e := range adj[i] {
 			key := e.Label.Key()
 			lid, ok := labelIdx[key]
@@ -948,9 +966,8 @@ func FromAdjacency(states []types.Type, adj [][]AdjEdge, initial int) *LTS {
 				labelIdx[key] = lid
 				l.Labels = append(l.Labels, e.Label)
 			}
-			l.edges = append(l.edges, Edge{Label: lid, Dst: int32(e.Dst)})
+			l.edges.push(Edge{Label: lid, Dst: int32(e.Dst)})
 		}
-		l.start = append(l.start, int32(len(l.edges)))
 	}
 	return l
 }
@@ -962,15 +979,21 @@ type AdjEdge struct {
 }
 
 // Len returns the number of states.
-func (l *LTS) Len() int { return len(l.compStart) - 1 }
+func (l *LTS) Len() int { return l.compStart.n }
+
+// addVector appends a state's component vector to the arena as one run.
+func (l *LTS) addVector(comps []types.ID) {
+	l.comps.reserve(len(comps))
+	l.compStart.add(int32(l.comps.pos))
+	l.comps.pushAll(comps)
+}
 
 // StateComps returns the component vector of state s: the interned IDs
 // of its FlattenPar leaves, in the exploration's rank order (each
 // multiset has exactly one such vector). The slice is a view into the
 // LTS's arena; callers must not mutate it.
 func (l *LTS) StateComps(s int) []types.ID {
-	hi := l.compStart[s+1]
-	return l.comps[l.compStart[s]:hi:hi]
+	return l.comps.view(runBounds(&l.compStart, s, l.comps.pos))
 }
 
 // StateType builds the type of state s on demand. State 0 is the
@@ -985,17 +1008,41 @@ func (l *LTS) StateType(s int) types.Type {
 	return l.in.TypeOf(l.in.InternPar(slices.Clone(l.StateComps(s))))
 }
 
-// Out returns the outgoing edges of state s (a view into the flat edge
-// array; callers must not mutate it).
-func (l *LTS) Out(s int) []Edge {
-	if s+1 >= len(l.start) {
+// StateComponents returns the component types of state s — the
+// FlattenPar leaves of StateType(s) — without interning the state: the
+// caller's root flattened for a state 0 given as such, and otherwise the
+// leaves of each component's type in ascending ID order, the order
+// InternPar builds a state's type in (a component whose representative
+// is nil has none).
+func (l *LTS) StateComponents(s int) []types.Type {
+	if s == 0 && l.root != nil {
+		return types.FlattenPar(l.root)
+	}
+	ids := slices.Clone(l.StateComps(s))
+	slices.Sort(ids)
+	out := make([]types.Type, 0, len(ids))
+	for _, id := range ids {
+		out = types.AppendParLeaves(out, l.in.TypeOf(id))
+	}
+	if len(out) == 0 {
 		return nil
 	}
-	// Three-index slice: the flat edge array is shared by every state, so
-	// a caller append must reallocate instead of overwriting a
-	// neighbouring state's edges.
-	hi := l.start[s+1]
-	return l.edges[l.start[s]:hi:hi]
+	return out
+}
+
+// Out returns the outgoing edges of state s (a view into the LTS's edge
+// chunks; callers must not mutate it). A state that was not expanded has
+// none.
+func (l *LTS) Out(s int) []Edge {
+	if s >= l.start.n {
+		return nil
+	}
+	return l.edges.view(l.edgeRun(s))
+}
+
+// edgeRun returns the bounds of state s's edge run, for view.
+func (l *LTS) edgeRun(s int) (lo, hi int) {
+	return runBounds(&l.start, s, l.edges.pos)
 }
 
 // LabelOf resolves an edge's label index to the label itself.
@@ -1012,7 +1059,7 @@ func (l *LTS) Alphabet() []typelts.Label {
 }
 
 // NumEdges returns the total number of transitions.
-func (l *LTS) NumEdges() int { return len(l.edges) }
+func (l *LTS) NumEdges() int { return l.edges.n }
 
 // Deadlocked reports whether any reachable state is completed with ⊠.
 // Labels enter the dense alphabet only when an edge fires them, so a ⊠
@@ -1048,4 +1095,155 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n] + "…"
+}
+
+// chunkFirstLog and chunkCapLog fix the chunk geometry of the LTS's
+// arrays: the first chunk has room for 1<<chunkFirstLog elements, each
+// next one for twice as many, up to 1<<chunkCapLog, and every later one
+// for 1<<chunkCapLog. The cap bounds the room a finished exploration
+// leaves unused. Tests shrink both to put chunk boundaries inside small
+// explorations.
+var chunkFirstLog, chunkCapLog = 6, 14
+
+// chunked is an append-only array whose elements live in chunks that are
+// never copied or moved, so views of it stay valid while it grows, and
+// growing it allocates only what it keeps. The index space is split
+// into slots by the chunk geometry (slotOf, slotBase), and chunk k holds
+// the elements of slot k. Elements that must stay contiguous — a state's
+// component vector, its edges — form a run that is reserved before it
+// is pushed: a run that does not fit in the rest of the current slot
+// starts the next chunk, leaving the rest of the slot unused, so no run
+// straddles chunks. A run longer than its slot gets a chunk of its own
+// that spans the following slots, which stay nil. Element indices,
+// gaps included, are what the offset arrays hold.
+type chunked[T any] struct {
+	chunks [][]T
+	// pos is the index the next element gets, end the end of the last
+	// chunk's slot, and n the number of elements held.
+	pos, end, n int
+}
+
+// slotOf returns the slot holding index i.
+func slotOf(i int) int {
+	if i < 1<<chunkCapLog {
+		return bits.Len(uint(i >> chunkFirstLog))
+	}
+	return chunkCapLog - chunkFirstLog + i>>chunkCapLog
+}
+
+// slotBase returns the first index of slot k.
+func slotBase(k int) int {
+	g := chunkCapLog - chunkFirstLog
+	switch {
+	case k == 0:
+		return 0
+	case k <= g:
+		return 1 << (chunkFirstLog + k - 1)
+	default:
+		return (k - g) << chunkCapLog
+	}
+}
+
+// reserve makes room for a run of n elements: the next n pushes land in
+// one chunk.
+func (c *chunked[T]) reserve(n int) {
+	if n == 0 || c.pos+n <= c.end {
+		return
+	}
+	k := 0
+	if c.pos > 0 {
+		k = slotOf(c.pos-1) + 1
+	}
+	// A chunk left empty by a reserved run that was never pushed is
+	// replaced; the slots an oversized chunk spans stay nil.
+	c.chunks = c.chunks[:min(k, len(c.chunks))]
+	for len(c.chunks) < k {
+		c.chunks = append(c.chunks, nil)
+	}
+	base, size := slotBase(k), slotBase(k+1)-slotBase(k)
+	c.chunks = append(c.chunks, make([]T, 0, max(size, n)))
+	c.pos, c.end = base, base+size
+}
+
+// push appends x to the reserved run.
+func (c *chunked[T]) push(x T) {
+	k := len(c.chunks) - 1
+	c.chunks[k] = append(c.chunks[k], x)
+	c.pos++
+	c.n++
+}
+
+// pushAll appends xs to the reserved run.
+func (c *chunked[T]) pushAll(xs []T) {
+	if len(xs) == 0 {
+		return
+	}
+	k := len(c.chunks) - 1
+	c.chunks[k] = append(c.chunks[k], xs...)
+	c.pos += len(xs)
+	c.n += len(xs)
+}
+
+// add appends x as a run of its own; an array of single-element runs
+// has no gaps, so its element i is at index i.
+func (c *chunked[T]) add(x T) {
+	c.reserve(1)
+	c.push(x)
+}
+
+// at returns the element at index i.
+func (c *chunked[T]) at(i int) T {
+	k := slotOf(i)
+	return c.chunks[k][i-slotBase(k)]
+}
+
+// set overwrites the element at index i.
+func (c *chunked[T]) set(i int, x T) {
+	k := slotOf(i)
+	c.chunks[k][i-slotBase(k)] = x
+}
+
+// view returns the run that starts at index lo and ends at hi or at the
+// end of its chunk, whichever comes first; runBounds reads lo and hi
+// from an offset array. A run that ends at its chunk's end is the last
+// in its chunk, and the next run starts in a later chunk. The slice is a
+// view into the chunk, capped so an append cannot write past the run.
+func (c *chunked[T]) view(lo, hi int) []T {
+	if lo >= hi {
+		return nil
+	}
+	k := slotOf(lo)
+	if k >= len(c.chunks) {
+		return nil
+	}
+	ch, base := c.chunks[k], slotBase(k)
+	if lo-base >= len(ch) {
+		return nil // an empty run after the last element of its chunk
+	}
+	hi = min(hi-base, len(ch))
+	return ch[lo-base : hi : hi]
+}
+
+// frozen returns a copy of c that shares its chunks but not their
+// headers, so it reads the elements held now while c grows.
+func (c *chunked[T]) frozen() chunked[T] {
+	f := *c
+	f.chunks = slices.Clone(c.chunks)
+	return f
+}
+
+// runBounds returns the bounds of the run of entry s of the offset array
+// offs, for view: the entry itself, and the next entry or, after the
+// last entry, pos, the index of the next element.
+func runBounds(offs *chunked[int32], s, pos int) (lo, hi int) {
+	k := slotOf(s)
+	ch, i := offs.chunks[k], s-slotBase(k)
+	switch {
+	case i+1 < len(ch):
+		return int(ch[i]), int(ch[i+1])
+	case s+1 < offs.n:
+		return int(ch[i]), int(offs.at(s + 1))
+	default:
+		return int(ch[i]), pos
+	}
 }

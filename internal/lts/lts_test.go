@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,5 +124,53 @@ func TestNumEdges(t *testing.T) {
 	m, _ := Explore(sem, t0, Options{})
 	if m.NumEdges() < m.Len() {
 		t.Errorf("completed LTS must have ≥ one edge per state: %d edges, %d states", m.NumEdges(), m.Len())
+	}
+}
+
+// TestChunkedRuns appends runs of every length from none to past a
+// whole chunk, under chunks of at most eight elements, and reads each
+// one back through its offset; a frozen copy taken halfway keeps reading
+// the runs it held.
+func TestChunkedRuns(t *testing.T) {
+	SetChunkGeometry(t, 1, 3)
+	var c, offs chunked[int32]
+	var frozen, frozenOffs chunked[int32]
+	var want [][]int32
+	next := int32(0)
+	for i := range 200 {
+		run := make([]int32, i*7%13)
+		for k := range run {
+			run[k] = next
+			next++
+		}
+		c.reserve(len(run))
+		offs.add(int32(c.pos))
+		if i%2 == 0 {
+			c.pushAll(run)
+		} else {
+			for _, x := range run {
+				c.push(x)
+			}
+		}
+		want = append(want, run)
+		if i == 100 {
+			frozen, frozenOffs = c.frozen(), offs.frozen()
+		}
+	}
+	check := func(name string, c, offs *chunked[int32], want [][]int32) {
+		t.Helper()
+		if offs.n != len(want) {
+			t.Fatalf("%s: %d offsets, want %d", name, offs.n, len(want))
+		}
+		for s, run := range want {
+			if got := c.view(runBounds(offs, s, c.pos)); !slices.Equal(got, run) {
+				t.Fatalf("%s: run %d reads %v, want %v", name, s, got, run)
+			}
+		}
+	}
+	check("chunked", &c, &offs, want)
+	check("frozen", &frozen, &frozenOffs, want[:101])
+	if c.n != int(next) {
+		t.Errorf("holds %d elements, pushed %d", c.n, next)
 	}
 }

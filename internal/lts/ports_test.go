@@ -180,10 +180,11 @@ func TestPortFilterSoundOnRandomCorpus(t *testing.T) {
 // benchExplore explores s, closed, with a cold cache per op: the
 // exploration both engines run through expandState. opts builds the
 // exploration's options over that op's cache (nil: explore in full), so
-// a symmetry group is detected afresh each op.
+// a symmetry group is detected afresh each op. kept-B/op is what the
+// LTS keeps of B/op (lts.KeptBytes).
 func benchExplore(b *testing.B, s *systems.System, opts func(*typelts.Semantics) lts.Options) {
 	b.ReportAllocs()
-	states := 0
+	states, kept := 0, int64(0)
 	for i := 0; i < b.N; i++ {
 		sem := closedSem(s)
 		var o lts.Options
@@ -194,9 +195,10 @@ func benchExplore(b *testing.B, s *systems.System, opts func(*typelts.Semantics)
 		if err != nil {
 			b.Fatal(err)
 		}
-		states = m.Len()
+		states, kept = m.Len(), lts.KeptBytes(m)
 	}
 	b.ReportMetric(float64(states), "states")
+	b.ReportMetric(float64(kept), "kept-B/op")
 }
 
 func BenchmarkExplorePingPong8(b *testing.B) { benchExplore(b, systems.PingPongPairs(8, false), nil) }

@@ -3,9 +3,9 @@ package lts
 // This file implements the exploration-owned state table: the
 // hashed state-vector store of explicit-state model checkers (Holzmann,
 // The Model Checker SPIN, IEEE TSE 1997). Every state's rank-sorted
-// component vector is stored once, in the LTS's flat arena; the table is
-// an open-addressed (linear-probing) index of state numbers over that
-// arena, keyed by a hash of the vector. Ranks are unique within an
+// component vector is stored once, as one run of the LTS's chunked
+// arena; the table is an open-addressed (linear-probing) index of state
+// numbers over that arena, keyed by a hash of the vector. Ranks are unique within an
 // exploration, so the rank-sorted vector is already the canonical key of
 // the component multiset. The table belongs to the one goroutine that
 // explores, so it takes no locks, and nothing of it enters the shared

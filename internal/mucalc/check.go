@@ -142,6 +142,10 @@ type product struct {
 
 	marks markStore
 
+	// red is the red DFS's stack, kept across the searches of one
+	// product; redDFS copies the cycle it finds out of it.
+	red []frame
+
 	// err records a model error (state bound hit mid-expansion) or a
 	// cancelled context; the search aborts as soon as it is set.
 	err error
@@ -407,8 +411,11 @@ func (p *product) findAcceptingLasso() (*Witness, int) {
 // redDFS searches from seed for a path back to seed or to a cyan state.
 // It returns the frames of that path (the cycle body), or nil.
 func (p *product) redDFS(seed int) []frame {
-	stack := make([]frame, 0, 32)
-	stack = append(stack, p.newFrame(seed))
+	if p.red == nil {
+		p.red = make([]frame, 0, 32)
+	}
+	stack := append(p.red[:0], p.newFrame(seed))
+	defer func() { p.red = stack[:0] }()
 	p.marks.or(seed, redFlag)
 	for len(stack) > 0 {
 		if p.pollCtx() {

@@ -210,14 +210,37 @@ func FlattenUnion(t Type) []Type {
 // FlattenPar returns the non-nil leaves of a (possibly nested) parallel
 // composition, implementing the congruences p[S,p[T,U]] ≡ p[p[S,T],U] and
 // p[T,nil] ≡ T. A fully terminated composition flattens to an empty slice.
+// The leaves are counted first, so the result is allocated once.
 func FlattenPar(t Type) []Type {
+	n := countPar(t)
+	if n == 0 {
+		return nil
+	}
+	return AppendParLeaves(make([]Type, 0, n), t)
+}
+
+// countPar returns the number of non-nil leaves of a parallel composition.
+func countPar(t Type) int {
 	switch t := t.(type) {
 	case Par:
-		return append(FlattenPar(t.L), FlattenPar(t.R)...)
+		return countPar(t.L) + countPar(t.R)
 	case Nil:
-		return nil
+		return 0
 	default:
-		return []Type{t}
+		return 1
+	}
+}
+
+// AppendParLeaves appends the non-nil leaves of a parallel composition
+// to out, as FlattenPar returns them.
+func AppendParLeaves(out []Type, t Type) []Type {
+	switch t := t.(type) {
+	case Par:
+		return AppendParLeaves(AppendParLeaves(out, t.L), t.R)
+	case Nil:
+		return out
+	default:
+		return append(out, t)
 	}
 }
 

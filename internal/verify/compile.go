@@ -140,7 +140,7 @@ func EvUsageHolds(u *Uses, m *lts.LTS, channels []string) bool {
 	target := u.set(exactOutputs(channels...))
 
 	// Evaluate both set predicates once per distinct label of the dense
-	// alphabet, then walk the flat edge array with plain bool lookups.
+	// alphabet, then walk the edges with plain bool lookups.
 	isTarget := make([]bool, len(m.Labels))
 	isAtau := make([]bool, len(m.Labels))
 	for i, l := range m.Labels {

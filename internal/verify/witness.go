@@ -55,7 +55,7 @@ func DecodeWitness(m *lts.LTS, raw *mucalc.Witness) *Witness {
 		}
 		for _, s := range states {
 			if _, ok := w.States[s]; !ok {
-				w.States[s] = types.FlattenPar(m.StateType(s))
+				w.States[s] = m.StateComponents(s)
 			}
 		}
 		return steps
