@@ -285,17 +285,17 @@ func TestExploreIndependentOfInternOrder(t *testing.T) {
 	}
 }
 
-// TestAddEdgeDedupHighDegree drives one state's out-degree far past
-// dedupThreshold (forcing the map path) with duplicate proposals mixed
-// in, and checks the dedup semantics match the linear path: first
-// occurrence kept, order preserved.
+// TestAddEdgeDedupHighDegree drives one state's out-degree to 96, far
+// above any benchmark row's, with a second round of duplicate proposals,
+// and checks the dedup semantics: first occurrence kept, order
+// preserved.
 func TestAddEdgeDedupHighDegree(t *testing.T) {
 	sem, t0 := pingPong()
 	sem.Cache = typelts.NewCache(sem.Env, sem.WitnessOnly)
 	b := newBuilder(sem, DefaultMaxStates)
 	// Seed two real states so dst indices are valid.
 	b.internState(sem.InternLeaves(t0), 1)
-	total := 3 * dedupThreshold
+	const total = 96
 	b.beginState(total)
 	for round := 0; round < 2; round++ { // second round: all duplicates
 		for k := 0; k < total; k++ {
@@ -304,7 +304,7 @@ func TestAddEdgeDedupHighDegree(t *testing.T) {
 		}
 	}
 	if got := b.l.NumEdges(); got != total {
-		t.Fatalf("edges = %d, want %d (duplicates must be dropped above the dedup threshold)", got, total)
+		t.Fatalf("edges = %d, want %d (duplicates must be dropped)", got, total)
 	}
 	for k, e := range b.stateEdges() {
 		if int(e.Label) != k {

@@ -325,19 +325,7 @@ type builder struct {
 	// the index of the expanded state's first edge.
 	props []proposal
 	from  int
-
-	// Per-state edge dedup: linear scan while the out-degree is small,
-	// switching to a map once it crosses dedupThreshold (high-out-degree
-	// states would otherwise pay O(d²) rescans of their edges).
-	dedup       map[Edge]struct{}
-	dedupActive bool
 }
-
-// dedupThreshold is the out-degree at which per-state edge dedup turns
-// from a linear rescan into a map. Most states have a handful of edges
-// (scan wins on constants); the high-fan-out states of the large rows
-// have hundreds.
-const dedupThreshold = 32
 
 func newBuilder(sem *typelts.Semantics, maxStates int) *builder {
 	return &builder{
@@ -543,15 +531,13 @@ func (b *builder) internLabel(key typelts.LabelKey, lab typelts.Label) int32 {
 }
 
 // beginState opens the edge run of the state about to be expanded, with
-// room for at most n edges in one chunk, and resets the per-state edge
-// dedup.
+// room for at most n edges in one chunk.
 func (b *builder) beginState(n int) {
 	b.l.edges.reserve(n)
 	if b.sym != nil {
 		b.l.Sym.edgePerms.reserve(n)
 	}
 	b.from = b.l.edges.pos
-	b.dedupActive = false
 }
 
 // stateEdges returns the edges of the state being expanded so far.
@@ -559,7 +545,9 @@ func (b *builder) stateEdges() []Edge { return b.l.edges.view(b.from, b.l.edges.
 
 // addEdge appends (lid → dst) unless the current state already has it;
 // an edge to a state that was new (fresh) cannot be a duplicate, so it
-// skips the check. perm is the symmetry permutation recorded for the
+// skips the check. The check is a linear scan of the state's edges: no
+// benchmark row has a state of out-degree above 12 (DESIGN.md §Edge
+// dedup by linear scan). perm is the symmetry permutation recorded for the
 // edge (0 = identity; always 0 without symmetry). When a duplicate
 // (label, dst) pair is dropped, the first recorded permutation stands —
 // any recorded permutation maps the canonical destination back to *a*
@@ -567,30 +555,9 @@ func (b *builder) stateEdges() []Edge { return b.l.edges.view(b.from, b.l.edges.
 // needs.
 func (b *builder) addEdge(lid, dst, perm int32, fresh bool) {
 	e := Edge{Label: lid, Dst: dst}
-	if !b.dedupActive {
-		if !fresh && slices.Contains(b.stateEdges(), e) {
-			return
-		}
-		b.appendEdge(e, perm)
-		if b.l.edges.pos-b.from >= dedupThreshold {
-			b.dedupActive = true
-			if b.dedup == nil {
-				b.dedup = make(map[Edge]struct{}, 2*dedupThreshold)
-			} else {
-				clear(b.dedup)
-			}
-			for _, x := range b.stateEdges() {
-				b.dedup[x] = struct{}{}
-			}
-		}
+	if !fresh && slices.Contains(b.stateEdges(), e) {
 		return
 	}
-	if !fresh {
-		if _, ok := b.dedup[e]; ok {
-			return
-		}
-	}
-	b.dedup[e] = struct{}{}
 	b.appendEdge(e, perm)
 }
 

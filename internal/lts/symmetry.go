@@ -518,7 +518,7 @@ func (s *Symmetry) residence(id types.ID) residence {
 			if !fv[ch] {
 				continue
 			}
-			t2 = s.in.Subst(t2, ch, types.Var{Name: s.ph[pos]})
+			t2 = types.Subst(t2, ch, types.Var{Name: s.ph[pos]})
 		}
 		r.abst = s.in.Intern(t2)
 	}
@@ -535,7 +535,7 @@ func (s *Symmetry) reify(abst types.ID, bundle int32) types.ID {
 	}
 	t := s.in.TypeOf(abst)
 	for pos, ch := range s.bundles[bundle] {
-		t = s.in.Subst(t, s.ph[pos], types.Var{Name: ch})
+		t = types.Subst(t, s.ph[pos], types.Var{Name: ch})
 	}
 	id := s.in.Intern(t)
 	s.reifyMemo[key] = id

@@ -10,6 +10,7 @@ package syntax
 // plain test suite.
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -110,5 +111,33 @@ func FuzzTypeTraversal(f *testing.F) {
 		if got := types.ReplaceVars(ty, nil); got != ty {
 			t.Fatalf("ReplaceVars with an empty map changed %s into %s", ty, got)
 		}
+	})
+}
+
+// FuzzCanonSteps checks on parsed types what TestCanonEqualSameSteps
+// checks on the benchmark types: subterms that Canon renders alike, and
+// AC variants of them, have the same transitions. Every free variable is
+// bound to Chan[Int]; a type that is not guarded (Lemma 4.7) is skipped,
+// since unguarded recursion may unfold exponentially before the
+// semantics' depth guard stops it.
+func FuzzCanonSteps(f *testing.F) {
+	for _, c := range typeSpotChecks {
+		f.Add(c.src, int64(0))
+	}
+	for _, sys := range systems.Fig9Systems()[:4] {
+		f.Add(PrintType(sys.Type), int64(1))
+	}
+	f.Add("Par[Out[c, Int, (() -> (Nil | Nil))], In[c, ((x: Int) -> Nil)]]", int64(2))
+	f.Add("rec t. (Nil | (Nil | Nil))", int64(3))
+	f.Fuzz(func(t *testing.T, src string, seed int64) {
+		ty, err := ParseType(src)
+		if err != nil || types.CheckGuarded(ty) != nil {
+			return
+		}
+		env := types.NewEnv()
+		for _, x := range types.FreeVarsInOrder(ty) {
+			env = env.MustExtend(x, types.ChanIO{Elem: types.Int{}})
+		}
+		checkCanonSteps(t, env, ty, rand.New(rand.NewSource(seed)), 2)
 	})
 }

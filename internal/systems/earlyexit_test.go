@@ -24,12 +24,12 @@ func TestEarlyExitTypeltsWork(t *testing.T) {
 		early                   bool
 		states, expanded, memos int
 	}{
-		"deadlock-free()":   {true, 27, 7, 416},
-		"ev-usage(f0)":      {false, 728, 0, 465},
-		"forwarding(f0→f1)": {false, 728, 0, 465},
-		"non-usage(f0)":     {true, 180, 43, 464},
-		"reactive(f0)":      {true, 27, 7, 416},
-		"responsive(f0)":    {false, 728, 0, 465},
+		"deadlock-free()":   {true, 27, 7, 264},
+		"ev-usage(f0)":      {false, 728, 0, 301},
+		"forwarding(f0→f1)": {false, 728, 0, 301},
+		"non-usage(f0)":     {true, 180, 43, 300},
+		"reactive(f0)":      {true, 27, 7, 264},
+		"responsive(f0)":    {false, 728, 0, 301},
 	}
 	s := DiningPhilosophers(6, true)
 	for _, p := range s.Props {

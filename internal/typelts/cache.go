@@ -8,15 +8,12 @@ import (
 	"effpi/internal/types"
 )
 
-// Cache memoises the expensive ingredients of the transition semantics
-// across states and across whole explorations: raw (un-Y-limited)
-// transition step lists per hash-consed type, synchronisation matches per
-// label identity, per-component entries (steps plus the port summary
-// that lets exploration skip pairs that cannot synchronise, see
-// Component), per-pair synchronisations, and the type interner itself
-// (which also memoises µ-unfolding and substitution). The port summary
-// lives inside the component entry, so it adds no memo map and costs no
-// lookup of its own. A single Cache shared by the six Fig. 9
+// Cache memoises the two questions exploration asks of the transition
+// semantics, both keyed by interned identity: what one component can do
+// (comp: its raw steps plus the port summary that lets exploration skip
+// pairs that cannot synchronise, see Component) and how an ordered pair
+// of components synchronises (sync). It also owns the type interner
+// those keys come from. A single Cache shared by the six Fig. 9
 // property checks of one system makes their explorations reuse each
 // other's per-component work, because the cache key — the interned type —
 // is independent of the Y-limitation (Observable), which is applied as a
@@ -27,18 +24,18 @@ import (
 // Semantics with a mismatching cache ignores it rather than serving
 // wrong entries.
 //
-// Cache is safe for concurrent use: the four memo maps are lock-striped
+// Cache is safe for concurrent use: the two memo maps are lock-striped
 // across shards keyed by a hash of the entry key, so one cache can serve
 // many simultaneous explorations (the Interner inside is independently
 // concurrency-safe). Entries are
 // immutable once published and first-write-wins: when two goroutines
-// race to compute the same entry, both compute an ≡-equivalent result
-// and the earlier store sticks, so readers never observe an entry
-// changing. Memo values are always computed from the interner's
-// representative of the key (not from whichever syntactic variant a
-// caller happened to pass), which keeps entry content independent of
-// goroutine scheduling — the determinism argument of concurrent
-// explorations over one cache leans on this (see DESIGN.md).
+// race to compute the same entry, both compute the same result from
+// the interner's representative of the key (not from whichever
+// syntactic variant a caller happened to pass), and the earlier store
+// sticks, so readers never observe an entry changing. That keeps entry
+// content independent of goroutine scheduling — the determinism
+// argument of concurrent explorations over one cache leans on this (see
+// DESIGN.md).
 type Cache struct {
 	env         *types.Env
 	witnessOnly bool
@@ -52,15 +49,9 @@ type Cache struct {
 const cacheShards = 64
 
 type cacheShard struct {
-	mu    sync.Mutex
-	steps map[types.ID][]Step
-	match map[matchKey]bool
-	comp  map[types.ID]*Component
-	sync  map[[2]types.ID][]CompStep
-}
-
-type matchKey struct {
-	outSub, outPay, inSub, inPay types.ID
+	mu   sync.Mutex
+	comp map[types.ID]*Component
+	sync map[[2]types.ID][]CompStep
 }
 
 // NewCache returns an empty cache for semantics over env with the given
@@ -80,69 +71,12 @@ func (c *Cache) shardOf(h uint32) *cacheShard {
 	return &c.shards[(h*0x9E3779B1)>>(32-6)] // 2^6 = cacheShards
 }
 
-func (c *Cache) stepsShard(id types.ID) *cacheShard {
-	return c.shardOf(uint32(id))
-}
-
 func (c *Cache) compShard(id types.ID) *cacheShard {
 	return c.shardOf(uint32(id) ^ 0x517cc1b7)
 }
 
 func (c *Cache) syncShard(key [2]types.ID) *cacheShard {
 	return c.shardOf(uint32(key[0])*31 + uint32(key[1]))
-}
-
-func (c *Cache) matchShard(key matchKey) *cacheShard {
-	h := uint32(key.outSub)
-	h = h*31 + uint32(key.outPay)
-	h = h*31 + uint32(key.inSub)
-	h = h*31 + uint32(key.inPay)
-	return c.shardOf(h)
-}
-
-// lookupSteps / storeSteps guard the per-type raw-step memo. Stores are
-// first-write-wins so published entries are stable.
-func (c *Cache) lookupSteps(id types.ID) ([]Step, bool) {
-	sh := c.stepsShard(id)
-	sh.mu.Lock()
-	steps, ok := sh.steps[id]
-	sh.mu.Unlock()
-	return steps, ok
-}
-
-func (c *Cache) storeSteps(id types.ID, steps []Step) []Step {
-	sh := c.stepsShard(id)
-	sh.mu.Lock()
-	if sh.steps == nil {
-		sh.steps = make(map[types.ID][]Step, 32)
-	}
-	if prev, ok := sh.steps[id]; ok {
-		steps = prev
-	} else {
-		sh.steps[id] = steps
-	}
-	sh.mu.Unlock()
-	return steps
-}
-
-func (c *Cache) lookupMatch(key matchKey) (verdict bool, ok bool) {
-	sh := c.matchShard(key)
-	sh.mu.Lock()
-	verdict, ok = sh.match[key]
-	sh.mu.Unlock()
-	return verdict, ok
-}
-
-func (c *Cache) storeMatch(key matchKey, v bool) {
-	sh := c.matchShard(key)
-	sh.mu.Lock()
-	if sh.match == nil {
-		sh.match = make(map[matchKey]bool, 16)
-	}
-	if _, ok := sh.match[key]; !ok {
-		sh.match[key] = v
-	}
-	sh.mu.Unlock()
 }
 
 func (c *Cache) lookupComp(id types.ID) (*Component, bool) {
@@ -196,7 +130,7 @@ func (c *Cache) storeSync(key [2]types.ID, ss []CompStep) []CompStep {
 func (c *Cache) Interner() *types.Interner { return c.in }
 
 // Memos returns the total number of memo entries held by the cache — the
-// four shard-striped maps plus the interned-type table — the size measure
+// two shard-striped maps plus the interned-type table — the size measure
 // long-lived owners (the public package's Workspace) budget their
 // eviction policy against. It takes every shard lock briefly, so it is
 // meant for periodic accounting, not hot paths.
@@ -205,7 +139,7 @@ func (c *Cache) Memos() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.steps) + len(sh.match) + len(sh.comp) + len(sh.sync)
+		n += len(sh.comp) + len(sh.sync)
 		sh.mu.Unlock()
 	}
 	return n
@@ -386,8 +320,9 @@ func (s *Semantics) Component(cid types.ID) *Component {
 	saved := s.depthHit
 	s.depthHit = false
 	// Depth 1: the component sits inside the state's parallel context,
-	// mirroring parSteps' raw(c, depth+1).
-	steps := s.rawOf(c.in.TypeOf(cid), 1)
+	// mirroring parSteps' raw(c, depth+1). Computing from the
+	// representative makes the entry a pure function of cid.
+	steps := s.raw(c.in.TypeOf(cid), 1)
 	cs := &Component{ID: cid, Steps: make([]CompStep, len(steps))}
 	for i, st := range steps {
 		cs.Steps[i] = CompStep{Label: st.Label, Key: c.LabelKeyOf(st.Label), Next: c.internLeaves(st.Next)}

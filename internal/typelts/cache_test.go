@@ -67,7 +67,7 @@ func TestCacheConcurrentComponentSteps(t *testing.T) {
 					errs[g] = fmt.Errorf("sync: got %q, want %q", got, wantSync)
 					return
 				}
-				// Transitions exercises the steps/match shards.
+				// Transitions runs the uncached semantics alongside.
 				ws.Transitions(pingPongType())
 			}
 		}(g)

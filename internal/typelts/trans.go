@@ -35,23 +35,24 @@ type Semantics struct {
 	// keeps the paper's full [T→i] rule.
 	WitnessOnly bool
 	// Cache, when non-nil and built for the same Env/WitnessOnly pair,
-	// memoises raw step lists per hash-consed type and synchronisation
-	// matches per label identity. Sharing one Cache across explorations
+	// serves the component API (Component, SyncSteps), memoising what
+	// each hash-consed component can do and how each ordered pair of
+	// components synchronises. Sharing one Cache across explorations
 	// (verify.VerifyAll does) shares their per-component work; the
 	// Y-limitation is applied on top of cached entries, so a Cache may
-	// serve semantics with different Observable sets.
+	// serve semantics with different Observable sets. Transitions does
+	// not read it.
 	Cache *Cache
 	// depthHit records that the unfold-depth guard fired somewhere below
-	// the current raw computation; such (truncated) results are not
-	// admitted into the cache.
+	// the current component computation; such (truncated) results are
+	// not admitted into the cache.
 	depthHit bool
 }
 
 // Transitions returns all labelled transitions of t (Fig. 6), after
-// applying the Y-limitation if configured. The returned slice may be
-// shared with the semantics' cache and must not be mutated.
+// applying the Y-limitation if configured.
 func (s *Semantics) Transitions(t types.Type) []Step {
-	steps := s.rawOf(t, 0)
+	steps := s.raw(t, 0)
 	if s.Observable == nil {
 		return steps
 	}
@@ -62,34 +63,6 @@ func (s *Semantics) Transitions(t types.Type) []Step {
 		}
 	}
 	return kept
-}
-
-// rawOf computes (or recalls) the raw transitions of t. Results are
-// cached per interned type unless the computation was truncated by the
-// unfold-depth guard. On a miss the steps are computed from the
-// interner's *representative* of t (not t itself): the two are
-// ≡-equivalent — which is all the semantics observes — and computing
-// from the representative makes the stored entry a pure function of the
-// interned identity, independent of which syntactic variant reached the
-// cache first and of goroutine scheduling (see DESIGN.md on the
-// determinism of concurrent explorations).
-func (s *Semantics) rawOf(t types.Type, depth int) []Step {
-	c := s.Cache
-	if !c.compatible(s) {
-		return s.raw(t, depth)
-	}
-	id := c.in.Intern(t)
-	if steps, ok := c.lookupSteps(id); ok {
-		return steps
-	}
-	saved := s.depthHit
-	s.depthHit = false
-	steps := s.raw(c.in.TypeOf(id), depth)
-	if !s.depthHit {
-		steps = c.storeSteps(id, steps) // first-write-wins: adopt the winner
-	}
-	s.depthHit = s.depthHit || saved
-	return steps
 }
 
 // keep implements Def. 4.9: i/o labels require a variable subject in Y.
@@ -120,7 +93,7 @@ func (s *Semantics) raw(t types.Type, depth int) []Step {
 	switch t := t.(type) {
 	case types.Rec:
 		// ≡: µt.T ≡ T{µt.T/t}; contractivity bounds the unfolding.
-		return s.rawOf(s.unfold(t), depth+1)
+		return s.raw(types.Unfold(t), depth+1)
 
 	case types.Union:
 		// τ[∨]: T ∨ U reduces to either branch.
@@ -198,27 +171,11 @@ func (s *Semantics) inSteps(t types.In, depth int) []Step {
 	for _, payload := range candidates {
 		next := pi.Cod
 		if pi.Var != "" {
-			next = s.subst(pi.Cod, pi.Var, payload)
+			next = types.Subst(pi.Cod, pi.Var, payload)
 		}
 		steps = append(steps, Step{Label: Input{Subject: t.Ch, Payload: payload}, Next: next})
 	}
 	return steps
-}
-
-// unfold and subst route the two tree rewrites of the semantics through
-// the cache's interner memo when one is attached.
-func (s *Semantics) unfold(t types.Type) types.Type {
-	if s.Cache.compatible(s) {
-		return s.Cache.in.Unfold(t)
-	}
-	return types.Unfold(t)
-}
-
-func (s *Semantics) subst(t types.Type, x string, payload types.Type) types.Type {
-	if s.Cache.compatible(s) {
-		return s.Cache.in.Subst(t, x, payload)
-	}
-	return types.Subst(t, x, payload)
 }
 
 // parSteps lifts component transitions through the parallel context and
@@ -230,7 +187,7 @@ func (s *Semantics) parSteps(t types.Par, depth int) []Step {
 	}
 	perComp := make([][]Step, len(comps))
 	for i, c := range comps {
-		perComp[i] = s.rawOf(c, depth+1)
+		perComp[i] = s.raw(c, depth+1)
 	}
 
 	var steps []Step
@@ -275,30 +232,10 @@ func (s *Semantics) parSteps(t types.Par, depth int) []Step {
 // match decides whether an output S⟨T⟩ and an input S′(T′) synchronise:
 // Γ ⊢ S ▷◁ S′, and either the payload is a variable x transmitted as
 // itself ([T→iox]: the input instance with payload exactly x), or a
-// non-variable payload with Γ ⊢ T ⩽ T′ ([T→io]). The verdict depends
-// only on the four label types (and Γ), so it is memoised per label
-// identity when a cache is attached: the subtype checks behind ▷◁ and ⩽
-// are the second-largest allocation source of bare exploration.
+// non-variable payload with Γ ⊢ T ⩽ T′ ([T→io]). Component pairs ask it
+// once per output/input step pair, and SyncSteps memoises the answer for
+// the whole pair.
 func (s *Semantics) match(out Output, in Input) bool {
-	c := s.Cache
-	if !c.compatible(s) {
-		return s.matchUncached(out, in)
-	}
-	key := matchKey{
-		outSub: c.in.Intern(out.Subject),
-		outPay: c.in.Intern(out.Payload),
-		inSub:  c.in.Intern(in.Subject),
-		inPay:  c.in.Intern(in.Payload),
-	}
-	if v, ok := c.lookupMatch(key); ok {
-		return v
-	}
-	v := s.matchUncached(out, in)
-	c.storeMatch(key, v)
-	return v
-}
-
-func (s *Semantics) matchUncached(out Output, in Input) bool {
 	if !types.MightInteract(s.Env, out.Subject, in.Subject) {
 		return false
 	}

@@ -14,17 +14,11 @@ package types
 // all. Interning walks the type once and hashes structural
 // node keys (tag + child IDs + positional binder names), which mirrors
 // Canon's traversal exactly: Par components are flattened (nil dropped)
-// and sorted, union leaves are flattened, sorted and deduplicated, and
+// and sorted, union leaves are flattened and sorted (a repeated leaf
+// stays: T ∨ T is not T, since τ[∨] gives it a step T lacks), and
 // binders are renamed positionally. Equality of IDs therefore coincides
 // with equality of Canon strings (see intern_test.go, which checks the
 // iff on every fixture of package systems).
-//
-// On top of the ID table the interner memoises the two tree rewrites that
-// dominate exploration: equi-recursive unfolding (Unfold) and type-level
-// substitution (Subst), both keyed on interned IDs. A memoised result may
-// be a different syntax tree than a fresh rewrite would produce (it is
-// the rewrite of the *first* representative interned at that ID), but it
-// is always ≡-equivalent, which is all the transition semantics observes.
 
 import (
 	"encoding/binary"
@@ -42,9 +36,6 @@ type Interner struct {
 	table map[string]ID
 	reps  []Type // first representative interned at each ID
 
-	unfold map[ID]Type
-	subst  map[substKey]Type
-
 	// positional binder names π0, π1, ... / µ0, µ1, ..., grown on demand
 	// so interning does not fmt.Sprintf per binder.
 	piNames, muNames []string
@@ -52,19 +43,9 @@ type Interner struct {
 	buf []byte // scratch for node keys
 }
 
-type substKey struct {
-	t ID
-	x string
-	s ID
-}
-
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{
-		table:  make(map[string]ID, 1024),
-		unfold: make(map[ID]Type),
-		subst:  make(map[substKey]Type),
-	}
+	return &Interner{table: make(map[string]ID, 1024)}
 }
 
 // Intern returns the ID of t, assigning a fresh one if t's canonical form
@@ -129,65 +110,6 @@ func (in *Interner) Len() int {
 	return len(in.reps)
 }
 
-// Unfold is a memoised types.Unfold: one step of µt.T ≡ T{µt.T/t}. The
-// result is ≡-equivalent to (but not necessarily syntactically identical
-// with) Unfold(t): it is computed from the interner's representative of
-// t, which makes the memo entry a pure function of t's interned identity
-// — independent of which syntactic variant was passed first and of
-// goroutine scheduling. Concurrent racing computations are resolved
-// first-write-wins, so a published entry never changes.
-func (in *Interner) Unfold(t Type) Type {
-	r, ok := t.(Rec)
-	if !ok {
-		return t
-	}
-	in.mu.Lock()
-	id := in.intern(t, nil, 0)
-	if u, ok := in.unfold[id]; ok {
-		in.mu.Unlock()
-		return u
-	}
-	if rep, ok := in.reps[id].(Rec); ok {
-		r = rep
-	}
-	in.mu.Unlock()
-	u := SubstRec(r.Body, r.Var, r)
-	in.mu.Lock()
-	if prev, ok := in.unfold[id]; ok {
-		u = prev
-	} else {
-		in.unfold[id] = u
-	}
-	in.mu.Unlock()
-	return u
-}
-
-// Subst is a memoised types.Subst: t with every free occurrence of the
-// term variable x replaced by s. Like Unfold, the result is computed
-// from the representatives of t and s (≡-equivalent to Subst(t, x, s),
-// schedule-independent) and races are resolved first-write-wins.
-func (in *Interner) Subst(t Type, x string, s Type) Type {
-	in.mu.Lock()
-	tid := in.intern(t, nil, 0)
-	sid := in.intern(s, nil, 0)
-	key := substKey{t: tid, x: x, s: sid}
-	if r, ok := in.subst[key]; ok {
-		in.mu.Unlock()
-		return r
-	}
-	tRep, sRep := in.reps[tid], in.reps[sid]
-	in.mu.Unlock()
-	r := Subst(tRep, x, sRep)
-	in.mu.Lock()
-	if prev, ok := in.subst[key]; ok {
-		r = prev
-	} else {
-		in.subst[key] = r
-	}
-	in.mu.Unlock()
-	return r
-}
-
 // rnPair is one binder renaming; lookups scan backwards so inner binders
 // shadow outer ones, like Canon's copied map.
 type rnPair struct{ from, to string }
@@ -234,7 +156,7 @@ func itoaSmall(n int) string {
 const (
 	tagLeaf  = byte('L') // + canon leaf byte (B U Z S ⊤→T ⊥→F P 0)
 	tagOcc   = byte('n') // + resolved occurrence string (π3 / µ1 / v!x / µ!t)
-	tagUnion = byte('|') // + sorted, deduped child IDs
+	tagUnion = byte('|') // + sorted child IDs
 	tagPar   = byte('p') // + sorted child IDs
 	tagThunk = byte('Q') // + dom ID + cod ID
 	tagPi    = byte('>') // + depth + dom ID + cod ID
@@ -287,10 +209,6 @@ func (in *Interner) intern(t Type, rn []rnPair, depth int) ID {
 			ids[i] = in.intern(l, rn, depth)
 		}
 		sortIDs(ids)
-		ids = dedupeIDs(ids)
-		if len(ids) == 1 {
-			return ids[0]
-		}
 		key := append(in.buf[:0], tagUnion)
 		for _, id := range ids {
 			key = appendID(key, id)
@@ -417,14 +335,4 @@ func sortIDs(ids []ID) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-func dedupeIDs(sorted []ID) []ID {
-	out := sorted[:0]
-	for i, id := range sorted {
-		if i == 0 || id != sorted[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }

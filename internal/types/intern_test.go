@@ -130,25 +130,6 @@ func TestInternParRepresentative(t *testing.T) {
 	}
 }
 
-// TestInternerMemoisedRewrites: the memoised Unfold/Subst agree with the
-// plain rewrites up to ≡.
-func TestInternerMemoisedRewrites(t *testing.T) {
-	in := types.NewInterner()
-	x := types.Var{Name: "x"}
-	rec := types.Rec{Var: "t", Body: types.In{Ch: x,
-		Cont: types.Pi{Var: "y", Dom: types.Int{},
-			Cod: types.Out{Ch: x, Payload: types.Var{Name: "y"}, Cont: types.Thunk(types.RecVar{Name: "t"})}}}}
-	for i := 0; i < 2; i++ { // second round hits the memo
-		if !types.Equal(in.Unfold(rec), types.Unfold(rec)) {
-			t.Fatal("memoised Unfold diverged from Unfold")
-		}
-		cod := types.Out{Ch: types.Var{Name: "y"}, Payload: types.Var{Name: "y"}, Cont: types.Thunk(types.Nil{})}
-		if !types.Equal(in.Subst(cod, "y", x), types.Subst(cod, "y", x)) {
-			t.Fatal("memoised Subst diverged from Subst")
-		}
-	}
-}
-
 // TestConcurrentIntern hammers one interner from many goroutines; run
 // under -race it exercises the interner's locking (the CI workflow does).
 // Consistency is checked by comparing every goroutine's IDs against a

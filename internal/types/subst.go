@@ -61,7 +61,11 @@ func subst(t Type, x string, s Type) Type {
 }
 
 // SubstRec returns t with every free occurrence of the recursion variable
-// name replaced by s. It is used to unfold µ-types.
+// name replaced by s. It is used to unfold µ-types. Like Subst it is
+// capture-avoiding: a Π- or µ-binder of t that would capture a free
+// variable of s is renamed first, to the first name of the form x%n
+// free in neither s nor the binder's scope, so the result does not
+// depend on what was renamed before.
 func SubstRec(t Type, name string, s Type) Type {
 	switch u := t.(type) {
 	case RecVar:
@@ -72,8 +76,40 @@ func SubstRec(t Type, name string, s Type) Type {
 		if u.Var == name {
 			return t
 		}
+		if occursFreeRec(s, u.Var) {
+			y := unusedName(u.Var, func(y string) bool { return occursFreeRec(s, y) || occursFreeRec(u.Body, y) })
+			t = Rec{Var: y, Body: SubstRec(u.Body, u.Var, RecVar{Name: y})}
+		}
+	case Pi:
+		if u.Var != "" && OccursFree(s, u.Var) {
+			y := unusedName(u.Var, func(y string) bool { return OccursFree(s, y) || OccursFree(u.Cod, y) })
+			t = Pi{Var: y, Dom: u.Dom, Cod: Subst(u.Cod, u.Var, Var{Name: y})}
+		}
 	}
 	return MapChildren(t, func(c Type) Type { return SubstRec(c, name, s) })
+}
+
+// occursFreeRec reports whether the recursion variable name occurs free
+// in t.
+func occursFreeRec(t Type, name string) bool {
+	switch t := t.(type) {
+	case RecVar:
+		return t.Name == name
+	case Rec:
+		if t.Var == name {
+			return false
+		}
+	}
+	return !EachChild(t, func(c Type) bool { return !occursFreeRec(c, name) })
+}
+
+// unusedName returns the first of x%1, x%2, ... for which taken is false.
+func unusedName(x string, taken func(string) bool) string {
+	for n := 1; ; n++ {
+		if y := fmt.Sprintf("%s%%%d", x, n); !taken(y) {
+			return y
+		}
+	}
 }
 
 // Unfold performs one step of equi-recursive unfolding:

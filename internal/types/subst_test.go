@@ -59,6 +59,31 @@ func TestUnfoldEquivalence(t *testing.T) {
 	}
 }
 
+// TestUnfoldCaptureAvoidance: unfolding substitutes the µ-type into its
+// own body, so a binder inside the body that shares a name with a free
+// variable of the µ-type must be renamed, or the unfolding captures it
+// and α-equivalent types unfold to inequivalent ones.
+func TestUnfoldCaptureAvoidance(t *testing.T) {
+	a := Var{Name: "a"}
+	for _, tc := range []struct{ rec, renamed Type }{
+		{ // µt.o[a, a, Π() i[a, Π(a:a) t]]: the Π-binder a must not capture the free a.
+			Rec{Var: "t", Body: Out{Ch: a, Payload: a, Cont: Thunk(In{Ch: a, Cont: Pi{Var: "a", Dom: a, Cod: RecVar{Name: "t"}}})}},
+			Rec{Var: "t", Body: Out{Ch: a, Payload: a, Cont: Thunk(In{Ch: a, Cont: Pi{Var: "b", Dom: a, Cod: RecVar{Name: "t"}}})}},
+		},
+		{ // µt.(u ∨ o[a, a, Π() µu.(t ∨ u)]): the µ-binder u must not capture the free u.
+			Rec{Var: "t", Body: Union{L: RecVar{Name: "u"}, R: Out{Ch: a, Payload: a, Cont: Thunk(Rec{Var: "u", Body: Union{L: RecVar{Name: "t"}, R: RecVar{Name: "u"}}})}}},
+			Rec{Var: "t", Body: Union{L: RecVar{Name: "u"}, R: Out{Ch: a, Payload: a, Cont: Thunk(Rec{Var: "w", Body: Union{L: RecVar{Name: "t"}, R: RecVar{Name: "w"}}})}}},
+		},
+	} {
+		if !Equal(tc.rec, tc.renamed) {
+			t.Fatalf("%s and %s are not α-equivalent", tc.rec, tc.renamed)
+		}
+		if got, want := Unfold(tc.rec), Unfold(tc.renamed); !Equal(got, want) {
+			t.Errorf("unfolding %s captured a variable: %s, want ≡ %s", tc.rec, got, want)
+		}
+	}
+}
+
 func TestApply(t *testing.T) {
 	pi := Pi{Var: "c", Dom: ChanIO{Elem: Int{}},
 		Cod: Out{Ch: Var{Name: "c"}, Payload: Int{}, Cont: Thunk(Nil{})}}

@@ -373,8 +373,9 @@ func ReplaceVars(t Type, m map[string]Type) Type {
 }
 
 // Canon renders t to a canonical string: parallel compositions are
-// flattened (dropping nil) and sorted, unions are flattened and sorted,
-// and binders are renamed to positional names. Two types with equal Canon
+// flattened (dropping nil) and sorted, unions are flattened and sorted
+// (keeping repeated leaves: T ∨ T is not T under τ[∨]), and binders are
+// renamed to positional names. Two types with equal Canon
 // strings are equivalent under the congruence ≡ of Def. 3.1 restricted to
 // the AC laws (µ-unfolding is *not* applied, so Canon is a sound but
 // incomplete ≡-check; subtyping handles unfolding separately).
@@ -425,11 +426,6 @@ func canon(t Type, rn map[string]string, depth int, b *strings.Builder) {
 			parts[i] = sb.String()
 		}
 		sort.Strings(parts)
-		parts = dedupe(parts)
-		if len(parts) == 1 {
-			b.WriteString(parts[0])
-			return
-		}
 		b.WriteString("∨(")
 		b.WriteString(strings.Join(parts, ","))
 		b.WriteString(")")
@@ -507,16 +503,6 @@ func canon(t Type, rn map[string]string, depth int, b *strings.Builder) {
 	default:
 		b.WriteString(fmt.Sprintf("?%T", t))
 	}
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 func copyStrMap(m map[string]string) map[string]string {
