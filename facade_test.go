@@ -192,6 +192,87 @@ func TestWorkspaceEviction(t *testing.T) {
 	}
 }
 
+// TestWorkspaceEvictsOnFirstRequestOverBudget: the sweep after a request
+// measures every cache, so the first request that takes the workspace
+// over budget evicts, however much headroom the previous sweep found.
+func TestWorkspaceEvictsOnFirstRequestOverBudget(t *testing.T) {
+	ctx := context.Background()
+	big := Fig9Systems()[5] // Dining philos. (5, deadlock)
+	// request verifies one property of a small session, or of big, and
+	// returns the memos the workspace then retains.
+	request := func(ws *Workspace, useBig bool) int {
+		t.Helper()
+		sess, err := ws.NewSession(`send(c, 1, fun (_: Unit) => end)`, WithBind("c", "Chan[Int]"))
+		prop, _ := PropertyFromSpec("deadlock-free", []string{"c"}, "", "", true)
+		if useBig {
+			sess, err = ws.NewSessionFromType(big.Env, big.Type)
+			prop = big.Props[0]
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Verify(ctx, prop); err != nil {
+			t.Fatal(err)
+		}
+		return ws.CacheStats().Memos
+	}
+	// Measure both caches where nothing is evicted.
+	probe := NewWorkspace(WithCacheBudget(-1))
+	smallMemos := request(probe, false)
+	bigMemos := request(probe, true) - smallMemos
+	budget := 2 * smallMemos
+	if bigMemos <= budget {
+		t.Fatalf("fixture: the big cache (%d memos) must exceed twice the small one (%d)", bigMemos, smallMemos)
+	}
+
+	ws := NewWorkspace(WithCacheBudget(budget))
+	request(ws, false)
+	if st := ws.CacheStats(); st.Evictions != 0 || st.Caches != 1 {
+		t.Fatalf("a cache at half the budget was evicted: %+v", st)
+	}
+	request(ws, true)
+	if st := ws.CacheStats(); st.Evictions != 2 || st.Caches != 0 {
+		t.Errorf("the first request over budget %d must evict both caches: %+v", budget, st)
+	}
+}
+
+// TestSessionBisimilarErrors covers Session.Bisimilar's error paths:
+// mismatched environments, the state bound and cancellation.
+func TestSessionBisimilarErrors(t *testing.T) {
+	ctx := context.Background()
+	ws := NewWorkspace()
+	a, err := ws.NewSession(`send(c, 1, fun (_: Unit) => end)`, WithBind("c", "Chan[Int]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ws.NewSession(`send(d, 1, fun (_: Unit) => end)`, WithBind("d", "Chan[Int]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Bisimilar(ctx, b); err == nil {
+		t.Error("sessions in different environments must not be compared")
+	}
+
+	sys := LargeSystems()[0] // Dining philos. (7, deadlock)
+	bounded, err := ws.NewSessionFromType(sys.Env, sys.Type, WithMaxStates(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var be *BoundExceededError
+	if _, err := bounded.Bisimilar(ctx, bounded); !errors.As(err, &be) {
+		t.Errorf("want *BoundExceededError, got %T: %v", err, err)
+	} else if be.MaxStates != 100 {
+		t.Errorf("bound error reports MaxStates=%d, want 100", be.MaxStates)
+	}
+
+	full := mustSession(t, ws, sys)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := full.Bisimilar(cancelled, full); !errors.Is(err, context.Canceled) {
+		t.Errorf("want context.Canceled, got: %v", err)
+	}
+}
+
 // TestSessionEvents: the streaming event interface delivers property
 // lifecycle events and exploration progress.
 func TestSessionEvents(t *testing.T) {

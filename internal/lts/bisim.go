@@ -2,6 +2,8 @@ package lts
 
 import (
 	"context"
+	"encoding/binary"
+	"slices"
 
 	"effpi/internal/typelts"
 	"effpi/internal/types"
@@ -14,11 +16,11 @@ import (
 // congruence laws can be validated semantically, and protocol
 // refactorings can be checked behaviour-preserving.
 //
-// The decision procedure is the refine.go partition refiner run on the
-// disjoint union of the two systems: the roots are bisimilar iff the
-// coarsest stable partition puts them in one block. Labels are compared
-// by Key (the two LTSs have independent dense alphabets, so their label
-// indices are unified into joint classes first).
+// The decision procedure is refineCSR run on the disjoint union of the
+// two systems: the roots are bisimilar iff the coarsest stable partition
+// puts them in one block. Labels are compared by Key (the two LTSs have
+// independent dense alphabets, so their label indices are unified into
+// joint classes first).
 
 // Bisimilar reports whether the initial states of m1 and m2 are strongly
 // bisimilar (labels compared by Key).
@@ -71,6 +73,52 @@ func Bisimilar(m1, m2 *LTS) bool {
 
 	blockOf, _ := refineCSR(n, func(s int) []Edge { return uedges[ustart[s]:ustart[s+1]] })
 	return blockOf[m1.Initial] == blockOf[n1+m2.Initial]
+}
+
+// refineCSR computes the coarsest partition of states 0..n-1 stable under
+// the labelled edge relation out: the strong-bisimulation partition. It
+// is a plain signature fixpoint. Each round, a state's signature is its
+// own block followed by its sorted, deduplicated (label, successor block)
+// moves, and states with equal signatures share a block of the next
+// round. The own block makes every round refine the last, so the loop
+// stops when the block count no longer changes.
+//
+// Block ids are dense and assigned in first-encounter order over states
+// 0..n-1, so the partition is a pure function of the input: the map only
+// answers lookups and is never iterated. A round costs O(edges·log), and
+// the number of rounds is bounded by the partition's refinement depth,
+// which is n on a chain.
+func refineCSR(n int, out func(s int) []Edge) ([]int32, int) {
+	blockOf, next := make([]int32, n), make([]int32, n)
+	blocks := min(n, 1)
+	ids := make(map[string]int32)
+	var moves []uint64
+	var key []byte
+	for {
+		clear(ids)
+		for s := range n {
+			moves = moves[:0]
+			for _, e := range out(s) {
+				moves = append(moves, uint64(uint32(e.Label))<<32|uint64(uint32(blockOf[e.Dst])))
+			}
+			slices.Sort(moves)
+			key = binary.LittleEndian.AppendUint32(key[:0], uint32(blockOf[s]))
+			for _, mv := range slices.Compact(moves) {
+				key = binary.LittleEndian.AppendUint64(key, mv)
+			}
+			id, ok := ids[string(key)]
+			if !ok {
+				id = int32(len(ids))
+				ids[string(key)] = id
+			}
+			next[s] = id
+		}
+		blockOf, next = next, blockOf
+		if len(ids) == blocks {
+			return blockOf, blocks
+		}
+		blocks = len(ids)
+	}
 }
 
 // TypesBisimilar explores two types under the same semantics and decides

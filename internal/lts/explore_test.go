@@ -102,8 +102,8 @@ func ltsFingerprint(m *LTS) string {
 // TestConcurrentExplorationsShareOneCache runs explorations under
 // different Y-limitations at once over one shared cache — the batch
 // executor's pattern — and checks each result against a lone exploration
-// on a fresh cache. Run under -race this exercises the lock-striped
-// cache end to end.
+// on a fresh cache. Run under -race this exercises the shared cache
+// end to end.
 func TestConcurrentExplorationsShareOneCache(t *testing.T) {
 	env := types.EnvOf(
 		"m", types.ChanIO{Elem: types.Str{}},

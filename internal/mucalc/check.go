@@ -188,8 +188,8 @@ const (
 )
 
 // markStore keeps the per-product-state byte. Product spaces up to
-// maxDenseMarks states use a flat slice (the common case: even the
-// million-state Fig. 9 rows stay within it for the schema automata),
+// maxDenseMarks states use a flat slice (the common case: no benchmark
+// workload reaches a hundredth of it, see DESIGN.md §Dense nested DFS),
 // growing geometrically when an on-demand model discovers new states;
 // anything beyond the dense cap falls back to a sparse map so memory
 // stays bounded by the visited set. The two regimes coexist: ids below

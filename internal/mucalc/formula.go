@@ -59,17 +59,27 @@ func UnionSet(a, b ActionSet) ActionSet {
 	}
 }
 
-// LabelSet builds a finite action set from explicit labels.
+// LabelSet builds a finite action set from explicit labels, keyed by
+// label value so that a membership query renders no Key string.
+//
+// Precondition: the labels are distinct actions (no two share a Key),
+// and the set is queried only with label values it was built from, or
+// with labels outside them. Every production set is built from members
+// of one LTS alphabet, which exploration has already deduplicated by
+// interned LabelKey, and is queried only with that alphabet's labels. A
+// label that equals a member by Key but not by value is not a member.
+// Every Label and Type implementation is comparable, so a value key
+// never panics.
 func LabelSet(name string, labels ...typelts.Label) ActionSet {
-	keys := make(map[string]bool, len(labels))
+	members := make(map[typelts.Label]bool, len(labels))
 	for _, l := range labels {
-		keys[l.Key()] = true
+		members[l] = true
 	}
 	return ActionSet{
 		Name:     name,
-		Contains: func(l typelts.Label) bool { return keys[l.Key()] },
+		Contains: func(l typelts.Label) bool { return members[l] },
 		known:    true,
-		size:     len(keys),
+		size:     len(members),
 	}
 }
 

@@ -24,31 +24,22 @@ import (
 // Semantics with a mismatching cache ignores it rather than serving
 // wrong entries.
 //
-// Cache is safe for concurrent use: the two memo maps are lock-striped
-// across shards keyed by a hash of the entry key, so one cache can serve
-// many simultaneous explorations (the Interner inside is independently
-// concurrency-safe). Entries are
-// immutable once published and first-write-wins: when two goroutines
-// race to compute the same entry, both compute the same result from
-// the interner's representative of the key (not from whichever
-// syntactic variant a caller happened to pass), and the earlier store
-// sticks, so readers never observe an entry changing. That keeps entry
-// content independent of goroutine scheduling — the determinism
-// argument of concurrent explorations over one cache leans on this (see
-// DESIGN.md).
+// Cache is safe for concurrent use: one mutex guards the two memo maps,
+// so one cache can serve many simultaneous explorations (the Interner
+// inside is independently concurrency-safe). Entries are computed
+// outside the lock, immutable once published and first-write-wins: when
+// two goroutines race to compute the same entry, both compute the same
+// result from the interner's representative of the key (not from
+// whichever syntactic variant a caller happened to pass), and the
+// earlier store sticks, so readers never observe an entry changing.
+// That keeps entry content independent of goroutine scheduling — the
+// determinism argument of concurrent explorations over one cache leans
+// on this (see DESIGN.md).
 type Cache struct {
 	env         *types.Env
 	witnessOnly bool
 	in          *types.Interner
-	shards      [cacheShards]cacheShard
-}
 
-// cacheShards is the number of lock stripes. 64 keeps the per-shard
-// mutexes essentially uncontended at any realistic executor width while
-// costing only a few kilobytes per Cache.
-const cacheShards = 64
-
-type cacheShard struct {
 	mu   sync.Mutex
 	comp map[types.ID]*Component
 	sync map[[2]types.ID][]CompStep
@@ -61,68 +52,30 @@ func NewCache(env *types.Env, witnessOnly bool) *Cache {
 		env:         env,
 		witnessOnly: witnessOnly,
 		in:          types.NewInterner(),
+		comp:        map[types.ID]*Component{},
+		sync:        map[[2]types.ID][]CompStep{},
 	}
 }
 
-// shardOf mixes a 32-bit key hash down to a shard index
-// (Fibonacci hashing: the high bits of h*φ⁻¹ are well distributed even
-// for sequential IDs).
-func (c *Cache) shardOf(h uint32) *cacheShard {
-	return &c.shards[(h*0x9E3779B1)>>(32-6)] // 2^6 = cacheShards
+// lookup reads key from memo m under the cache lock.
+func lookup[K comparable, V any](c *Cache, m map[K]V, key K) (V, bool) {
+	c.mu.Lock()
+	v, ok := m[key]
+	c.mu.Unlock()
+	return v, ok
 }
 
-func (c *Cache) compShard(id types.ID) *cacheShard {
-	return c.shardOf(uint32(id) ^ 0x517cc1b7)
-}
-
-func (c *Cache) syncShard(key [2]types.ID) *cacheShard {
-	return c.shardOf(uint32(key[0])*31 + uint32(key[1]))
-}
-
-func (c *Cache) lookupComp(id types.ID) (*Component, bool) {
-	sh := c.compShard(id)
-	sh.mu.Lock()
-	cs, ok := sh.comp[id]
-	sh.mu.Unlock()
-	return cs, ok
-}
-
-func (c *Cache) storeComp(id types.ID, cs *Component) *Component {
-	sh := c.compShard(id)
-	sh.mu.Lock()
-	if sh.comp == nil {
-		sh.comp = make(map[types.ID]*Component, 16)
-	}
-	if prev, ok := sh.comp[id]; ok {
-		cs = prev
+// store publishes v under key in memo m unless an entry is already
+// there, and returns the published entry: first write wins.
+func store[K comparable, V any](c *Cache, m map[K]V, key K, v V) V {
+	c.mu.Lock()
+	if prev, ok := m[key]; ok {
+		v = prev
 	} else {
-		sh.comp[id] = cs
+		m[key] = v
 	}
-	sh.mu.Unlock()
-	return cs
-}
-
-func (c *Cache) lookupSync(key [2]types.ID) ([]CompStep, bool) {
-	sh := c.syncShard(key)
-	sh.mu.Lock()
-	ss, ok := sh.sync[key]
-	sh.mu.Unlock()
-	return ss, ok
-}
-
-func (c *Cache) storeSync(key [2]types.ID, ss []CompStep) []CompStep {
-	sh := c.syncShard(key)
-	sh.mu.Lock()
-	if sh.sync == nil {
-		sh.sync = make(map[[2]types.ID][]CompStep, 16)
-	}
-	if prev, ok := sh.sync[key]; ok {
-		ss = prev
-	} else {
-		sh.sync[key] = ss
-	}
-	sh.mu.Unlock()
-	return ss
+	c.mu.Unlock()
+	return v
 }
 
 // Interner exposes the cache's type interner, which callers (lts.Explore)
@@ -130,19 +83,14 @@ func (c *Cache) storeSync(key [2]types.ID, ss []CompStep) []CompStep {
 func (c *Cache) Interner() *types.Interner { return c.in }
 
 // Memos returns the total number of memo entries held by the cache — the
-// two shard-striped maps plus the interned-type table — the size measure
+// two memo maps plus the interned-type table — the size measure
 // long-lived owners (the public package's Workspace) budget their
-// eviction policy against. It takes every shard lock briefly, so it is
-// meant for periodic accounting, not hot paths.
+// eviction policy against.
 func (c *Cache) Memos() int {
-	n := c.in.Len()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.comp) + len(sh.sync)
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	n := len(c.comp) + len(c.sync)
+	c.mu.Unlock()
+	return n + c.in.Len()
 }
 
 // Env returns the environment the cache was built for.
@@ -314,7 +262,7 @@ func insertID(ids []types.ID, id types.ID) []types.ID {
 // (lts.Explore always attaches a compatible one).
 func (s *Semantics) Component(cid types.ID) *Component {
 	c := s.mustCache()
-	if cs, ok := c.lookupComp(cid); ok {
+	if cs, ok := lookup(c, c.comp, cid); ok {
 		return cs
 	}
 	saved := s.depthHit
@@ -329,7 +277,7 @@ func (s *Semantics) Component(cid types.ID) *Component {
 	}
 	cs.Ports = s.portsOf(cs.Steps)
 	if !s.depthHit {
-		cs = c.storeComp(cid, cs) // first-write-wins: adopt the winner
+		cs = store(c, c.comp, cid, cs) // first-write-wins: adopt the winner
 	}
 	s.depthHit = s.depthHit || saved
 	return cs
@@ -348,7 +296,7 @@ func (s *Semantics) ComponentSteps(cid types.ID) []CompStep {
 func (s *Semantics) SyncSteps(ci, cj types.ID) []CompStep {
 	key := [2]types.ID{ci, cj}
 	c := s.mustCache()
-	if ss, ok := c.lookupSync(key); ok {
+	if ss, ok := lookup(c, c.sync, key); ok {
 		return ss
 	}
 	saved := s.depthHit
@@ -377,7 +325,7 @@ func (s *Semantics) SyncSteps(ci, cj types.ID) []CompStep {
 		}
 	}
 	if !s.depthHit {
-		ss = c.storeSync(key, ss) // first-write-wins: adopt the winner
+		ss = store(c, c.sync, key, ss) // first-write-wins: adopt the winner
 	}
 	s.depthHit = s.depthHit || saved
 	return ss

@@ -23,7 +23,7 @@ func stepFingerprint(cs []CompStep) string {
 // Semantics concurrently, one per goroutine — ComponentSteps, SyncSteps and
 // Transitions over the same component set — and checks every goroutine
 // observes exactly the content a fresh serial semantics computes. Run
-// under -race this is the correctness test of the lock-striped shards.
+// under -race this is the correctness test of the cache lock.
 func TestCacheConcurrentComponentSteps(t *testing.T) {
 	env := pingPongEnv()
 	comps := types.FlattenPar(pingPongType().(types.Par))

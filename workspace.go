@@ -27,8 +27,9 @@ const DefaultCacheBudget = 1 << 20
 // steps, synchronisations, µ-unfoldings and type identities.
 //
 // A Workspace is safe for concurrent use: many sessions may verify over
-// the same cache at once (the cache is lock-striped and its entries are
-// schedule-independent, so results are identical to serial runs).
+// the same cache at once (the cache guards its memos with a mutex and
+// its entries are schedule-independent, so results are identical to
+// serial runs).
 //
 // Growth is bounded: after every request the workspace sums its caches'
 // memo entries and evicts whole caches in least-recently-used order
@@ -41,17 +42,7 @@ type Workspace struct {
 	entries map[string]*wsEntry
 	tick    uint64
 	evicted uint64
-	// lastTotal/lastSweep memo the previous full sweep, so requests can
-	// skip the (shard-lock-taking) resummation while there is ample
-	// headroom (see sweep).
-	lastTotal int
-	lastSweep uint64
 }
-
-// sweepEvery bounds how stale the headroom memo may get: even when the
-// previous sweep found the caches at under half budget, a full
-// resummation runs at least every this many requests.
-const sweepEvery = 64
 
 // wsEntry is one environment's retained cache. env is the canonical
 // environment: the first *types.Env seen with this key, which every
@@ -108,69 +99,32 @@ func (w *Workspace) adopt(env *types.Env) (*types.Env, *typelts.Cache) {
 // sweep enforces the budget: while the summed memo count exceeds it,
 // the least-recently-used cache is dropped (even the last one — a single
 // oversized cache must not pin unbounded memory; it is rebuilt warm-ish
-// on the next request). Called by sessions after each request.
-//
-// Cost discipline: Memos() takes every shard lock of a cache, so the
-// summation runs OUTSIDE the workspace mutex (adopt — new-session
-// creation — never waits behind shard locks that concurrent
-// explorations are hammering), and it is skipped entirely while the
-// previous full sweep found at most half the budget in use (refreshed
-// at least every sweepEvery requests, so a burst of growth is caught).
+// on the next request). Called by sessions after each request. Summing
+// takes each cache's lock once, under the workspace mutex.
 func (w *Workspace) sweep() {
 	w.mu.Lock()
-	if w.budget < 0 {
-		w.mu.Unlock()
-		return
-	}
-	// The headroom skip needs a real measurement behind it (lastSweep is
-	// 0 until the first full sweep has run).
-	if w.lastSweep > 0 && 2*w.lastTotal <= w.budget && w.tick-w.lastSweep < sweepEvery {
-		w.mu.Unlock()
-		return
-	}
-	snapshot := make(map[string]*wsEntry, len(w.entries))
-	for k, e := range w.entries {
-		snapshot[k] = e
-	}
-	w.mu.Unlock()
-
-	total := 0
-	sizes := make(map[string]int, len(snapshot))
-	for k, e := range snapshot {
-		n := e.cache.Memos()
-		sizes[k] = n
-		total += n
-	}
-
-	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.lastSweep = w.tick
-	// Evict among the snapshotted entries only; anything adopted while
-	// we were summing is unmeasured and left for the next sweep.
-	for total > w.budget && len(sizes) > 0 {
+	if w.budget < 0 {
+		return
+	}
+	total := 0
+	sizes := make(map[string]int, len(w.entries))
+	for k, e := range w.entries {
+		sizes[k] = e.cache.Memos()
+		total += sizes[k]
+	}
+	for total > w.budget && len(w.entries) > 0 {
 		var lruKey string
 		var lru *wsEntry
-		for k := range sizes {
-			e, ok := w.entries[k]
-			if !ok || e != snapshot[k] {
-				// Gone or replaced concurrently: drop from consideration.
-				total -= sizes[k]
-				delete(sizes, k)
-				continue
-			}
+		for k, e := range w.entries {
 			if lru == nil || e.last < lru.last {
 				lruKey, lru = k, e
 			}
 		}
-		if lru == nil {
-			break
-		}
 		total -= sizes[lruKey]
-		delete(sizes, lruKey)
 		delete(w.entries, lruKey)
 		w.evicted++
 	}
-	w.lastTotal = total
 }
 
 // CacheStats is a point-in-time snapshot of the workspace's retained
@@ -189,14 +143,9 @@ type CacheStats struct {
 // CacheStats reports the workspace's current retained state.
 func (w *Workspace) CacheStats() CacheStats {
 	w.mu.Lock()
-	entries := make([]*wsEntry, 0, len(w.entries))
+	defer w.mu.Unlock()
+	st := CacheStats{Caches: len(w.entries), Evictions: w.evicted, Budget: w.budget}
 	for _, e := range w.entries {
-		entries = append(entries, e)
-	}
-	st := CacheStats{Caches: len(entries), Evictions: w.evicted, Budget: w.budget}
-	w.mu.Unlock()
-	// Sum outside the workspace lock: Memos takes per-cache shard locks.
-	for _, e := range entries {
 		st.Memos += e.cache.Memos()
 	}
 	return st
