@@ -30,7 +30,9 @@ func writeModule(t *testing.T, dir, modPath string, files map[string]string) {
 	}
 	all := map[string]string{"go.mod": "module " + modPath + "\n\ngo 1.24\n"}
 	for _, s := range srcs {
-		all["internal/runtime/"+filepath.Base(s.path)] = string(s.src)
+		if s.ok {
+			all["internal/runtime/"+filepath.Base(s.path)] = string(s.src)
+		}
 	}
 	for name, src := range files {
 		all[name] = src
@@ -136,6 +138,106 @@ func TestCacheSeesDependencyEdit(t *testing.T) {
 	writeFile(t, filepath.Join(dir, "lib", "b", "b.go"), "package b\n\nconst N = 4\n")
 	if got := ringChannels(t, dir); got != 4 {
 		t.Errorf("after the repair: channels = %d, want 4", got)
+	}
+}
+
+// TestCacheSeesDirectoryChanges changes a cached dependency's directory
+// between two extractions of one module. Every change but the edit to a
+// _test.go file must drop the generation and be seen; that edit must
+// keep it.
+func TestCacheSeesDirectoryChanges(t *testing.T) {
+	const remove = "" // an after entry that deletes the file
+	cases := []struct {
+		name          string
+		before, after map[string]string
+		want          int    // channels after the change
+		wantErr       string // or the error it causes
+		keepGen       bool
+	}{{
+		name: "file added",
+		before: map[string]string{
+			"lib/b/b.go":   "package b\n\nconst N = 2\n",
+			"ring/ring.go": ringSrc("m", "b.N", "lib/b"),
+		},
+		after: map[string]string{
+			"lib/b/c.go":   "package b\n\nconst M = 3\n",
+			"ring/ring.go": ringSrc("m", "b.M", "lib/b"),
+		},
+		want: 3,
+	}, {
+		name: "file removed",
+		before: map[string]string{
+			"lib/b/b.go":   "package b\n\nconst N = M\n",
+			"lib/b/m.go":   "package b\n\nconst M = 2\n",
+			"ring/ring.go": ringSrc("m", "b.N", "lib/b"),
+		},
+		after:   map[string]string{"lib/b/m.go": remove},
+		wantErr: "undefined: M",
+	}, {
+		name: "build tag dropped",
+		before: map[string]string{
+			"lib/b/b.go":   "package b\n\nconst N = 2\n",
+			"lib/b/x.go":   "//go:build ignore\n\npackage b\n\nconst M = 7\n",
+			"ring/ring.go": ringSrc("m", "b.N", "lib/b"),
+		},
+		after: map[string]string{
+			"lib/b/x.go":   "package b\n\nconst M = 7\n",
+			"ring/ring.go": ringSrc("m", "b.M", "lib/b"),
+		},
+		want: 7,
+	}, {
+		name: "one byte appended",
+		before: map[string]string{
+			"lib/b/b.go":   "package b\n\nconst N = 2",
+			"ring/ring.go": ringSrc("m", "b.N", "lib/b"),
+		},
+		after: map[string]string{"lib/b/b.go": "package b\n\nconst N = 23"},
+		want:  23,
+	}, {
+		name: "test file edited",
+		before: map[string]string{
+			"lib/b/b.go":      "package b\n\nconst N = 2\n",
+			"lib/b/b_test.go": "package b\n\nconst T = 1\n",
+			"ring/ring.go":    ringSrc("m", "b.N", "lib/b"),
+		},
+		after:   map[string]string{"lib/b/b_test.go": "package b\n\nconst T = 10\n"},
+		want:    2,
+		keepGen: true,
+	}}
+	gen := func() *generation {
+		deps.mu.Lock()
+		defer deps.mu.Unlock()
+		return deps.gen
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeModule(t, dir, "m", c.before)
+			ringChannels(t, dir)
+			old := gen()
+			for name, src := range c.after {
+				path := filepath.Join(dir, filepath.FromSlash(name))
+				if src == remove {
+					if err := os.Remove(path); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				writeFile(t, path, src)
+			}
+			if c.wantErr != "" {
+				if _, err := ExtractPackages(dir, "./ring"); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Errorf("err = %v, want %q", err, c.wantErr)
+				}
+				return
+			}
+			if got := ringChannels(t, dir); got != c.want {
+				t.Errorf("channels = %d, want %d", got, c.want)
+			}
+			if kept := gen() == old; kept != c.keepGen {
+				t.Errorf("generation kept = %v, want %v", kept, c.keepGen)
+			}
+		})
 	}
 }
 
@@ -284,6 +386,35 @@ func TestWarmExtractionAllocatesLess(t *testing.T) {
 	t.Logf("examples/payment: cold %d B, warm %d B", cold, warm)
 	if warm*10 > cold {
 		t.Errorf("warm extraction allocated %d B, want at most a tenth of the cold %d B", warm, cold)
+	}
+}
+
+// TestWarmAllocationIgnoresDependencySize pads a dependency with 256 KB
+// of comment: a warm extraction compares the padded file's bytes into a
+// buffer the cache keeps, so it allocates almost nothing more.
+func TestWarmAllocationIgnoresDependencySize(t *testing.T) {
+	const pad = 256 << 10
+	warm := func(padding string) uint64 {
+		dir := t.TempDir()
+		writeModule(t, dir, "m", map[string]string{
+			"lib/b/b.go":   "package b\n\nconst N = 2\n",
+			"lib/b/pad.go": "package b\n" + padding,
+			"ring/ring.go": ringSrc("m", "b.N", "lib/b"),
+		})
+		ringChannels(t, dir) // cold
+		ringChannels(t, dir) // warm, sizing the comparison buffer
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ringChannels(t, dir)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	line := "// " + strings.Repeat("x", 60) + "\n"
+	plain := warm("")
+	padded := warm(strings.Repeat(line, pad/len(line)))
+	t.Logf("warm extraction: %d B, %d B with the padding", plain, padded)
+	if padded > plain+pad/4 {
+		t.Errorf("padding a dependency by %d B raised warm allocation from %d to %d B, want less than a quarter of the padding more", pad, plain, padded)
 	}
 }
 

@@ -2,8 +2,6 @@ package frontend
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -12,8 +10,10 @@ import (
 	"go/token"
 	gotypes "go/types"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -68,6 +68,9 @@ var deps struct {
 	// gen holds the module-internal packages of the module most recently
 	// extracted from.
 	gen *generation
+	// buf is the buffer modPkg.unchanged reads files into, kept
+	// between checks so a warm extraction allocates nothing for it.
+	buf []byte
 }
 
 // generation is one coherent set of module-internal dependency
@@ -82,27 +85,74 @@ type generation struct {
 	pkgs          map[string]*modPkg
 }
 
-// modPkg is one cached module-internal package and the SHA-256 of the
-// files it was checked from.
+// modPkg is one cached module-internal package and every candidate
+// file of its directory, as read when it was checked.
 type modPkg struct {
-	dir string
-	pkg *gotypes.Package
-	sum [sha256.Size]byte
+	dir   string
+	pkg   *gotypes.Package
+	files []srcFile
 }
 
 // current reports whether g belongs to the module at root and every
-// package in it still hashes to the files on disk.
+// package in it still reads as the files it was checked from, with
+// deps.mu held. Which files are accepted depends only on the candidate
+// names, the bytes MatchFile read and the platform, so when all of
+// those are unchanged the accepted files are too.
 func (g *generation) current(root, modPath string) bool {
 	if g == nil || g.root != root || g.modPath != modPath {
 		return false
 	}
 	for _, p := range g.pkgs {
-		files, err := readGoDir(p.dir)
-		if err != nil || hashFiles(files) != p.sum {
+		if !p.unchanged() {
 			return false
 		}
 	}
 	return true
+}
+
+// unchanged reports whether p's directory holds the same candidate
+// files, in the same order, with the same bytes wherever MatchFile read
+// them, with deps.mu held. Each file is read up to one byte past its old
+// length, so one that grew differs too.
+func (p *modPkg) unchanged() bool {
+	ents, err := os.ReadDir(p.dir)
+	if err != nil {
+		return false
+	}
+	i := 0
+	for _, ent := range ents {
+		if !isCandidate(ent) {
+			continue
+		}
+		if i == len(p.files) || filepath.Base(p.files[i].path) != ent.Name() {
+			return false
+		}
+		f := p.files[i]
+		i++
+		if !f.read {
+			continue
+		}
+		if deps.buf, err = readPrefix(f.path, len(f.src)+1, deps.buf); err != nil || !bytes.Equal(deps.buf, f.src) {
+			return false
+		}
+	}
+	return i == len(p.files)
+}
+
+// readPrefix reads at most n bytes of the file at path into buf's
+// storage, growing it when it is short of n.
+func readPrefix(path string, n int, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	buf = slices.Grow(buf[:0], n)[:n]
+	k, err := io.ReadFull(f, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return buf[:k], err
 }
 
 // modImporter resolves the imports of one extraction's target
@@ -175,11 +225,11 @@ func (m *modImporter) load(path string) (*gotypes.Package, error) {
 	}
 	rel := strings.TrimPrefix(strings.TrimPrefix(path, m.modPath), "/")
 	dir := filepath.Join(m.root, filepath.FromSlash(rel))
-	srcs, err := readGoDir(dir)
+	cands, err := readGoDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	files, err := parseFiles(m.gen.fset, srcs)
+	files, err := parseFiles(m.gen.fset, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +244,7 @@ func (m *modImporter) load(path string) (*gotypes.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.gen.pkgs[path] = &modPkg{dir: dir, pkg: pkg, sum: hashFiles(srcs)}
+	m.gen.pkgs[path] = &modPkg{dir: dir, pkg: pkg, files: cands}
 	return pkg, nil
 }
 
@@ -216,40 +266,52 @@ func importStd(path string) (*gotypes.Package, error) {
 	return pkg, nil
 }
 
-// readGoFile reports whether name in dir is a file `go build`
-// compiles into the package on this platform, and returns its content
-// when it is. The rules are build.Default.MatchFile's (the
-// _GOOS/_GOARCH name suffixes, //go:build lines, no "." or "_" prefix)
-// minus _test.go files; MatchFile reads the file through the hook, so
-// it is read once. A file whose header MatchFile rejects as malformed
-// is kept, so the parser reports the problem.
-func readGoFile(dir, name string) (src []byte, ok bool, err error) {
-	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-		return nil, false, nil
-	}
-	var readErr error
-	ctxt := build.Default
-	ctxt.OpenFile = func(path string) (io.ReadCloser, error) {
-		src, readErr = os.ReadFile(path)
-		return io.NopCloser(bytes.NewReader(src)), readErr
-	}
-	ok, err = ctxt.MatchFile(dir, name)
-	if readErr != nil {
-		return nil, false, readErr
-	}
-	return src, ok || err != nil, nil
+// isCandidate reports whether ent may hold a file of the package in
+// its directory: a .go file that is not a _test.go file.
+func isCandidate(ent fs.DirEntry) bool {
+	name := ent.Name()
+	return !ent.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
 }
 
-// srcFile is one file readGoFile accepted.
+// srcFile is one candidate file of a package directory.
 type srcFile struct {
 	path string
 	src  []byte
+	// read is set when MatchFile read the file; one it rejects by name
+	// alone (a _GOOS/_GOARCH suffix, a "." or "_" prefix) is never read,
+	// and its bytes cannot change whether it is accepted.
+	read bool
+	// ok is set when `go build` compiles the file into the package on
+	// this platform.
+	ok bool
 }
 
-// readGoDir reads every file of dir that readGoFile accepts, in
-// directory order. Parsing, the hasGoFiles walk filter and the cache's
-// content hash all go through it, so the hash covers exactly the files
-// that are parsed.
+// readGoFile build-matches the candidate file name of dir, reading it
+// when MatchFile needs its header. The rules are build.Default.MatchFile's
+// (the _GOOS/_GOARCH name suffixes, //go:build lines, no "." or "_"
+// prefix); MatchFile reads the file through the hook, so it is read
+// once. A file whose header MatchFile rejects as malformed is accepted,
+// so the parser reports the problem.
+func readGoFile(dir, name string) (srcFile, error) {
+	f := srcFile{path: filepath.Join(dir, name)}
+	var readErr error
+	ctxt := build.Default
+	ctxt.OpenFile = func(path string) (io.ReadCloser, error) {
+		f.src, readErr = os.ReadFile(path)
+		f.read = true
+		return io.NopCloser(bytes.NewReader(f.src)), readErr
+	}
+	ok, err := ctxt.MatchFile(dir, name)
+	if readErr != nil {
+		return srcFile{}, readErr
+	}
+	f.ok = ok || err != nil
+	return f, nil
+}
+
+// readGoDir reads every candidate file of dir, in directory order.
+// Parsing takes the accepted ones, and the dependency cache keeps them
+// all to validate a cached package against.
 func readGoDir(dir string) ([]srcFile, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -257,37 +319,25 @@ func readGoDir(dir string) ([]srcFile, error) {
 	}
 	var files []srcFile
 	for _, ent := range ents {
-		if ent.IsDir() {
+		if !isCandidate(ent) {
 			continue
 		}
-		src, ok, err := readGoFile(dir, ent.Name())
+		f, err := readGoFile(dir, ent.Name())
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			files = append(files, srcFile{filepath.Join(dir, ent.Name()), src})
-		}
+		files = append(files, f)
 	}
 	return files, nil
 }
 
-// hashFiles is the SHA-256 over the names and contents of files.
-func hashFiles(files []srcFile) [sha256.Size]byte {
-	h := sha256.New()
-	var n [8]byte
-	for _, f := range files {
-		for _, b := range [][]byte{[]byte(f.path), f.src} {
-			binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-			h.Write(n[:])
-			h.Write(b)
-		}
-	}
-	return [sha256.Size]byte(h.Sum(nil))
-}
-
+// parseFiles parses the accepted files of srcs.
 func parseFiles(fset *token.FileSet, srcs []srcFile) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(srcs))
 	for _, s := range srcs {
+		if !s.ok {
+			continue
+		}
 		f, err := parser.ParseFile(fset, s.path, s.src, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -297,7 +347,7 @@ func parseFiles(fset *token.FileSet, srcs []srcFile) ([]*ast.File, error) {
 	return files, nil
 }
 
-// parseGoDir parses every file of dir that readGoDir accepts.
+// parseGoDir parses every accepted file of dir.
 func parseGoDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	srcs, err := readGoDir(dir)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -145,7 +146,7 @@ func expandPatterns(base string, patterns []string) ([]string, error) {
 
 func hasGoFiles(dir string) bool {
 	files, err := readGoDir(dir)
-	return err == nil && len(files) > 0
+	return err == nil && slices.ContainsFunc(files, func(f srcFile) bool { return f.ok })
 }
 
 // loadDir parses and typechecks one target directory; returns nil when

@@ -1019,9 +1019,20 @@ func (l *LTS) LabelOf(e Edge) typelts.Label { return l.Labels[e.Label] }
 // sorted by key for determinism. This is the finite action set AΓ(T) of
 // the paper (used by Def. 4.8 and Thm. 4.10).
 func (l *LTS) Alphabet() []typelts.Label {
-	out := make([]typelts.Label, len(l.Labels))
-	copy(out, l.Labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	// Each key is rendered once: Key builds Canon strings.
+	type keyed struct {
+		lab typelts.Label
+		key string
+	}
+	ks := make([]keyed, len(l.Labels))
+	for i, lab := range l.Labels {
+		ks[i] = keyed{lab, lab.Key()}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]typelts.Label, len(ks))
+	for i, k := range ks {
+		out[i] = k.lab
+	}
 	return out
 }
 

@@ -29,7 +29,8 @@ const (
 // observable channel) and checks the port filter against SyncSteps on
 // every ordered pair of components co-occurring in a state: a pair with
 // a step must be kept (soundness). With exact set, a kept pair must
-// also have a step (the filter is exact on the row).
+// also have a step (the filter is exact on the row). It also checks the
+// exploration's Alphabet (checkAlphabet).
 func checkPairs(t *testing.T, s *systems.System, exact bool) pairCounts {
 	t.Helper()
 	sem := closedSem(s)
@@ -37,6 +38,7 @@ func checkPairs(t *testing.T, s *systems.System, exact bool) pairCounts {
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name, err)
 	}
+	checkAlphabet(t, s.Name, m)
 	in := sem.Cache.Interner()
 	// Number the components densely, so each pair's verdicts are
 	// computed once and the per-state sweep reads a table.
@@ -147,14 +149,29 @@ func TestPortFilterSoundOnLargeRows(t *testing.T) {
 				}
 			}
 		}
+		// The closure's steps and synchronisations label a superset of
+		// the row's transitions; Alphabet is checked on all of them.
+		labels := &lts.LTS{}
+		seenLabel := map[typelts.LabelKey]bool{}
+		addLabels := func(steps []typelts.CompStep) {
+			for _, st := range steps {
+				if !seenLabel[st.Key] {
+					seenLabel[st.Key] = true
+					labels.Labels = append(labels.Labels, st.Label)
+				}
+			}
+		}
 		hits := 0
 		for _, x := range closure {
 			cx := sem.Component(x)
+			addLabels(cx.Steps)
 			for _, y := range closure {
 				cy := sem.Component(y)
-				if len(sem.SyncSteps(x, y)) == 0 {
+				sync := sem.SyncSteps(x, y)
+				if len(sync) == 0 {
 					continue
 				}
+				addLabels(sync)
 				hits++
 				if !typelts.MaySync(&cx.Ports, &cy.Ports) {
 					t.Errorf("%s: the port filter drops the pair (%s, %s), which synchronises",
@@ -165,6 +182,7 @@ func TestPortFilterSoundOnLargeRows(t *testing.T) {
 		if hits == 0 {
 			t.Errorf("%s: no synchronising pair in a closure of %d components", s.Name, len(closure))
 		}
+		checkAlphabet(t, s.Name, labels)
 	}
 }
 

@@ -2,6 +2,8 @@ package lts_test
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -126,5 +128,18 @@ func TestStateTypeKeepsCallersRoot(t *testing.T) {
 	}
 	if m.Len() < 2 {
 		t.Fatalf("want a successor state, got %d states", m.Len())
+	}
+}
+
+// checkAlphabet checks m.Alphabet, which renders each label's key once,
+// against sorting the labels by Key() in every comparison. sort.Slice
+// is not stable, so the two must also agree on the order of labels
+// whose keys tie.
+func checkAlphabet(t *testing.T, name string, m *lts.LTS) {
+	t.Helper()
+	want := slices.Clone(m.Labels)
+	sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })
+	if got := m.Alphabet(); !slices.Equal(got, want) {
+		t.Errorf("%s: Alphabet is %v, want %v", name, got, want)
 	}
 }
