@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"effpi/internal/lts"
-	"effpi/internal/mucalc"
 	rt "effpi/internal/runtime"
 	"effpi/internal/savina"
 	"effpi/internal/systems"
@@ -278,28 +277,6 @@ func BenchmarkAblationExplore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := lts.Explore(sem, s.Type, lts.Options{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBuchi measures the GPVW translation of the most
-// complex Fig. 7 schema (responsiveness) in isolation.
-func BenchmarkAblationBuchi(b *testing.B) {
-	s := systems.PaymentAudit(4)
-	sem := &typelts.Semantics{Env: s.Env, Observable: map[string]bool{}, WitnessOnly: true}
-	m, err := lts.Explore(sem, s.Type, lts.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	phi, err := verify.Compile(s.Env, m, verify.Property{Kind: verify.Responsive, From: "m", Closed: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ba := mucalc.Translate(mucalc.Not{F: phi})
-		if ba.Len() == 0 {
-			b.Fatal("empty automaton")
 		}
 	}
 }

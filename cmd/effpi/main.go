@@ -96,7 +96,7 @@ verify flags:
 a failing property exits with status 1 and prints the counterexample: a
 lasso-shaped run (stem, then a cycle repeating forever) with the parallel
 component multiset at every visited state, re-validated by replaying it
-against the transition system and the property automaton.
+against the transition system and evaluating the property on it.
 
 the long-lived service flavour of this tool is cmd/effpid: the same
 verification pipeline behind an HTTP JSON API with shared caches.

@@ -40,8 +40,8 @@
 // emitter; "mcbench -json" records only each witness's length and the
 // SHA-256 of its rendering). Every
 // witness is replay-validated before it is shown: the run is re-executed
-// against the explored transition system and the property's Büchi
-// automaton (Replay), so a reported FAIL is a checkable artifact.
+// against the explored transition system and the property's formula is
+// evaluated on it (Replay), so a reported FAIL is a checkable artifact.
 //
 // Reducers (WithEarlyExit, WithSymmetry, WithPartialOrder): DESIGN.md §The batch engine.
 //

@@ -90,8 +90,8 @@ func ParseSymmetry(name string) (SymmetryMode, error) { return verify.ParseSymme
 func ParsePartialOrder(name string) (PartialOrderMode, error) { return verify.ParsePartialOrder(name) }
 
 // Replay re-validates a FAIL outcome by machine-checking its witness
-// against the explored LTS and a freshly re-translated property
-// automaton. See the internal verify.Replay for the full trust story.
+// against the explored LTS and evaluating the property directly on its
+// lasso. See the internal verify.Replay for the full trust story.
 func Replay(o *Outcome) error { return verify.Replay(o) }
 
 // NewEnv returns an empty typing environment.

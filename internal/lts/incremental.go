@@ -4,7 +4,7 @@ package lts
 // model checking (the early-exit mode of verify.Request): instead of
 // materialising the whole reachable state space up front, an Incremental
 // expands a state's successors the first time the checker asks for them.
-// The nested DFS of mucalc.CheckModel stops at the first accepting lasso,
+// The nested DFS of mucalc.CheckModelContext stops at the first accepting lasso,
 // so on a failing property the unexplored remainder of the state space is
 // never built — the measurable win the early-exit acceptance tests assert
 // on the philosophers systems.

@@ -19,9 +19,11 @@ type Result struct {
 	// state identity: the LTS state visited at every position, which makes
 	// the run machine-replayable (see Witness and verify.Replay).
 	Witness *Witness
-	// ProductStates is the number of product states visited.
+	// ProductStates is the number of product states visited, summed over
+	// the clauses checked.
 	ProductStates int
-	// AutomatonStates is the size of the Büchi automaton for ¬ϕ.
+	// AutomatonStates is the summed size of the Büchi automata of the
+	// checked clauses' negations.
 	AutomatonStates int
 }
 
@@ -62,67 +64,68 @@ func (x ltsModel) Len() int                       { return x.m.Len() }
 // LTSModel wraps a fully explored LTS as a checker Model.
 func LTSModel(m *lts.LTS) Model { return ltsModel{m: m} }
 
-// Check decides m |= ϕ: it translates ¬ϕ to a Büchi automaton and
-// searches the product for an accepting cycle with nested DFS. The LTS
-// must be run-completed (every state has a successor), which lts.Explore
-// guarantees.
-//
-// The search is dense: each automaton state's guard is precomputed into
-// an admit bitset over the LTS's label alphabet (one membership test per
-// distinct label instead of a guard walk per product edge), product
-// colours live in a flat slice indexed by state*(|BA|+1)+q, and both DFS
-// passes enumerate successors lazily with per-frame cursors instead of
-// materialising successor slices.
-func Check(m *lts.LTS, phi Formula) Result {
-	r, _ := CheckModel(LTSModel(m), phi) // a static model never errors
-	return r
-}
-
-// CheckContext is Check with cancellation: the nested DFS polls ctx every
-// checkCancelStride visited product states and returns an error wrapping
-// ctx.Err() when the context is cancelled or past its deadline. The
-// Result accompanying a non-nil error is invalid.
+// CheckContext decides m |= ϕ over a fully explored LTS; see
+// CheckModelContext. The LTS must be run-completed (every state has a
+// successor), which lts.Explore guarantees.
 func CheckContext(ctx context.Context, m *lts.LTS, phi Formula) (Result, error) {
 	return CheckModelContext(ctx, LTSModel(m), phi)
 }
 
-// CheckModel is Check over an arbitrary Model. With an on-demand model
-// (lts.Incremental) the search is on-the-fly: LTS states are materialised
-// only when the blue DFS first needs their successors, so a violation
-// found early leaves the rest of the state space unexplored. The nested
-// DFS itself already stops at the first accepting cycle, so FAIL verdicts
-// return as soon as a witness exists; PASS verdicts still visit the full
-// (automaton-reachable) product. The returned error is the model's — a
-// state bound hit mid-search — and invalidates the Result.
-func CheckModel(m Model, phi Formula) (Result, error) {
-	return CheckModelContext(context.Background(), m, phi)
-}
-
-// CheckModelContext is CheckModel with cancellation: both DFS passes poll
-// ctx every checkCancelStride state visits, so even a check over a fully
-// materialised (never-erroring) model returns promptly — with an error
-// wrapping ctx.Err() — once the context is done.
+// CheckModelContext decides m |= ϕ clause by clause. Every run must
+// satisfy ϕ, so m |= ϕ1 ∧ … ∧ ϕk iff m |= ϕi for each i: the top-level
+// conjunction is split (clauses), each clause's ¬-automaton is built
+// from its action sets (negation), and the product of m with it is
+// searched for an accepting cycle by nested DFS. The clauses are checked
+// in order and the first one that fails ends the check; its lasso, which
+// violates ϕ, is the counterexample. A clause made vacuous by a
+// known-empty action set is skipped. A formula with a clause outside the
+// four patterns, ⊤ and ⊥ is an error before any search starts.
+//
+// With an on-demand model (lts.Incremental) the search is on-the-fly:
+// LTS states are materialised only when the blue DFS first needs their
+// successors, so a violation found early leaves the rest of the state
+// space unexplored. PASS verdicts still visit the full
+// (automaton-reachable) product of every clause.
+//
+// The search is dense: each automaton state's guard is precomputed into
+// an admit bitset over the LTS's label alphabet, product colours live in
+// a flat slice indexed by state*(|BA|+1)+q, and both DFS passes enumerate
+// successors lazily with per-frame cursors. Both passes poll ctx every
+// checkCancelStride state visits and return an error wrapping ctx.Err()
+// once the context is done; a model error (a state bound hit mid-search)
+// is returned too. Either invalidates the Result.
 func CheckModelContext(ctx context.Context, m Model, phi Formula) (Result, error) {
-	phi = Simplify(phi)
-	if isTrue(phi) {
-		return Result{Holds: true}, nil
+	var automata []*Buchi
+	for _, c := range clauses(phi, nil) {
+		ba, err := negation(c)
+		if err != nil {
+			return Result{}, err
+		}
+		if ba != nil {
+			automata = append(automata, ba)
+		}
 	}
-	ba := Translate(Not{F: phi})
-	p := newProduct(m, ba)
-	if ctx != nil && ctx.Done() != nil {
-		p.ctx = ctx
+	res := Result{Holds: true}
+	var blue, red []frame
+	for _, ba := range automata {
+		p := newProduct(m, ba)
+		p.blue, p.red = blue, red
+		if ctx != nil && ctx.Done() != nil {
+			p.ctx = ctx
+		}
+		w, visited := p.findAcceptingLasso()
+		blue, red = p.blue, p.red
+		res.ProductStates += visited
+		res.AutomatonStates += ba.Len()
+		if p.err != nil {
+			return res, p.err
+		}
+		if w != nil {
+			res.Holds, res.Witness, res.Counterexample = false, w, w.Trace(m.Labels())
+			break
+		}
 	}
-	w, visited := p.findAcceptingLasso()
-	res := Result{
-		Holds:           w == nil,
-		Witness:         w,
-		ProductStates:   visited,
-		AutomatonStates: ba.Len(),
-	}
-	if w != nil {
-		res.Counterexample = w.Trace(m.Labels())
-	}
-	return res, p.err
+	return res, nil
 }
 
 // product is the synchronous product of an LTS and a Büchi automaton.
@@ -142,9 +145,11 @@ type product struct {
 
 	marks markStore
 
-	// red is the red DFS's stack, kept across the searches of one
-	// product; redDFS copies the cycle it finds out of it.
-	red []frame
+	// blue and red are the two DFS stacks. Their capacity is kept across
+	// the red searches of one product and handed from one clause's
+	// product to the next (CheckModelContext); redDFS copies the cycle it
+	// finds out of red, and assemble copies the stem out of blue.
+	blue, red []frame
 
 	// err records a model error (state bound hit mid-expansion) or a
 	// cancelled context; the search aborts as soon as it is set.
@@ -370,7 +375,11 @@ func (p *product) findAcceptingLasso() (*Witness, int) {
 	start := p.encode(p.m.Initial(), -1)
 	visited := 0
 
-	stack := make([]frame, 0, 64)
+	if p.blue == nil {
+		p.blue = make([]frame, 0, 64)
+	}
+	stack := p.blue[:0]
+	defer func() { p.blue = stack[:0] }()
 	push := func(id int) {
 		p.marks.setColor(id, colorCyan)
 		visited++

@@ -1,9 +1,13 @@
 // Package mucalc implements the linear-time µ-calculus fragment of
 // Def. 4.6 as action-based linear temporal logic, together with a model
-// checker: formulas are translated to Büchi automata with the classic
-// GPVW tableau (Gerth, Peled, Vardi, Wolper 1995), composed with the type
-// LTS, and checked for emptiness with the nested depth-first search of
-// Courcoubetis et al.
+// checker for the formulas the Fig. 7 schemas compile to. A formula's
+// top-level conjunction is split into clauses; each clause is one of four
+// specification patterns (absence, universality, recurrence, response),
+// whose negation has a Büchi automaton of fixed shape (pattern.go). Each
+// automaton is composed with the type LTS and checked for emptiness with
+// the nested depth-first search of Courcoubetis et al., stopping at the
+// first clause that fails. EvalLasso decides any formula directly on a
+// lasso-shaped word; it is the replay check of a counterexample.
 //
 // The paper's basic formulas are Z, ¬ϕ, ϕ∧ϕ, (α)ϕ and νZ.ϕ; all the
 // derived forms actually used by the verification schemas of Fig. 7
@@ -14,8 +18,6 @@ package mucalc
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"effpi/internal/typelts"
 )
@@ -27,7 +29,7 @@ import (
 type ActionSet struct {
 	Name     string
 	Contains func(l typelts.Label) bool
-	// known/size let Simplify detect constantly-false atoms: only
+	// known/size let the checker detect a known-empty set (Empty): only
 	// LabelSet-built sets know their cardinality.
 	known bool
 	size  int
@@ -83,6 +85,10 @@ func LabelSet(name string, labels ...typelts.Label) ActionSet {
 	}
 }
 
+// Empty reports whether the action set is known to be empty (only sets
+// built by LabelSet from zero labels carry this information).
+func (a ActionSet) Empty() bool { return a.known && a.size == 0 }
+
 // Formula is an action-based LTL formula over ActionSet atoms.
 type Formula interface {
 	formula()
@@ -102,7 +108,7 @@ type Prop struct{ Set ActionSet }
 // NegProp holds at a position whose action is not in Set.
 type NegProp struct{ Set ActionSet }
 
-// Not is logical negation (eliminated by NNF before translation).
+// Not is logical negation.
 type Not struct{ F Formula }
 
 // And is conjunction.
@@ -178,35 +184,14 @@ func Box(f Formula) Formula { return Release{L: False{}, R: f} }
 // Diamond is ♢ϕ ≡ ⊤ U ϕ.
 func Diamond(f Formula) Formula { return Until{L: True{}, R: f} }
 
-// Implies is ϕ1 ⇒ ϕ2.
-func Implies(a, b Formula) Formula { return Or{L: nnfNot(a), R: b} }
+// Implies is ϕ1 ⇒ ϕ2, written ¬ϕ1 ∨ ϕ2 with the negation pushed onto
+// the atoms of ϕ1.
+func Implies(a, b Formula) Formula { return Or{L: negate(a), R: b} }
 
-// --- Negation normal form --------------------------------------------------
-
-// NNF rewrites f into negation normal form: negations appear only on
-// atoms (as NegProp), which is what the tableau construction consumes.
-func NNF(f Formula) Formula {
-	switch f := f.(type) {
-	case True, False, Prop, NegProp:
-		return f
-	case Not:
-		return nnfNot(f.F)
-	case And:
-		return And{L: NNF(f.L), R: NNF(f.R)}
-	case Or:
-		return Or{L: NNF(f.L), R: NNF(f.R)}
-	case Next:
-		return Next{F: NNF(f.F)}
-	case Until:
-		return Until{L: NNF(f.L), R: NNF(f.R)}
-	case Release:
-		return Release{L: NNF(f.L), R: NNF(f.R)}
-	default:
-		panic(fmt.Sprintf("mucalc: unknown formula %T", f))
-	}
-}
-
-func nnfNot(f Formula) Formula {
+// negate returns a formula equivalent to ¬f, pushing the negation through
+// every connective by De Morgan's laws and the LTL dualities; on a
+// formula in negation normal form the result is in it too.
+func negate(f Formula) Formula {
 	switch f := f.(type) {
 	case True:
 		return False{}
@@ -217,41 +202,18 @@ func nnfNot(f Formula) Formula {
 	case NegProp:
 		return Prop{Set: f.Set}
 	case Not:
-		return NNF(f.F)
+		return f.F
 	case And:
-		return Or{L: nnfNot(f.L), R: nnfNot(f.R)}
+		return Or{L: negate(f.L), R: negate(f.R)}
 	case Or:
-		return And{L: nnfNot(f.L), R: nnfNot(f.R)}
+		return And{L: negate(f.L), R: negate(f.R)}
 	case Next:
-		return Next{F: nnfNot(f.F)}
+		return Next{F: negate(f.F)}
 	case Until:
-		return Release{L: nnfNot(f.L), R: nnfNot(f.R)}
+		return Release{L: negate(f.L), R: negate(f.R)}
 	case Release:
-		return Until{L: nnfNot(f.L), R: nnfNot(f.R)}
+		return Until{L: negate(f.L), R: negate(f.R)}
 	default:
 		panic(fmt.Sprintf("mucalc: unknown formula %T", f))
 	}
-}
-
-// --- Formula sets -----------------------------------------------------------
-
-type formulaSet map[string]Formula
-
-func (s formulaSet) add(f Formula)      { s[f.Key()] = f }
-func (s formulaSet) has(f Formula) bool { _, ok := s[f.Key()]; return ok }
-func (s formulaSet) clone() formulaSet {
-	c := make(formulaSet, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-func (s formulaSet) key() string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
 }

@@ -10,7 +10,7 @@ import (
 // LTS state visited at every position, plus the label fired at every
 // step, as indices into the model that produced it. Unlike Trace (labels
 // only), a Witness is machine-replayable: Validate re-runs it against the
-// LTS edge relation, and Buchi.AcceptsLasso re-checks that its label word
+// LTS edge relation, and EvalLasso re-checks that its label word
 // violates the property — together the replay oracle of verify.Replay.
 //
 // Shape: StemStates[0] is the initial state and firing StemLabels[i]
@@ -91,141 +91,4 @@ func (w *Witness) Validate(m Model) error {
 		return err
 	}
 	return check("cycle", w.CycleStates, w.CycleLabels)
-}
-
-// AcceptsLasso reports whether the automaton accepts the infinite word
-// prefix·cycle^ω. Together with Witness.Validate this replays a witness:
-// the automaton built for ¬ϕ accepts the lasso's label word iff the run
-// really violates ϕ.
-//
-// The check is the standard finite one: collect the automaton states
-// reachable after reading the prefix (guards are evaluated on *entering*
-// a state, matching the product construction), then look for a reachable
-// accepting cycle in the finite graph of (automaton state, cycle
-// position) pairs — every accepting run of an ultimately periodic word is
-// ultimately periodic over that graph.
-func (b *Buchi) AcceptsLasso(prefix, cycle []typelts.Label) bool {
-	if len(cycle) == 0 {
-		return false
-	}
-	// States reachable after the prefix, starting from the virtual initial
-	// node (whose successors are Init).
-	cur := map[int]bool{}
-	for _, q := range b.Init {
-		cur[q] = true
-	}
-	first := true
-	step := func(from map[int]bool, letter typelts.Label) map[int]bool {
-		next := map[int]bool{}
-		for q := range from {
-			for _, qq := range b.Succ[q] {
-				if b.Admits(qq, letter) {
-					next[qq] = true
-				}
-			}
-		}
-		return next
-	}
-	for _, letter := range prefix {
-		if first {
-			// The Init set holds the *successors* of the virtual node; the
-			// first letter is consumed entering them.
-			filtered := map[int]bool{}
-			for q := range cur {
-				if b.Admits(q, letter) {
-					filtered[q] = true
-				}
-			}
-			cur = filtered
-			first = false
-			continue
-		}
-		cur = step(cur, letter)
-	}
-	if len(cur) == 0 {
-		return false
-	}
-
-	// Lasso graph: node (q, i) means the automaton entered q and the next
-	// letter is cycle[i]. Edges follow one letter of the cycle.
-	n := len(cycle)
-	node := func(q, i int) int { return q*n + i }
-	var start []int
-	if first {
-		// Empty prefix: the virtual initial node is still pending; its
-		// Init successors are entered consuming cycle[0].
-		for q := range cur {
-			if b.Admits(q, cycle[0]) {
-				start = append(start, node(q, 1%n))
-			}
-		}
-	} else {
-		for q := range cur {
-			start = append(start, node(q, 0))
-		}
-	}
-
-	// Reachability from the start frontier.
-	total := b.Len() * n
-	reach := make([]bool, total)
-	queue := append([]int{}, start...)
-	for _, v := range start {
-		reach[v] = true
-	}
-	succ := func(v int) []int {
-		q, i := v/n, v%n
-		var out []int
-		for _, qq := range b.Succ[q] {
-			if b.Admits(qq, cycle[i]) {
-				out = append(out, node(qq, (i+1)%n))
-			}
-		}
-		return out
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range succ(v) {
-			if !reach[u] {
-				reach[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-
-	// An accepting run exists iff some reachable node with an accepting
-	// automaton state lies on a cycle of the lasso graph.
-	for v := 0; v < total; v++ {
-		if !reach[v] || !b.Accepting[v/n] {
-			continue
-		}
-		// BFS from v back to v.
-		seen := make([]bool, total)
-		q2 := succ(v)
-		hit := false
-		for _, u := range q2 {
-			if u == v {
-				hit = true
-			}
-			seen[u] = true
-		}
-		for len(q2) > 0 && !hit {
-			u := q2[0]
-			q2 = q2[1:]
-			for _, x := range succ(u) {
-				if x == v {
-					hit = true
-					break
-				}
-				if !seen[x] {
-					seen[x] = true
-					q2 = append(q2, x)
-				}
-			}
-		}
-		if hit {
-			return true
-		}
-	}
-	return false
 }

@@ -183,10 +183,12 @@ func TestAcceptsLasso(t *testing.T) {
 	}
 }
 
-// TestCheckerAgreesWithAcceptsLasso cross-checks the two algorithms on
+// TestCheckerAgreesWithAcceptsLasso cross-checks the algorithms on
 // every counterexample of the existing suite fixtures: the product NDFS
-// produced the lasso, the independent lasso-acceptance check must agree
-// it violates the formula.
+// produced the lasso (over the pattern automata where the formula is a
+// pattern, over the tableau otherwise), and both the tableau's
+// lasso-acceptance check and EvalLasso must agree it violates the
+// formula.
 func TestCheckerAgreesWithAcceptsLasso(t *testing.T) {
 	m := mkLTS(4, map[int][]lts.AdjEdge{
 		0: {edge(lab("i"), 1), edge(lab("a"), 0)},
@@ -202,7 +204,10 @@ func TestCheckerAgreesWithAcceptsLasso(t *testing.T) {
 		Until{L: Prop{Set: set("a")}, R: Prop{Set: set("i")}},
 	}
 	for _, phi := range formulas {
-		r := Check(m, phi)
+		r := Oracle(m, phi)
+		if _, err := negation(phi); err == nil {
+			r = Check(m, phi)
+		}
 		if r.Holds {
 			continue
 		}
@@ -216,6 +221,9 @@ func TestCheckerAgreesWithAcceptsLasso(t *testing.T) {
 		ba := Translate(Not{F: Simplify(phi)})
 		if !ba.AcceptsLasso(tr.Prefix, tr.Cycle) {
 			t.Errorf("%s: NDFS counterexample rejected by the lasso-acceptance check", phi)
+		}
+		if EvalLasso(phi, tr.Prefix, tr.Cycle) {
+			t.Errorf("%s: EvalLasso says the NDFS counterexample satisfies the formula", phi)
 		}
 	}
 }

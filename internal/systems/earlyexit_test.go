@@ -27,7 +27,7 @@ func TestEarlyExitTypeltsWork(t *testing.T) {
 		"deadlock-free()":   {true, 27, 7, 264},
 		"ev-usage(f0)":      {false, 728, 0, 301},
 		"forwarding(f0→f1)": {false, 728, 0, 301},
-		"non-usage(f0)":     {true, 180, 43, 300},
+		"non-usage(f0)":     {true, 27, 7, 264},
 		"reactive(f0)":      {true, 27, 7, 264},
 		"responsive(f0)":    {false, 728, 0, 301},
 	}

@@ -26,7 +26,8 @@ func Compile(env *types.Env, m *lts.LTS, p Property) (mucalc.Formula, error) {
 //
 // A schema that forbids imprecise synchronisation puts that conjunct,
 // □(−Aτ)⊤, on the left of its top-level ∧ and its main obligation on
-// the right (see conjuncts).
+// the right, which the checker takes first (mucalc.CheckModelContext).
+// Every conjunct is one of the checker's four clause patterns.
 func compile(env *types.Env, alphabet []typelts.Label, p Property) (mucalc.Formula, error) {
 	u := &Uses{env: env, alphabet: alphabet}
 	switch p.Kind {

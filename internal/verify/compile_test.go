@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -229,8 +230,16 @@ func TestCompileWithoutAlphabetMatchesCompile(t *testing.T) {
 				if otf.String() != full.String() {
 					t.Errorf("%s: formulas differ:\n%s\nvs\n%s", p, otf, full)
 				}
-				if got, want := mucalc.Check(m, otf).Holds, mucalc.Check(m, full).Holds; got != want {
-					t.Errorf("%s: predicate formula says %v, alphabet formula says %v", p, got, want)
+				got, err := mucalc.CheckContext(context.Background(), m, otf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := mucalc.CheckContext(context.Background(), m, full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Holds != want.Holds {
+					t.Errorf("%s: predicate formula says %v, alphabet formula says %v", p, got.Holds, want.Holds)
 				}
 			}
 		})

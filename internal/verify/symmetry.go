@@ -269,7 +269,7 @@ func liftSymmetric(ctx context.Context, req Request, sem *typelts.Semantics, m *
 // fragment snapshot becomes WitnessLTS, the witness and counterexample
 // are re-decoded against it, and a formula compiled over an alphabet is
 // recompiled over the fragment's (which contains every lifted label) so
-// the replay oracle's ¬ϕ automaton reads the concrete labels. An
+// the replay oracle evaluates ϕ on the concrete labels. An
 // early-exit formula, compiled with no alphabet, evaluates its predicate
 // sets on any label and needs no recompilation.
 func finishLift(req Request, inc *lts.Incremental, w *mucalc.Witness, out *Outcome) error {

@@ -42,8 +42,8 @@ func NewUses(env *types.Env, m *lts.LTS) *Uses {
 }
 
 // set restricts a to its members in the alphabet, when one is known. The
-// restricted set knows its size, so mucalc.Simplify folds the atoms of an
-// empty one.
+// restricted set knows its size, so the checker skips a clause that an
+// empty one makes vacuous (mucalc.ActionSet.Empty).
 func (u *Uses) set(a mucalc.ActionSet) mucalc.ActionSet {
 	if u.alphabet == nil {
 		return a

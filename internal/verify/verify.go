@@ -226,16 +226,13 @@ func finishFail(ctx context.Context, req Request, sem *typelts.Semantics, m *lts
 }
 
 // verifyOnTheFly runs the early-exit pipeline on the property's formula
-// compiled with no alphabet: the nested DFS of mucalc.CheckModel drives
-// an incremental exploration, materialising states only as the search
-// reaches them. The formula's top-level
-// conjuncts are checked one at a time over the shared exploration,
-// short-circuiting on the first violation — a run violating one conjunct
-// violates the conjunction, so the remaining conjuncts (whose PASS proofs
-// would force exhaustive exploration) are never started. Verdicts equal
-// the full pipeline's: a predicate action set holds the same labels as
-// its restriction to any alphabet, and conjunction short-circuiting
-// preserves T |= ϕ1∧ϕ2.
+// compiled with no alphabet: the nested DFS of mucalc.CheckModelContext
+// drives an incremental exploration, materialising states only as the
+// search reaches them. The checker stops at the first clause that fails,
+// so the clauses after it (whose PASS proofs would force exhaustive
+// exploration) are never started. Verdicts equal the full pipeline's: a
+// predicate action set holds the same labels as its restriction to any
+// alphabet.
 func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sym *lts.Symmetry, por *lts.POR) (*Outcome, error) {
 	phi, err := compile(req.Env, nil, req.Property)
 	if err != nil {
@@ -244,33 +241,23 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 	inc := lts.NewIncrementalContext(ctx, sem, req.Type, lts.Options{MaxStates: req.MaxStates, Progress: req.Progress, Symmetry: sym, PartialOrder: por})
 	out := &Outcome{
 		Property:     req.Property,
-		Holds:        true,
 		Formula:      phi,
 		EarlyExit:    true,
 		PartialOrder: por != nil,
 	}
-	var failed mucalc.Result
-	for _, c := range conjuncts(phi) {
-		res, err := mucalc.CheckModelContext(ctx, inc, c)
-		if err != nil {
-			return nil, err
-		}
-		out.ProductStates += res.ProductStates
-		out.AutomatonStates += res.AutomatonStates
-		if !res.Holds {
-			out.Holds = false
-			failed = res
-			break
-		}
+	res, err := mucalc.CheckModelContext(ctx, inc, phi)
+	if err != nil {
+		return nil, err
 	}
+	out.Holds, out.ProductStates, out.AutomatonStates = res.Holds, res.ProductStates, res.AutomatonStates
 	m := inc.Snapshot()
 	out.States = int(m.Covered())
 	out.StatesExplored = m.Len()
 	out.LTS = m
 	out.Expanded = inc.Expanded()
 	if !out.Holds {
-		out.Counterexample = failed.Counterexample
-		out.Witness = DecodeWitness(m, failed.Witness)
+		out.Counterexample = res.Counterexample
+		out.Witness = DecodeWitness(m, res.Witness)
 		if err := finishFail(ctx, req, sem, m, out); err != nil {
 			return nil, err
 		}
@@ -279,19 +266,6 @@ func verifyOnTheFly(ctx context.Context, req Request, sem *typelts.Semantics, sy
 		return nil, err
 	}
 	return out, nil
-}
-
-// conjuncts orders phi's top-level conjuncts for the on-the-fly engine.
-// Order matters for the early-exit payoff: a conjunct that holds forces
-// exhaustive exploration (proving □(−Aτ)⊤ means seeing every state), so
-// the schema's main obligation on the right — the part that fails on
-// broken systems, whose violations a shallow dive finds — comes first,
-// and the Aτ conjunct on the left last.
-func conjuncts(phi mucalc.Formula) []mucalc.Formula {
-	if a, ok := phi.(mucalc.And); ok {
-		return []mucalc.Formula{a.R, a.L}
-	}
-	return []mucalc.Formula{phi}
 }
 
 // ObservablesFor computes the Y-limitation set for a property: the

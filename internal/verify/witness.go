@@ -120,10 +120,10 @@ func ClipRunes(s string, n int) string {
 // package's trust story for negative verdicts: (1) structurally, every
 // stem and cycle step must be a real edge of the outcome's LTS and the
 // cycle must close on the lasso head (mucalc.Witness.Validate); (2)
-// semantically, the Büchi automaton freshly re-translated from ¬ϕ must
-// accept the lasso's label word stem·cycle^ω (Buchi.AcceptsLasso) — i.e.
-// the run really violates the property, established by a different
-// algorithm than the nested product DFS that produced it.
+// semantically, ϕ evaluated directly on the lasso's label word
+// stem·cycle^ω must be false (mucalc.EvalLasso) — i.e. the run really
+// violates the property, established by a different algorithm than the
+// clause automata and the nested product DFS that produced it.
 //
 // EventualOutput outcomes are rejected: the schema is checked
 // existentially (EvUsageHolds), and its failures — "no run ever reaches
@@ -154,9 +154,8 @@ func Replay(o *Outcome) error {
 		return fmt.Errorf("verify: %s: witness is not a run of the LTS: %w", o.Property, err)
 	}
 	tr := o.Witness.Raw.Trace(m.Labels)
-	ba := mucalc.Translate(mucalc.Not{F: mucalc.Simplify(o.Formula)})
-	if !ba.AcceptsLasso(tr.Prefix, tr.Cycle) {
-		return fmt.Errorf("verify: %s: witness run does not violate the property (¬ϕ automaton rejects its label word)", o.Property)
+	if mucalc.EvalLasso(o.Formula, tr.Prefix, tr.Cycle) {
+		return fmt.Errorf("verify: %s: witness run does not violate the property (ϕ holds on its label word)", o.Property)
 	}
 	return nil
 }

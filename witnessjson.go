@@ -9,7 +9,7 @@ type WitnessJSON struct {
 	Stem  []WitnessStepJSON `json:"stem"`
 	Cycle []WitnessStepJSON `json:"cycle"`
 	// Replayed records that Replay re-validated the lasso against the
-	// LTS and the property's Büchi automaton before serialisation.
+	// LTS and the property's formula before serialisation.
 	Replayed bool `json:"replayed"`
 }
 
