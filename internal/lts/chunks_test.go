@@ -133,8 +133,8 @@ func snapshotCase(s *systems.System, limit int) layoutCase {
 
 // TestChunkedLayoutMatchesFlat builds each LTS three times — with every
 // array in one chunk (the flat layout), with the default chunks, and
-// with chunks of at most eight elements, where state vectors and edge
-// runs cross chunk boundaries and outgrow whole chunks — and checks that
+// with chunks of at most eight elements, where state keys and edge runs
+// cross chunk boundaries and outgrow whole chunks — and checks that
 // Out, EdgePerm, StateComps and NumEdges read the same from all three.
 func TestChunkedLayoutMatchesFlat(t *testing.T) {
 	var cases []layoutCase
@@ -143,6 +143,7 @@ func TestChunkedLayoutMatchesFlat(t *testing.T) {
 	}
 	pp6 := systems.PingPongPairs(6, false)
 	cases = append(cases,
+		exploreCase(systems.Ring(70, 1), false, 0), // keys of four words
 		exploreCase(pp6, true, 0),
 		exploreCase(pp6, false, 300),
 		snapshotCase(pp6, 200),
@@ -159,8 +160,8 @@ func TestChunkedLayoutMatchesFlat(t *testing.T) {
 			t.Run("flat", func(t *testing.T) {
 				lts.SetChunkGeometry(t, flat, flat)
 				m := c.build(t)
-				if comps, edges := lts.Chunks(m); comps > 1 || edges != 1 {
-					t.Fatalf("flat geometry 1<<%d: %d and %d chunks, want one per array", flat, comps, edges)
+				if keys, edges := lts.Chunks(m); keys > 1 || edges != 1 {
+					t.Fatalf("flat geometry 1<<%d: %d and %d chunks, want one per array", flat, keys, edges)
 				}
 				ref = readLayout(m)
 			})

@@ -294,7 +294,7 @@ func TestAddEdgeDedupHighDegree(t *testing.T) {
 	sem.Cache = typelts.NewCache(sem.Env, sem.WitnessOnly)
 	b := newBuilder(sem, DefaultMaxStates)
 	// Seed two real states so dst indices are valid.
-	b.internState(sem.InternLeaves(t0), 1)
+	b.internState(b.orderComps(sem.InternLeaves(t0)), 1)
 	const total = 96
 	b.beginState(total)
 	for round := 0; round < 2; round++ { // second round: all duplicates
@@ -320,7 +320,7 @@ func TestPeekSeenRegistersNothing(t *testing.T) {
 	sem, t0 := pingPong()
 	b := prepBuilder(context.Background(), sem, t0, Options{PartialOrder: &POR{}})
 	in := b.sem.Cache.Interner()
-	b.expandState(b.l.StateComps(0))
+	b.expandState(0)
 	if len(b.props) == 0 {
 		t.Fatal("root has no proposals")
 	}
@@ -357,7 +357,7 @@ func TestSyncSweepPairsCopiesOfOneComponent(t *testing.T) {
 		t.Fatalf("explored %d states, want the copies to move", n.States)
 	}
 	b := prepBuilder(context.Background(), sem, init, Options{})
-	b.expandState(b.l.StateComps(0))
+	b.expandState(0)
 	pairs := map[[2]int32]bool{}
 	for _, p := range b.props {
 		if p.j >= 0 {

@@ -11,8 +11,7 @@ import (
 )
 
 // CollideStateHashes zeroes every state hash for the rest of the test,
-// the full hash of a vector and the incremental hash of an edit alike,
-// so the state table can tell states apart only by comparing vectors.
+// so the state table can tell states apart only by comparing keys.
 func CollideStateHashes(t testing.TB) {
 	hashMask = 0
 	t.Cleanup(func() { hashMask = ^uint64(0) })
@@ -27,10 +26,10 @@ func SetChunkGeometry(t testing.TB, first, cap int) {
 	t.Cleanup(func() { chunkFirstLog, chunkCapLog = f, c })
 }
 
-// Chunks returns the number of chunks of the LTS's arena and of its
+// Chunks returns the number of chunks of the LTS's key store and of its
 // edges, not counting the slots an oversized chunk spans.
-func Chunks(l *LTS) (comps, edges int) {
-	return chunkCount(&l.comps), chunkCount(&l.edges)
+func Chunks(l *LTS) (keys, edges int) {
+	return chunkCount(&l.keys), chunkCount(&l.edges)
 }
 
 func chunkCount[T any](c *chunked[T]) int {
@@ -43,11 +42,15 @@ func chunkCount[T any](c *chunked[T]) int {
 	return n
 }
 
+// KeyWords returns the number of words in each of the LTS's state keys.
+func KeyWords(l *LTS) int { return 1 << l.wlog }
+
 // KeptBytes returns the bytes the LTS's own arrays hold: every chunk and
-// chunk list of its arena, edges, offsets and edge permutations at full
-// capacity, its alphabet and its orbit sizes.
+// chunk list of its key store, edges, offsets and edge permutations at
+// full capacity, its rank decoding, its alphabet and its orbit sizes.
 func KeptBytes(l *LTS) int64 {
-	n := chunkedBytes(&l.comps) + chunkedBytes(&l.compStart) + chunkedBytes(&l.edges) + chunkedBytes(&l.start)
+	n := chunkedBytes(&l.keys) + chunkedBytes(&l.edges) + chunkedBytes(&l.start)
+	n += int64(cap(l.comp))*int64(unsafe.Sizeof(types.ID(0))) + int64(cap(l.first))*4
 	n += int64(cap(l.Labels)) * int64(unsafe.Sizeof(typelts.Label(nil)))
 	if l.Sym != nil {
 		n += chunkedBytes(&l.Sym.edgePerms) + int64(cap(l.Sym.OrbitSizes))*8
@@ -77,15 +80,15 @@ type ExpansionCheck struct {
 //     sweep over all k(k−1) ordered pairs, filtered by typelts.MaySync,
 //     proposes, in the same order;
 //   - for every proposal, findEdit must return exactly what building the
-//     successor, sorting it by rank and probing with stateTable.find
-//     returns.
+//     successor multiset, keying it copy by copy and probing with
+//     stateTable.find returns.
 func CheckExpansions(t testing.TB, sem *typelts.Semantics, init types.Type, opts Options, incremental bool) ExpansionCheck {
 	t.Helper()
 	var n ExpansionCheck
 	fails := 0
 	check := func(b *builder, s int) {
 		comps := b.l.StateComps(s)
-		b.expandState(comps)
+		b.expandState(s)
 		got := b.props
 		want := referenceProposals(b, comps)
 		n.States++
@@ -170,25 +173,31 @@ func sameProposals(a, b []proposal) bool {
 	})
 }
 
-// referenceFind builds the successor of p, sorts it by rank when every
-// component has one (a component without a rank is in no state, so the
-// order cannot matter) and probes the table with it.
+// referenceFind builds the successor multiset of p, keys it by setting
+// the ranks of copies 0…m−1 of each component held m times and probes
+// the table with that key. A component or copy without a rank is in no
+// state, so then the successor is new: (-1, -1, 0), as findEdit reports
+// it.
 func referenceFind(b *builder, p proposal) (int32, int, uint32) {
-	var succ []types.ID
-	for k, c := range b.cur {
+	count := map[types.ID]int{}
+	for k, r := range b.curRanks {
 		if k != int(p.i) && k != int(p.j) {
-			succ = append(succ, c)
+			count[b.l.comp[r]]++
 		}
 	}
-	succ = append(succ, p.m.st.Next...)
-	rs := make([]int32, len(succ))
-	for k, id := range succ {
+	for _, id := range p.m.st.Next {
+		count[id]++
+	}
+	key := make([]uint64, 1<<b.l.wlog)
+	for id, m := range count {
 		r, ok := b.ranks.idx[id]
-		if !ok {
-			return b.table.find(b.l, succ)
+		if !ok || m > 1+len(b.ranks.rows[r].copies) {
+			return -1, -1, 0
 		}
-		rs[k] = r
+		key[r>>6] |= 1 << (r & 63)
+		for _, c := range b.ranks.rows[r].copies[:m-1] {
+			key[c>>6] |= 1 << (c & 63)
+		}
 	}
-	sortByRanks(succ, rs)
-	return b.table.find(b.l, succ)
+	return b.table.find(b.l, key)
 }

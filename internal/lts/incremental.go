@@ -101,7 +101,7 @@ func (x *Incremental) Err() error { return x.err }
 func (x *Incremental) StateType(s int) types.Type { return x.b.l.StateType(s) }
 
 // StateComps returns the rank-sorted component multiset of a discovered
-// state. The slice is owned by the explorer; callers must not mutate it.
+// state (see LTS.StateComps), decoded afresh; the caller owns the slice.
 func (x *Incremental) StateComps(s int) []types.ID { return x.b.l.StateComps(s) }
 
 // Succ returns the outgoing edges of state s, expanding it on first
@@ -149,7 +149,8 @@ func (x *Incremental) grow() {
 // discovered state was expanded, and Truncated if the state bound was
 // hit. Witness runs extracted by the checker only visit expanded states,
 // so they validate against the snapshot. The snapshot shares the
-// explorer's state arena (later expansions only append to it) and copies
+// explorer's key store and rank decoding (later expansions only append
+// to them, and a widening rewrites the keys into a new store) and copies
 // the edges into state order.
 func (x *Incremental) Snapshot() *LTS {
 	src := x.b.l
@@ -157,8 +158,10 @@ func (x *Incremental) Snapshot() *LTS {
 	l := &LTS{
 		Initial:   src.Initial,
 		Truncated: src.Truncated,
-		comps:     src.comps.frozen(),
-		compStart: src.compStart.frozen(),
+		keys:      src.keys.frozen(),
+		wlog:      src.wlog,
+		comp:      src.comp,
+		first:     src.first,
 		in:        src.in,
 		root:      src.root,
 		Labels:    append([]typelts.Label{}, src.Labels...),

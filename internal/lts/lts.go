@@ -3,23 +3,25 @@
 // extraction and DOT export. It is the bridge between the type semantics
 // (Def. 4.2) and the linear-time model checker (Def. 4.6).
 //
-// A state is a vector of hash-consed component IDs (the FlattenPar
-// leaves, interned in the semantics' types.Interner), sorted by the
-// exploration's own encounter rank. Each exploration owns its states:
-// the vectors live in the LTS's arena, indexed by an open-addressed
-// table of state numbers (statetable.go), and the shared interner never
-// sees a whole state — a state's type is built only when asked for
-// (StateType). Each exploration also keeps a rank table: per component,
-// its typelts entry and the components it may synchronise with, fetched
+// A state is a multiset of hash-consed component IDs (the FlattenPar
+// leaves, interned in the semantics' types.Interner). Each exploration
+// ranks the components it meets in encounter order, giving the k-th
+// copy of a component a rank of its own, and stores a state as one
+// fixed-width key: the bitset of its components' ranks. Key equality is
+// multiset equality, so the open-addressed table of state numbers
+// (statetable.go) compares keys only, and the shared interner never sees
+// a whole state — a state's type is built only when asked for
+// (StateType). The exploration's rank table keeps, per component, its
+// typelts entry and the components it may synchronise with, fetched
 // once. A state is expanded through that table into proposals, each an
-// edit of the state's vector, and a successor is found from its edit by
-// an incremental hash; only a new state's vector is ever built. Labels
-// are interned into a dense per-LTS alphabet, and edges are stored
-// CSR-style, one contiguous run per state — which is what lets the model
-// checker precompute per-Büchi-state admit bitsets and walk the product
-// with plain array indexing (see DESIGN.md). The arena, the edges and
-// their offsets grow in chunks that are never copied (chunked), so an
-// exploration allocates about what it keeps.
+// edit of the state's key, and a successor's key is the parent's with
+// the acting components' bits cleared and the replacements' bits set.
+// Labels are interned into a dense per-LTS alphabet, and edges are
+// stored CSR-style, one contiguous run per state — which is what lets
+// the model checker precompute per-Büchi-state admit bitsets and walk
+// the product with plain array indexing (see DESIGN.md). The keys, the
+// edges and their offsets grow in chunks that are never copied
+// (chunked), so an exploration allocates about what it keeps.
 package lts
 
 import (
@@ -53,10 +55,16 @@ type Edge struct {
 // self-loop so that all maximal runs are infinite (Def. 4.6 quantifies
 // over complete runs; see DESIGN.md §4.4).
 type LTS struct {
-	// comps is the state arena: state s's component vector is the run of
-	// comps starting at index compStart[s] (see StateComps).
-	comps     chunked[types.ID]
-	compStart chunked[int32]
+	// keys is the state store: state s's key is the 1<<wlog words
+	// starting at index s<<wlog (see key). Every word count is a power of
+	// two and so are the chunks' sizes, so the keys are packed without
+	// gaps.
+	keys chunked[uint64]
+	wlog uint
+	// comp and first decode a key: rank r is a copy of component comp[r],
+	// whose first copy has rank first[r] (r itself for a first copy).
+	comp  []types.ID
+	first []int32
 	// in builds state types on demand (StateType); root, when non-nil,
 	// is state 0's type as the caller gave it.
 	in   *types.Interner
@@ -248,30 +256,28 @@ func prepBuilder(ctx context.Context, sem *typelts.Semantics, init types.Type, o
 		// this with its own expansion map.
 		b.porExpanded = func(s int32) bool { return s < b.porCur }
 	}
-	root := sem.InternLeaves(init)
-	b.orderComps(root)
+	rs := b.orderComps(sem.InternLeaves(init))
 	size := int64(1)
 	if b.sym != nil {
 		var canon []types.ID
 		var perm int32
-		canon, perm, size = b.sym.canonicalise(root, nil)
+		canon, perm, size = b.sym.canonicalise(b.idsOf(rs), nil)
 		b.l.Sym.RootPerm = perm
 		if perm != 0 {
 			// The canonical root is a different state; its type is
 			// materialised from the interner like any other state's.
-			root = canon
-			b.orderComps(root)
+			rs = b.orderComps(canon)
 			init = nil
 		}
 	}
 	b.l.root = init
-	b.internState(root, size)
+	b.internState(rs, size)
 	return b
 }
 
 // builder holds the mutable state of one exploration: the LTS under
-// construction (whose arena holds the state vectors), the state table
-// indexing that arena, the rank table and the dense label index. It is
+// construction (whose store holds the state keys), the state table
+// indexing that store, the rank table and the dense label index. It is
 // used by one goroutine.
 type builder struct {
 	sem       *typelts.Semantics
@@ -281,23 +287,21 @@ type builder struct {
 	labelIdx  map[typelts.LabelKey]int32
 	maxStates int
 	// rankScratch buffers the ranks during orderComps and materialise;
-	// succBuf receives the successor vector materialise builds;
-	// canonBuf receives symmetry representatives.
+	// key receives the keys findEdit and keyOf build; succBuf receives
+	// the vectors idsOf decodes for symmetry to canonicalise, and
+	// canonBuf their representatives.
 	rankScratch []int32
+	key         []uint64
 	succBuf     []types.ID
 	canonBuf    []types.ID
 
-	// The state being expanded (expandState): its vector, the rank of
-	// each position, and the sum of its hash terms, which findEdit
-	// adjusts by each proposal's edit. firstPos[r] is one plus the first
-	// position holding rank r during the sync sweep, and zero otherwise.
-	// nextAt holds, while findEdit compares a proposal in place, the
-	// parent position each of its replacements goes before.
-	cur      []types.ID
+	// The state being expanded (expandState): its key, which findEdit
+	// edits per proposal, and the first rank of each of its components,
+	// ascending. firstPos[r] is one plus the first position holding rank
+	// r during the sync sweep, and zero otherwise.
+	curKey   []uint64
 	curRanks []int32
-	curSum   uint64
 	firstPos []int32
-	nextAt   []int
 
 	// ctx is polled between expansions; a cancelled context aborts the
 	// exploration with an error wrapping ctx.Err(). progress, when
@@ -328,41 +332,49 @@ type builder struct {
 }
 
 func newBuilder(sem *typelts.Semantics, maxStates int) *builder {
+	l := &LTS{Initial: 0, in: sem.Cache.Interner()}
 	return &builder{
 		sem:       sem,
-		l:         &LTS{Initial: 0, in: sem.Cache.Interner()},
+		l:         l,
 		table:     newStateTable(),
-		ranks:     rankTable{sem: sem, idx: make(map[types.ID]int32, 64)},
+		ranks:     rankTable{sem: sem, l: l, idx: make(map[types.ID]int32, 64)},
 		labelIdx:  make(map[typelts.LabelKey]int32, 16),
 		maxStates: maxStates,
 	}
 }
 
-// rankTable is the per-exploration table of components, indexed by the
-// dense rank each component gets on first encounter in a registered
-// state. State vectors are sorted by rank — NOT by interner ID value,
-// whose assignment order is scheduler-dependent when concurrent
-// explorations intern fresh successor types into one shared cache.
-// Ordering by rank makes iteration order — and therefore proposal order,
-// state numbering and the CSR arrays — independent of the interner's ID
-// assignment order, which is what keeps an exploration over a shared
-// cache deterministic (see DESIGN.md). Ranks are unique, so the
-// rank-sorted vector is also the canonical key of the multiset.
+// rankTable is the per-exploration table of component ranks. A component
+// gets a dense rank on first encounter in a registered state, and its
+// k-th copy gets a rank of its own the first time a state holds k+1
+// copies, so a state's key — the bitset of its components' ranks — is
+// exact: a state with m copies of a component holds the ranks of copies
+// 0…m−1. Expansion orders a state's components by their first copy's
+// rank — NOT by interner ID value, whose assignment order is
+// scheduler-dependent when concurrent explorations intern fresh
+// successor types into one shared cache. Ordering by rank makes
+// iteration order — and therefore proposal order, state numbering and
+// the CSR arrays — independent of the interner's ID assignment order,
+// which is what keeps an exploration over a shared cache deterministic
+// (see DESIGN.md).
 //
-// Per rank the table keeps what expansion asks of a component, fetched
-// once per exploration rather than once per state: its typelts entry,
-// its Y-limited solo steps, and the ranks it may synchronise with. A row
-// is fetched when the first state holding it is expanded, so components
-// of states that are only discovered cost no typelts work.
+// Per first rank the table keeps what expansion asks of a component,
+// fetched once per exploration rather than once per state: its typelts
+// entry, its Y-limited solo steps, and the ranks it may synchronise
+// with. A row is fetched when the first state holding it is expanded, so
+// components of states that are only discovered cost no typelts work.
+// The ranks' components and first copies are kept in the LTS, which
+// decodes keys with them.
 type rankTable struct {
-	sem  *typelts.Semantics
+	sem *typelts.Semantics
+	l   *LTS
+	// idx maps a component to its first rank.
 	idx  map[types.ID]int32
 	rows []rankRow
 }
 
-// rankRow is the rank table's row of one component.
+// rankRow is the rank table's row of one rank. Only a first copy's row
+// is ever fetched; a further copy's row is empty.
 type rankRow struct {
-	id types.ID
 	// comp is the component's typelts entry (nil until fetched) and solo
 	// its steps that survive the Y-limitation.
 	comp *typelts.Component
@@ -371,6 +383,9 @@ type rankRow struct {
 	// one may meet (typelts.MaySync), ascending; the list grows as rows
 	// are fetched.
 	partners []partner
+	// copies are the ranks of the component's copies after the first,
+	// in copy order.
+	copies []int32
 }
 
 // partner is one entry of a partner list: the input side's rank and the
@@ -387,15 +402,9 @@ type partner struct {
 type move struct {
 	st  *typelts.CompStep
 	lid int32
-	// next is st.Next with its ranks, sorted by rank; it is set once
-	// every component of st.Next has a rank (rankNext).
-	next []rankedID
-}
-
-// rankedID is a component ID with its rank.
-type rankedID struct {
-	id   types.ID
-	rank int32
+	// next holds the first ranks of st.Next; it is set once every
+	// component of st.Next has a rank (nextRanks).
+	next []int32
 }
 
 // movesOf wraps steps as moves with no label index yet.
@@ -407,16 +416,105 @@ func movesOf(steps []typelts.CompStep) []move {
 	return ms
 }
 
-// rankOf returns the rank of a component ID, assigning the next dense
-// rank on first encounter.
+// rankOf returns the first rank of a component ID, assigning the next
+// dense rank on first encounter.
 func (t *rankTable) rankOf(id types.ID) int32 {
 	if r, ok := t.idx[id]; ok {
 		return r
 	}
-	r := int32(len(t.rows))
+	r := t.newRank(id, int32(len(t.rows)))
 	t.idx[id] = r
-	t.rows = append(t.rows, rankRow{id: id})
 	return r
+}
+
+// newRank assigns the next dense rank to a copy of component id whose
+// first copy has rank first.
+func (t *rankTable) newRank(id types.ID, first int32) int32 {
+	r := int32(len(t.rows))
+	t.rows = append(t.rows, rankRow{})
+	t.l.comp = append(t.l.comp, id)
+	t.l.first = append(t.l.first, first)
+	return r
+}
+
+// keyOf builds in key the key of the state with sorted first ranks rs,
+// at the store's width. It ranks the copies no earlier state held
+// first (addCopies), and reports whether a new rank widened the keys
+// (LTS.fit).
+func (t *rankTable) keyOf(rs []int32, key []uint64) (_ []uint64, widened bool) {
+	t.addCopies(rs)
+	widened = t.l.fit()
+	key = append(key[:0], make([]uint64, 1<<t.l.wlog)...)
+	for _, r := range rs {
+		t.putCopy(key, r)
+	}
+	return key, widened
+}
+
+// addCopies ranks every copy of the state whose sorted first ranks are
+// rs.
+func (t *rankTable) addCopies(rs []int32) {
+	for lo := 0; lo < len(rs); {
+		r, hi := rs[lo], lo+1
+		for hi < len(rs) && rs[hi] == r {
+			hi++
+		}
+		for len(t.rows[r].copies) < hi-lo-1 {
+			c := t.newRank(t.l.comp[r], r)
+			t.rows[r].copies = append(t.rows[r].copies, c)
+		}
+		lo = hi
+	}
+}
+
+// takeCopy clears from key the bit of the highest copy of first rank r
+// it holds.
+func (t *rankTable) takeCopy(key []uint64, r int32) {
+	cs := t.rows[r].copies
+	for k := len(cs) - 1; k >= 0; k-- {
+		if hasBit(key, cs[k]) {
+			key[cs[k]>>6] &^= 1 << (cs[k] & 63)
+			return
+		}
+	}
+	key[r>>6] &^= 1 << (r & 63)
+}
+
+// putCopy sets in key the bit of the lowest copy of first rank r it does
+// not hold, and reports false when that copy has no rank yet.
+func (t *rankTable) putCopy(key []uint64, r int32) bool {
+	if !hasBit(key, r) {
+		key[r>>6] |= 1 << (r & 63)
+		return true
+	}
+	for _, c := range t.rows[r].copies {
+		if !hasBit(key, c) {
+			key[c>>6] |= 1 << (c & 63)
+			return true
+		}
+	}
+	return false
+}
+
+func hasBit(key []uint64, r int32) bool { return key[r>>6]&(1<<(r&63)) != 0 }
+
+// nextRanks returns the first ranks of a move's replacements, looked up
+// once, as soon as every one of them has a rank; before, it reports
+// false.
+func (t *rankTable) nextRanks(m *move) ([]int32, bool) {
+	if len(m.next) == len(m.st.Next) {
+		return m.next, true
+	}
+	for _, id := range m.st.Next {
+		if _, ok := t.idx[id]; !ok {
+			return nil, false
+		}
+	}
+	m.next = make([]int32, len(m.st.Next))
+	for k, id := range m.st.Next {
+		m.next[k] = t.idx[id]
+	}
+	return m.next, true
 }
 
 // fetch returns the row of rank r, fetching its typelts entry on first
@@ -428,7 +526,7 @@ func (t *rankTable) fetch(r int32) *rankRow {
 	if row.comp != nil {
 		return row
 	}
-	c := t.sem.Component(row.id)
+	c := t.sem.Component(t.l.comp[r])
 	row.comp = c
 	for k := range c.Steps {
 		if t.sem.KeepLabel(c.Steps[k].Label) {
@@ -467,52 +565,73 @@ func (t *rankTable) syncs(x, y int32) []move {
 // its partner p, looking them up on first use.
 func (t *rankTable) partnerMoves(x int32, p *partner) []move {
 	if !p.fetched {
-		p.moves = movesOf(t.sem.SyncSteps(t.rows[x].id, t.rows[p.rank].id))
+		p.moves = movesOf(t.sem.SyncSteps(t.l.comp[x], t.l.comp[p.rank]))
 		p.fetched = true
 	}
 	return p.moves
 }
 
-// orderComps assigns ranks to every ID (in slice order, so new
-// components are ranked in deterministic encounter order) and sorts the
-// slice by rank.
-func (b *builder) orderComps(ids []types.ID) {
+// orderComps assigns first ranks to every ID (in slice order, so new
+// components are ranked in deterministic encounter order) and returns
+// them, sorted, in rankScratch.
+func (b *builder) orderComps(ids []types.ID) []int32 {
 	rs := b.rankScratch[:0]
 	for _, id := range ids {
 		rs = append(rs, b.ranks.rankOf(id))
 	}
 	b.rankScratch = rs
-	sortByRanks(ids, rs)
+	sortRanks(rs)
+	return rs
 }
 
-// sortByRanks co-sorts ids with their ranks rs. Multisets arrive mostly
-// sorted (the kept parent components already are), so the insertion
-// sort is near-linear and compares plain ints.
-func sortByRanks(ids []types.ID, rs []int32) {
-	for i := 1; i < len(ids); i++ {
+// sortRanks sorts first ranks. Multisets arrive mostly sorted (the kept
+// parent components already are), so the insertion sort is near-linear.
+func sortRanks(rs []int32) {
+	for i := 1; i < len(rs); i++ {
 		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
 			rs[j], rs[j-1] = rs[j-1], rs[j]
-			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }
 
-// internState registers the state with the given rank-sorted component
-// vector, copying it into the arena when it is new; size is its orbit
-// size under symmetry (canonicalise).
-func (b *builder) internState(comps []types.ID, size int64) int32 {
-	s, at, tag := b.table.find(b.l, comps)
+// idsOf translates first ranks into the component vector, in succBuf.
+func (b *builder) idsOf(rs []int32) []types.ID {
+	ids := b.succBuf[:0]
+	for _, r := range rs {
+		ids = append(ids, b.l.comp[r])
+	}
+	b.succBuf = ids
+	return ids
+}
+
+// keyOf builds in b.key the key of the state with sorted first ranks
+// rs (rankTable.keyOf). When the keys widen, it rehashes the table and
+// widens the key of the state being expanded.
+func (b *builder) keyOf(rs []int32) []uint64 {
+	var widened bool
+	if b.key, widened = b.ranks.keyOf(rs, b.key); widened {
+		b.table.rehash(b.l, len(b.table.slots))
+		b.curKey = append(b.curKey, make([]uint64, 1<<b.l.wlog-len(b.curKey))...)
+	}
+	return b.key
+}
+
+// internState registers the state with the given sorted first ranks,
+// storing its key when it is new; size is its orbit size under symmetry
+// (canonicalise).
+func (b *builder) internState(rs []int32, size int64) int32 {
+	s, at, tag := b.table.find(b.l, b.keyOf(rs))
 	if s >= 0 {
 		return s
 	}
-	return b.addState(comps, at, tag, size)
+	return b.addState(b.key, at, tag, size)
 }
 
-// addState copies a new state's vector into the arena and records it at
-// the empty table slot a probe returned.
-func (b *builder) addState(comps []types.ID, at int, tag uint32, size int64) int32 {
+// addState stores a new state's key and records it at the empty table
+// slot a probe returned.
+func (b *builder) addState(key []uint64, at int, tag uint32, size int64) int32 {
 	s := int32(b.l.Len())
-	b.l.addVector(comps)
+	b.l.addKey(key)
 	b.table.insert(at, tag, s)
 	if b.sym != nil {
 		b.l.Sym.OrbitSizes = append(b.l.Sym.OrbitSizes, size)
@@ -573,8 +692,9 @@ func (b *builder) appendEdge(e Edge, perm int32) {
 // register is the shared successor-registration path of both engines
 // (Explore and Incremental): find the proposal's successor, intern it
 // and its label, and splice the edge. Without symmetry the successor is
-// found from the edit alone (findEdit); only a new state is built,
-// ranked and sorted. Under symmetry the successor is built and
+// found from the edited key alone (findEdit); only when a replacement,
+// or a copy of one, has no rank yet is the successor's rank vector built
+// to rank it. Under symmetry the successor's vector is built and
 // canonicalised to its orbit representative, and the canonicalisation
 // permutation is recorded with the edge. Everything order-sensitive
 // (ranks, state numbers, label indices, permutation table indices) is
@@ -586,20 +706,22 @@ func (b *builder) register(p proposal) {
 		var at int
 		var tag uint32
 		if dst, at, tag = b.findEdit(p); dst < 0 {
-			dst, fresh = b.addState(b.materialise(p), at, tag, 1), true
+			if at < 0 {
+				_, at, tag = b.table.find(b.l, b.keyOf(b.materialise(p)))
+			}
+			dst, fresh = b.addState(b.key, at, tag, 1), true
 		}
 	} else {
-		succ := b.materialise(p)
+		rs := b.materialise(p)
 		var canon []types.ID
 		var size int64
-		canon, perm, size = b.sym.canonicalise(succ, b.canonBuf)
+		canon, perm, size = b.sym.canonicalise(b.idsOf(rs), b.canonBuf)
 		if perm != 0 {
 			b.canonBuf = canon
-			succ = canon
-			b.orderComps(succ)
+			rs = b.orderComps(canon)
 		}
 		n := b.l.Len()
-		dst = b.internState(succ, size)
+		dst = b.internState(rs, size)
 		fresh = int(dst) == n
 	}
 	lid := p.m.lid
@@ -610,145 +732,60 @@ func (b *builder) register(p proposal) {
 	b.addEdge(lid, dst, perm, fresh)
 }
 
-// materialise builds the successor vector of a proposal in succBuf, rank
-// sorted: the parent's vector without the acting positions, then the
-// replacements, ranked in that order (so new components are ranked in
+// materialise builds the successor's first ranks in rankScratch,
+// sorted: the parent's without the acting positions, then the
+// replacements', ranked in that order (so new components are ranked in
 // deterministic encounter order).
-func (b *builder) materialise(p proposal) []types.ID {
-	succ, rs := b.succBuf[:0], b.rankScratch[:0]
-	for k, c := range b.cur {
+func (b *builder) materialise(p proposal) []int32 {
+	rs := b.rankScratch[:0]
+	for k, r := range b.curRanks {
 		if k != int(p.i) && k != int(p.j) {
-			succ = append(succ, c)
-			rs = append(rs, b.curRanks[k])
+			rs = append(rs, r)
 		}
 	}
 	for _, id := range p.m.st.Next {
-		succ = append(succ, id)
 		rs = append(rs, b.ranks.rankOf(id))
 	}
-	b.succBuf, b.rankScratch = succ, rs
-	sortByRanks(succ, rs)
-	return succ
+	b.rankScratch = rs
+	sortRanks(rs)
+	return rs
 }
 
 // findEdit probes the state table for a proposal's successor without
-// building it. The successor's hash is the parent's term sum minus the
-// acting components' terms plus the replacements' (see statetable.go),
-// and a candidate is compared in place against the parent with the edit
-// applied (sameAsEdit). A replacement with no rank is in no registered
-// state, so then no candidate can match and the probe only looks for the
-// empty slot where the successor belongs. It returns what find returns.
+// building its components. It builds the successor's key in b.key from
+// the parent's: the acting components' highest copies out, the
+// replacements' lowest free copies in. A replacement, or a copy of one,
+// with no rank is in no registered state, so then the successor is new
+// and findEdit returns -1 without probing, with at -1 too. Otherwise it
+// returns what find returns.
 func (b *builder) findEdit(p proposal) (state int32, at int, tag uint32) {
-	sum, n := b.curSum-compTerm(b.cur[p.i]), len(b.cur)-1
+	t := &b.ranks
+	next, ok := t.nextRanks(p.m)
+	if !ok {
+		return -1, -1, 0
+	}
+	key := append(b.key[:0], b.curKey...)
+	b.key = key
+	t.takeCopy(key, b.curRanks[p.i])
 	if p.j >= 0 {
-		sum -= compTerm(b.cur[p.j])
-		n--
+		t.takeCopy(key, b.curRanks[p.j])
 	}
-	for _, id := range p.m.st.Next {
-		sum += compTerm(id)
-	}
-	n += len(p.m.st.Next)
-	h := stateHash(sum, n)
-	t := &b.table
-	t.reserve(b.l)
-	tag, mask := uint32(h>>32), len(t.slots)-1
-	ranked := 0 // 1: the replacements are ranked and sorted; -1: one has no rank
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		sl := t.slots[i]
-		if sl.state == 0 {
-			return -1, i, tag
-		}
-		if sl.tag != tag {
-			continue
-		}
-		if ranked == 0 {
-			ranked = b.rankNext(p.m)
-		}
-		if ranked > 0 && b.sameAsEdit(b.l.StateComps(int(sl.state-1)), p, n) {
-			return sl.state - 1, i, tag
+	for _, r := range next {
+		if !t.putCopy(key, r) {
+			return -1, -1, 0
 		}
 	}
+	return b.table.find(b.l, key)
 }
 
-// rankNext places a move's replacements for the state being expanded:
-// it sorts them by rank (once per move, as soon as all of them have a
-// rank) and fills nextAt with the parent position each one goes before.
-// It reports 1, or -1 when a replacement has no rank yet.
-func (b *builder) rankNext(m *move) int {
-	if len(m.next) != len(m.st.Next) {
-		for _, id := range m.st.Next {
-			if _, ok := b.ranks.idx[id]; !ok {
-				return -1
-			}
-		}
-		next := make([]rankedID, len(m.st.Next))
-		for k, id := range m.st.Next {
-			next[k] = rankedID{id, b.ranks.idx[id]}
-			for q := k; q > 0 && next[q].rank < next[q-1].rank; q-- {
-				next[q], next[q-1] = next[q-1], next[q]
-			}
-		}
-		m.next = next
-	}
-	at := b.nextAt[:0]
-	for _, x := range m.next {
-		k, _ := slices.BinarySearch(b.curRanks, x.rank)
-		at = append(at, k)
-	}
-	b.nextAt = at
-	return 1
-}
-
-// sameAsEdit reports whether the n-component state vector v is the
-// successor of proposal p: the parent's vector without the acting
-// positions, with the rank-sorted replacements inserted at their places
-// (rankNext). It compares the parent's runs between those cut points in
-// bulk.
-func (b *builder) sameAsEdit(v []types.ID, p proposal, n int) bool {
-	if len(v) != n {
-		return false
-	}
-	comps := b.cur
-	i, j := int(p.i), int(p.j)
-	k, w, q := 0, 0, 0
-	for {
-		stop := len(comps)
-		if i >= k {
-			stop = min(stop, i)
-		}
-		if j >= k {
-			stop = min(stop, j)
-		}
-		if q < len(b.nextAt) {
-			stop = min(stop, b.nextAt[q])
-		}
-		if !slices.Equal(comps[k:stop], v[w:w+stop-k]) {
-			return false
-		}
-		w += stop - k
-		k = stop
-		switch {
-		case q < len(b.nextAt) && b.nextAt[q] == k:
-			if v[w] != p.m.next[q].id {
-				return false
-			}
-			w++
-			q++
-		case k == len(comps):
-			return true
-		default: // k is an acting position
-			k++
-		}
-	}
-}
-
-// completeRun appends the run-completion self-loop of an edge-less state
-// (✔^ω for proper termination, ⊠^ω for deadlock): a state whose
-// expansion produced no edges gets exactly one completion edge.
+// completeRun appends the run-completion self-loop of the state just
+// expanded when it has no edges (✔^ω for proper termination, ⊠^ω for
+// deadlock): a state whose expansion produced no edges gets exactly one
+// completion edge.
 func (b *builder) completeRun(next int) {
 	if b.l.edges.pos == b.from {
 		var lab typelts.Label = typelts.Stuck{}
-		if len(b.l.StateComps(next)) == 0 {
+		if len(b.curRanks) == 0 {
 			lab = typelts.Done{}
 		}
 		b.appendEdge(Edge{Label: b.internLabel(b.sem.Cache.LabelKeyOf(lab), lab), Dst: int32(next)}, 0)
@@ -756,10 +793,10 @@ func (b *builder) completeRun(next int) {
 }
 
 // proposal is one candidate edge of the state being expanded
-// (expandState), as an edit of its vector: the acting positions and the
-// move, whose step's Next replaces them and whose label the edge
-// carries. No successor vector is built for it; register and the cycle
-// proviso's probe find the successor from the edit (findEdit).
+// (expandState), as an edit of its components: the acting positions and
+// the move, whose step's Next replaces them and whose label the edge
+// carries. No successor is built for it; register and the cycle
+// proviso's probe find the successor from the edited key (findEdit).
 type proposal struct {
 	m *move
 	// i and j are the acting positions in the parent's component
@@ -769,27 +806,24 @@ type proposal struct {
 	i, j int32
 }
 
-// expandState fills b.props with the edge proposals of the state comps,
-// in the canonical per-state edge order: interleaving steps of each
-// component (Y-limited), then pairwise synchronisations — an output of
-// component i meeting an input of component j ≠ i (τ labels always
-// survive the Y-limitation) — in ascending (i, j) order. Everything per
-// component comes from its rank table row. The sync sweep walks, for
-// each component with an output, only its partner ranks (the ranks its
-// ports may meet), and of those only the ones present in the state:
-// the state is rank-sorted, so ascending partner ranks are ascending
-// positions, and the proposal list is exactly the one of a k(k−1) sweep
-// over every ordered pair.
-func (b *builder) expandState(comps []types.ID) {
+// expandState decodes state s's key into b.curKey and b.curRanks and
+// fills b.props with its edge proposals, in the canonical per-state edge
+// order: interleaving steps of each component (Y-limited), then pairwise
+// synchronisations — an output of component i meeting an input of
+// component j ≠ i (τ labels always survive the Y-limitation) — in
+// ascending (i, j) order, positions counted in first-rank order.
+// Everything per component comes from its rank table row. The sync sweep
+// walks, for each component with an output, only its partner ranks (the
+// ranks its ports may meet), and of those only the ones present in the
+// state: ascending partner ranks are ascending positions, and the
+// proposal list is exactly the one of a k(k−1) sweep over every ordered
+// pair.
+func (b *builder) expandState(s int) {
 	b.props = b.props[:0]
 	t := &b.ranks
-	rs := b.curRanks[:0]
-	var sum uint64
-	for _, id := range comps {
-		rs = append(rs, t.idx[id]) // every component of a registered state is ranked
-		sum += compTerm(id)
-	}
-	b.cur, b.curRanks, b.curSum = comps, rs, sum
+	b.curKey = append(b.curKey[:0], b.l.key(s)...)
+	rs := b.l.ranksOf(b.curKey, b.curRanks)
+	b.curRanks = rs
 	for i, r := range rs {
 		solo := t.fetch(r).solo
 		for k := range solo {
@@ -838,13 +872,12 @@ func (b *builder) expandState(comps []types.ID) {
 // state left without edges gets its completion edge (completeRun). It
 // returns the index of the state's first edge.
 func (b *builder) expand(s int) int {
-	comps := b.l.StateComps(s)
 	b.porCur = int32(s)
-	b.expandState(comps)
+	b.expandState(s)
 	b.beginState(max(len(b.props), 1))
 	var sel []int32
 	if b.por != nil {
-		sel = b.por.ample(comps, b.curRanks, b.props, b.fresh)
+		sel = b.por.ample(b.curRanks, b.props, b.fresh)
 	}
 	if sel != nil {
 		for _, k := range sel {
@@ -915,14 +948,18 @@ func (l *LTS) sealTruncated() {
 // into a private interner, so StateType returns a ≡-equivalent type.
 func FromAdjacency(states []types.Type, adj [][]AdjEdge, initial int) *LTS {
 	l := &LTS{Initial: initial, in: types.NewInterner()}
+	t := rankTable{l: l, idx: map[types.ID]int32{}}
 	labelIdx := map[string]int32{}
-	var ids []types.ID
+	var rs []int32
+	var key []uint64
 	for i := range states {
-		ids = ids[:0]
+		rs = rs[:0]
 		for _, c := range types.FlattenPar(states[i]) {
-			ids = append(ids, l.in.Intern(c))
+			rs = append(rs, t.rankOf(l.in.Intern(c)))
 		}
-		l.addVector(ids)
+		sortRanks(rs)
+		key, _ = t.keyOf(rs, key)
+		l.addKey(key)
 		l.edges.reserve(len(adj[i]))
 		l.start.add(int32(l.edges.pos))
 		for _, e := range adj[i] {
@@ -946,21 +983,70 @@ type AdjEdge struct {
 }
 
 // Len returns the number of states.
-func (l *LTS) Len() int { return l.compStart.n }
+func (l *LTS) Len() int { return l.keys.n >> l.wlog }
 
-// addVector appends a state's component vector to the arena as one run.
-func (l *LTS) addVector(comps []types.ID) {
-	l.comps.reserve(len(comps))
-	l.compStart.add(int32(l.comps.pos))
-	l.comps.pushAll(comps)
+// key returns the key of state s, a view into the store.
+func (l *LTS) key(s int) []uint64 {
+	return l.keys.view(s<<l.wlog, (s+1)<<l.wlog)
+}
+
+// addKey stores the key of the next state as one run.
+func (l *LTS) addKey(key []uint64) {
+	l.keys.reserve(len(key))
+	l.keys.pushAll(key)
+}
+
+// fit doubles the key width until every rank has a bit, rewriting every
+// stored key at the new width, and reports whether it widened. The old
+// store is left as it was, so an earlier snapshot still reads it.
+func (l *LTS) fit() bool {
+	widened := false
+	for len(l.first) > 64<<l.wlog {
+		old, w := l.keys, 1<<l.wlog
+		pad := make([]uint64, w)
+		l.keys = chunked[uint64]{}
+		for s := range old.n / w {
+			l.keys.reserve(2 * w)
+			l.keys.pushAll(old.view(s*w, s*w+w))
+			l.keys.pushAll(pad)
+		}
+		l.wlog++
+		widened = true
+	}
+	return widened
+}
+
+// ranksOf decodes key into the first ranks of its components, ascending,
+// in rs's storage: the exploration's rank order, with the copies of a
+// component together at its first copy's rank.
+func (l *LTS) ranksOf(key []uint64, rs []int32) []int32 {
+	rs = rs[:0]
+	for i, w := range key {
+		for ; w != 0; w &= w - 1 {
+			f := l.first[i<<6|bits.TrailingZeros64(w)]
+			rs = append(rs, f)
+			for k := len(rs) - 1; k > 0 && f < rs[k-1]; k-- {
+				rs[k], rs[k-1] = rs[k-1], f
+			}
+		}
+	}
+	return rs
 }
 
 // StateComps returns the component vector of state s: the interned IDs
 // of its FlattenPar leaves, in the exploration's rank order (each
-// multiset has exactly one such vector). The slice is a view into the
-// LTS's arena; callers must not mutate it.
+// multiset has exactly one such vector). The slice is decoded from the
+// state's key afresh on every call; the caller owns it.
 func (l *LTS) StateComps(s int) []types.ID {
-	return l.comps.view(runBounds(&l.compStart, s, l.comps.pos))
+	rs := l.ranksOf(l.key(s), nil)
+	if len(rs) == 0 {
+		return nil
+	}
+	ids := make([]types.ID, len(rs))
+	for k, r := range rs {
+		ids[k] = l.comp[r]
+	}
+	return ids
 }
 
 // StateType builds the type of state s on demand. State 0 is the
@@ -971,8 +1057,7 @@ func (l *LTS) StateType(s int) types.Type {
 	if s == 0 && l.root != nil {
 		return l.root
 	}
-	// InternPar sorts its argument in place; the arena stays rank-sorted.
-	return l.in.TypeOf(l.in.InternPar(slices.Clone(l.StateComps(s))))
+	return l.in.TypeOf(l.in.InternPar(l.StateComps(s)))
 }
 
 // StateComponents returns the component types of state s — the
@@ -985,7 +1070,7 @@ func (l *LTS) StateComponents(s int) []types.Type {
 	if s == 0 && l.root != nil {
 		return types.FlattenPar(l.root)
 	}
-	ids := slices.Clone(l.StateComps(s))
+	ids := l.StateComps(s)
 	slices.Sort(ids)
 	out := make([]types.Type, 0, len(ids))
 	for _, id := range ids {
@@ -1088,10 +1173,10 @@ var chunkFirstLog, chunkCapLog = 6, 14
 // growing it allocates only what it keeps. The index space is split
 // into slots by the chunk geometry (slotOf, slotBase), and chunk k holds
 // the elements of slot k. Elements that must stay contiguous — a state's
-// component vector, its edges — form a run that is reserved before it
-// is pushed: a run that does not fit in the rest of the current slot
-// starts the next chunk, leaving the rest of the slot unused, so no run
-// straddles chunks. A run longer than its slot gets a chunk of its own
+// key, its edges — form a run that is reserved before it is pushed: a
+// run that does not fit in the rest of the current slot starts the next
+// chunk, leaving the rest of the slot unused, so no run straddles
+// chunks. A run longer than its slot gets a chunk of its own
 // that spans the following slots, which stay nil. Element indices,
 // gaps included, are what the offset arrays hold.
 type chunked[T any] struct {

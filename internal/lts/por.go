@@ -156,22 +156,22 @@ func (b *builder) fresh(p proposal) bool {
 
 // peekSeen returns the state number of a proposal's successor if it is
 // already discovered. It is the probe register makes (findEdit), so it
-// builds no vector, registers nothing and assigns no ranks.
+// builds no components, registers nothing and assigns no ranks.
 func (b *builder) peekSeen(p proposal) (int32, bool) {
 	num, _, _ := b.findEdit(p)
 	return num, num >= 0
 }
 
 // ample returns the indices (in canonical proposal order) of a valid
-// ample subset of props at the state with component multiset comps,
-// whose ranks are rs, or nil when the state must be fully expanded.
-// fresh is the cycle-proviso filter: a candidate set with a non-fresh
-// successor is discarded (and another seed tried).
-func (p *porState) ample(comps []types.ID, rs []int32, props []proposal, fresh func(proposal) bool) []int32 {
+// ample subset of props at the state whose components have the first
+// ranks rs, or nil when the state must be fully expanded. fresh is the
+// cycle-proviso filter: a candidate set with a non-fresh successor is
+// discarded (and another seed tried).
+func (p *porState) ample(rs []int32, props []proposal, fresh func(proposal) bool) []int32 {
 	if len(props) < 2 {
 		return nil
 	}
-	n := len(comps)
+	n := len(rs)
 	if cap(p.posProps) < n {
 		p.posProps = make([][]int32, n)
 		p.inC = make([]bool, n)
@@ -204,7 +204,7 @@ func (p *porState) ample(comps []types.ID, rs []int32, props []proposal, fresh f
 		tries = maxAmpleSeeds
 	}
 	for seed := 0; seed < tries; seed++ {
-		sel := p.closure(comps, rs, props, seed)
+		sel := p.closure(rs, props, seed)
 		if sel == nil {
 			continue
 		}
@@ -235,7 +235,7 @@ func (p *porState) ample(comps []types.ID, rs []int32, props []proposal, fresh f
 // future can synchronise with a protected component. Returns the ample
 // proposal indices in ascending order, or nil when the closure covers
 // everything (no reduction) or meets a visible label.
-func (p *porState) closure(comps []types.ID, rs []int32, props []proposal, seed int) []int32 {
+func (p *porState) closure(rs []int32, props []proposal, seed int) []int32 {
 	for i := range p.inC {
 		p.inC[i] = false
 	}
@@ -283,7 +283,7 @@ func (p *porState) closure(comps []types.ID, rs []int32, props []proposal, seed 
 				return nil
 			}
 		}
-		if !p.ruleB(comps, rs) {
+		if !p.ruleB(rs) {
 			break
 		}
 	}
@@ -317,15 +317,15 @@ func (p *porState) closure(comps []types.ID, rs []int32, props []proposal, seed 
 // function of the component ID, so the closure is memoised for the
 // whole exploration and the per-state cost is a handful of indexed
 // set probes.
-func (p *porState) ruleB(comps []types.ID, rs []int32) bool {
-	n := len(comps)
+func (p *porState) ruleB(rs []int32) bool {
+	n := len(rs)
 	grew := false
 	for q := 0; q < n; q++ {
 		if p.inC[q] {
 			continue
 		}
 		hit := false
-		for _, id := range p.desc(comps[q]) {
+		for _, id := range p.desc(p.ranks.l.comp[rs[q]]) {
 			for pos := 0; pos < n && !hit; pos++ {
 				if p.inC[pos] && p.syncable(id, rs[pos]) {
 					hit = true

@@ -43,6 +43,9 @@ type Cache struct {
 	mu   sync.Mutex
 	comp map[types.ID]*Component
 	sync map[[2]types.ID][]CompStep
+	// wit memoises Witnesses per input domain, keyed by its canonical
+	// form: early input asks for the witnesses of every input it fires.
+	wit map[string][]string
 }
 
 // NewCache returns an empty cache for semantics over env with the given
@@ -54,6 +57,7 @@ func NewCache(env *types.Env, witnessOnly bool) *Cache {
 		in:          types.NewInterner(),
 		comp:        map[types.ID]*Component{},
 		sync:        map[[2]types.ID][]CompStep{},
+		wit:         map[string][]string{},
 	}
 }
 
@@ -83,9 +87,10 @@ func store[K comparable, V any](c *Cache, m map[K]V, key K, v V) V {
 func (c *Cache) Interner() *types.Interner { return c.in }
 
 // Memos returns the total number of memo entries held by the cache — the
-// two memo maps plus the interned-type table — the size measure
-// long-lived owners (the public package's Workspace) budget their
-// eviction policy against.
+// component and synchronisation memos plus the interned-type table — the
+// size measure long-lived owners (the public package's Workspace) budget
+// their eviction policy against. The witness memo, one entry per input
+// domain of Γ's processes, is not counted.
 func (c *Cache) Memos() int {
 	c.mu.Lock()
 	n := len(c.comp) + len(c.sync)
@@ -95,6 +100,16 @@ func (c *Cache) Memos() int {
 
 // Env returns the environment the cache was built for.
 func (c *Cache) Env() *types.Env { return c.env }
+
+// Witnesses returns the variables x ∈ dom(Γ) with Γ ⊢ x ⩽ dom, in
+// insertion order (types.Env.Witnesses), memoised per domain.
+func (c *Cache) Witnesses(dom types.Type) []string {
+	key := types.Canon(dom)
+	if ws, ok := lookup(c, c.wit, key); ok {
+		return ws
+	}
+	return store(c, c.wit, key, c.env.Witnesses(dom))
+}
 
 // WitnessOnly reports whether the cache was built for witness-only
 // early input (see Semantics.WitnessOnly). Symmetry detection

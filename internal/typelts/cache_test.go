@@ -2,6 +2,7 @@ package typelts
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -107,6 +108,29 @@ func TestCacheFirstWriteWins(t *testing.T) {
 		}
 		if len(got[g]) > 0 && &got[g][0] != &got[0][0] {
 			t.Errorf("goroutine %d received a different slice than goroutine 0: racing computations must adopt the first published entry", g)
+		}
+	}
+}
+
+// TestCacheWitnessesMatchEnv: the witness memo answers what Γ answers
+// for every domain, also for a domain that differs from an earlier one
+// only by a bound variable's name, which shares its memo entry.
+func TestCacheWitnessesMatchEnv(t *testing.T) {
+	env := pingPongEnv()
+	c := NewCache(env, true)
+	domains := []types.Type{
+		types.ChanO{Elem: types.Str{}},
+		types.ChanI{Elem: types.Str{}},
+		types.Str{},
+		types.Top{},
+		types.Pi{Var: "a", Dom: types.Str{}, Cod: types.Nil{}},
+		types.Pi{Var: "b", Dom: types.Str{}, Cod: types.Nil{}},
+	}
+	for round := 0; round < 2; round++ {
+		for _, d := range domains {
+			if got, want := c.Witnesses(d), env.Witnesses(d); !slices.Equal(got, want) {
+				t.Errorf("round %d, domain %s: memo %v, Γ %v", round, d, got, want)
+			}
 		}
 	}
 }

@@ -160,8 +160,14 @@ func (s *Semantics) inSteps(t types.In, depth int) []Step {
 	if !ok {
 		return nil
 	}
+	var witnesses []string
+	if s.HasCompatibleCache() {
+		witnesses = s.Cache.Witnesses(pi.Dom)
+	} else {
+		witnesses = s.Env.Witnesses(pi.Dom)
+	}
 	var candidates []types.Type
-	for _, name := range s.Env.Witnesses(pi.Dom) {
+	for _, name := range witnesses {
 		candidates = append(candidates, types.Var{Name: name})
 	}
 	if !s.WitnessOnly || len(candidates) == 0 {

@@ -32,7 +32,6 @@ import (
 	"effpi/internal/lts"
 	"effpi/internal/mucalc"
 	"effpi/internal/typelts"
-	"effpi/internal/types"
 )
 
 // SymmetryMode selects exploration-time symmetry reduction.
@@ -111,15 +110,6 @@ func pinnedChannels(props []Property) []string {
 	return out
 }
 
-// sortedInto copies a component multiset into buf, sorted by ID value:
-// two multisets are equal iff their sorted copies are. Callers' slices
-// are rank-sorted and must stay that way, hence the copy.
-func sortedInto(buf, comps []types.ID) []types.ID {
-	buf = append(buf[:0], comps...)
-	slices.Sort(buf)
-	return buf
-}
-
 // orbitStep is one resolved transition of an orbit-LTS lasso: the edge
 // plus the canonicalisation permutation recorded for it.
 type orbitStep struct {
@@ -193,16 +183,16 @@ func liftSymmetric(ctx context.Context, req Request, sem *typelts.Semantics, m *
 	// step advances the concrete walk along one orbit step: the concrete
 	// label is ρ(label), the expected concrete successor is
 	// (ρ∘π⁻¹)(canonical destination), matched among the concrete edges by
-	// label key and component multiset.
-	var want, got []types.ID
+	// label key and component multiset, both sorted by ID value: two
+	// multisets are equal iff their sorted vectors are.
 	step := func(st orbitStep) error {
 		next := sym.Compose(rho, sym.Invert(st.perm))
 		lab := sym.PermuteLabel(rho, m.Labels[st.lab])
-		expComps, ok := sym.PermuteComps(next, m.StateComps(st.to))
+		want, ok := sym.PermuteComps(next, m.StateComps(st.to))
 		if !ok {
 			return fmt.Errorf("orbit state %d has components the group cannot place", st.to)
 		}
-		want = sortedInto(want, expComps)
+		slices.Sort(want)
 		wantKey := lab.Key()
 		edges, err := inc.Succ(cur)
 		if err != nil {
@@ -212,7 +202,8 @@ func liftSymmetric(ctx context.Context, req Request, sem *typelts.Semantics, m *
 			if inc.Labels()[e.Label].Key() != wantKey {
 				continue
 			}
-			if got = sortedInto(got, inc.StateComps(int(e.Dst))); slices.Equal(got, want) {
+			got := inc.StateComps(int(e.Dst))
+			if slices.Sort(got); slices.Equal(got, want) {
 				lifted.StemLabels = append(lifted.StemLabels, e.Label)
 				cur = int(e.Dst)
 				lifted.StemStates = append(lifted.StemStates, cur)
